@@ -104,6 +104,8 @@ struct MonitorStats {
     return tau_widenings + forced_resyncs + forced_write_throughs +
            forced_resends + relines + lane_repairs;
   }
+
+  bool operator==(const MonitorStats&) const = default;
 };
 
 class AssumptionMonitor {

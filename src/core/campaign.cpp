@@ -4,7 +4,6 @@
 #include <chrono>
 #include <ctime>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -237,63 +236,6 @@ MissionReport run_mission(const CampaignConfig& config,
   return report;
 }
 
-bool operator==(const MissionReport& a, const MissionReport& b) {
-  const MonitorStats& ma = a.monitor;
-  const MonitorStats& mb = b.monitor;
-  return a.seed == b.seed && a.ok == b.ok && a.failures == b.failures &&
-         a.injected_net == b.injected_net &&
-         a.late_deliveries == b.late_deliveries &&
-         a.net_dropped_loss == b.net_dropped_loss &&
-         a.net_dropped_no_receiver == b.net_dropped_no_receiver &&
-         a.net_dropped_cancelled == b.net_dropped_cancelled &&
-         a.write_retries == b.write_retries &&
-         a.failed_writes == b.failed_writes &&
-         a.torn_writes == b.torn_writes &&
-         a.latent_corruptions == b.latent_corruptions &&
-         a.corrupt_reads == b.corrupt_reads && a.hw_faults == b.hw_faults &&
-         a.drift_excursions == b.drift_excursions &&
-         a.missed_resyncs == b.missed_resyncs &&
-         a.sw_recoveries == b.sw_recoveries &&
-         a.ckpt_records == b.ckpt_records &&
-         a.ckpt_bytes_encoded == b.ckpt_bytes_encoded &&
-         a.ckpt_cache_hits == b.ckpt_cache_hits &&
-         a.ckpt_cache_misses == b.ckpt_cache_misses &&
-         a.stable_bytes_written == b.stable_bytes_written &&
-         a.lane_injected == b.lane_injected && a.lane_masked == b.lane_masked &&
-         a.lane_detected == b.lane_detected &&
-         a.lane_silent == b.lane_silent &&
-         a.lane_unprotected == b.lane_unprotected &&
-         a.lane_rollbacks == b.lane_rollbacks &&
-         a.lane_resyncs == b.lane_resyncs &&
-         a.sig_mismatches == b.sig_mismatches &&
-         a.link_epochs == b.link_epochs &&
-         a.disconnect_drops == b.disconnect_drops &&
-         a.burst_drops == b.burst_drops && a.handoffs == b.handoffs &&
-         a.handoff_aborted_writes == b.handoff_aborted_writes &&
-         a.unacked_high_water == b.unacked_high_water &&
-         a.at_exposures == b.at_exposures && a.at_detected == b.at_detected &&
-         a.at_missed == b.at_missed &&
-         a.at_false_alarms == b.at_false_alarms &&
-         a.rollback_seconds == b.rollback_seconds &&
-         a.blocking_seconds == b.blocking_seconds &&
-         a.schedule_json == b.schedule_json &&
-         ma.bound_violations == mb.bound_violations &&
-         ma.blocking_overruns == mb.blocking_overruns &&
-         ma.write_timeouts == mb.write_timeouts &&
-         ma.corrupt_records == mb.corrupt_records &&
-         ma.undelivered_messages == mb.undelivered_messages &&
-         ma.line_inconsistencies == mb.line_inconsistencies &&
-         ma.signature_mismatches == mb.signature_mismatches &&
-         ma.unacked_overflows == mb.unacked_overflows &&
-         ma.abft_scrub_detections == mb.abft_scrub_detections &&
-         ma.disconnect_deferrals == mb.disconnect_deferrals &&
-         ma.lane_repairs == mb.lane_repairs &&
-         ma.tau_widenings == mb.tau_widenings &&
-         ma.forced_resyncs == mb.forced_resyncs &&
-         ma.forced_write_throughs == mb.forced_write_throughs &&
-         ma.forced_resends == mb.forced_resends && ma.relines == mb.relines;
-}
-
 std::string format_mission_report(const CampaignConfig& config,
                                   std::size_t index,
                                   const MissionReport& report) {
@@ -385,76 +327,37 @@ double thread_cpu_seconds() {
   return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
-/// Releases buffered per-mission text to the stream strictly in mission
-/// order, as soon as the prefix is complete — so a parallel campaign
-/// streams progress like the sequential one, byte for byte.
-class OrderedEmitter {
- public:
-  OrderedEmitter(std::ostream* out, std::size_t count)
-      : out_(out), buffered_(count), ready_(count, false) {}
-
-  void publish(std::size_t index, std::string text) {
-    if (!out_) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    buffered_[index] = std::move(text);
-    ready_[index] = true;
-    while (next_ < ready_.size() && ready_[next_]) {
-      *out_ << buffered_[next_];
-      buffered_[next_].clear();
-      ++next_;
-    }
-    out_->flush();
-  }
-
- private:
-  std::ostream* out_;
-  std::mutex mu_;
-  std::vector<std::string> buffered_;
-  std::vector<bool> ready_;
-  std::size_t next_ = 0;
-};
-
 }  // namespace
 
 CampaignResult run_campaign(const CampaignConfig& config, std::ostream* out) {
   using Clock = std::chrono::steady_clock;
   CampaignResult result;
 
-  // All mission seeds derive from the campaign seed before any mission
-  // runs: the executor cannot perturb the adversary, whatever the order.
-  std::vector<std::uint64_t> seeds(config.reps);
-  Rng seeder(config.seed);
-  for (auto& s : seeds) s = seeder.next();
-
-  std::size_t jobs = config.jobs == 0 ? ThreadPool::default_jobs()
-                                      : config.jobs;
   // Every mission would write the same trace file; replay diagnostics are
   // single-mission anyway.
-  if (!config.trace_csv.empty()) jobs = 1;
-  jobs = std::min(jobs, std::max<std::size_t>(1, config.reps));
-
+  const std::size_t jobs = config.trace_csv.empty() ? config.jobs : 1;
+  const std::vector<std::uint64_t> seeds =
+      derive_seeds(config.seed, config.reps);
   result.missions.resize(config.reps);
   std::vector<double> mission_secs(config.reps, 0.0);
-  OrderedEmitter emitter(out, config.reps);
-
-  auto run_one = [&](std::size_t i) {
-    const double cpu0 = thread_cpu_seconds();
-    MissionReport report = run_mission(config, seeds[i]);
-    mission_secs[i] = thread_cpu_seconds() - cpu0;
-    emitter.publish(i, format_mission_report(config, i, report));
-    result.missions[i] = std::move(report);
-  };
 
   const auto wall0 = Clock::now();
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < config.reps; ++i) run_one(i);
-  } else {
-    ThreadPool pool(jobs);
-    pool.run_indexed(config.reps, run_one);
-  }
+  result.jobs = run_ordered(
+      config.reps, jobs,
+      [&](std::size_t i) {
+        const double cpu0 = thread_cpu_seconds();
+        MissionReport report = run_mission(config, seeds[i]);
+        mission_secs[i] = thread_cpu_seconds() - cpu0;
+        return report;
+      },
+      [&](std::size_t i, MissionReport report) {
+        if (out) {
+          *out << format_mission_report(config, i, report) << std::flush;
+        }
+        result.missions[i] = std::move(report);
+      });
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall0).count();
-  result.jobs = jobs;
 
   for (const MissionReport& report : result.missions) {
     result.oracle_violations += report.failures.size();
@@ -480,7 +383,7 @@ CampaignResult run_campaign(const CampaignConfig& config, std::ostream* out) {
     std::ostringstream timing;
     timing.setf(std::ios::fixed);
     timing.precision(2);
-    timing << "timing: jobs=" << jobs << " wall=" << result.wall_seconds
+    timing << "timing: jobs=" << result.jobs << " wall=" << result.wall_seconds
            << "s throughput=" << result.missions_per_sec
            << " missions/s speedup=" << result.speedup << "x\n";
     *out << timing.str();

@@ -140,14 +140,11 @@ struct MissionReport {
 
   /// Populated when the mission failed: the full replayable adversary.
   std::string schedule_json;
-};
 
-/// Field-wise equality, including monitor stats and failure text — the
-/// determinism contract: `--jobs N` must reproduce `--jobs 1` exactly.
-bool operator==(const MissionReport& a, const MissionReport& b);
-inline bool operator!=(const MissionReport& a, const MissionReport& b) {
-  return !(a == b);
-}
+  /// Field-wise equality, including monitor stats and failure text — the
+  /// determinism contract: `--jobs N` must reproduce `--jobs 1` exactly.
+  bool operator==(const MissionReport&) const = default;
+};
 
 struct CampaignResult {
   std::vector<MissionReport> missions;  ///< Stable order: mission index.
@@ -162,7 +159,7 @@ struct CampaignResult {
   std::size_t jobs = 1;                ///< Workers actually used.
   double wall_seconds = 0;             ///< Campaign wall-clock.
   /// Sum of per-mission thread-CPU times (not wall: CPU time is immune to
-  /// timesharing inflation when the pool oversubscribes the cores).
+  /// timesharing inflation when the workers oversubscribe the cores).
   double mission_seconds_total = 0;
   double missions_per_sec = 0;         ///< reps / wall_seconds.
   /// Effective parallelism: mission_seconds_total / wall_seconds (≈1 when
@@ -185,9 +182,9 @@ MissionReport run_mission(const CampaignConfig& config,
 
 /// Run the whole campaign, fanning missions out over config.jobs workers.
 /// Mission seeds are all derived from config.seed before any mission runs,
-/// reports land in mission-index order, and per-mission output is buffered
-/// and emitted in order, so everything written to `out` except the trailing
-/// `timing:` line is byte-identical for every jobs value. Prints a summary
+/// and reports are stored and their text emitted in mission-index order,
+/// so everything written to `out` except the trailing `timing:` line is
+/// byte-identical for every jobs value. Prints a summary
 /// (and failing seeds + schedule JSON) to `out` when non-null.
 CampaignResult run_campaign(const CampaignConfig& config, std::ostream* out);
 

@@ -1,7 +1,6 @@
 #include "general/campaign.hpp"
 
 #include <chrono>
-#include <mutex>
 #include <sstream>
 
 #include "analysis/checkers.hpp"
@@ -22,19 +21,6 @@ const char* to_string(GeneralShape shape) {
   return "?";
 }
 
-bool operator==(const GeneralMissionReport& a, const GeneralMissionReport& b) {
-  return a.seed == b.seed && a.ok == b.ok && a.failures == b.failures &&
-         a.processes == b.processes && a.events == b.events &&
-         a.device_outputs == b.device_outputs &&
-         a.tainted_outputs == b.tainted_outputs &&
-         a.stable_ckpts == b.stable_ckpts &&
-         a.hw_recoveries == b.hw_recoveries &&
-         a.sw_recoveries == b.sw_recoveries &&
-         a.sw_replayed == b.sw_replayed &&
-         a.consistency_violations == b.consistency_violations &&
-         a.recoverability_violations == b.recoverability_violations;
-}
-
 namespace {
 
 Topology build_topology(const GeneralCampaignConfig& config) {
@@ -48,34 +34,6 @@ Topology build_topology(const GeneralCampaignConfig& config) {
   }
   return Topology(std::move(specs));
 }
-
-/// In-order output publisher (same scheme as the chaos campaign): each
-/// mission's text is buffered until every earlier mission has printed.
-class OrderedEmitter {
- public:
-  OrderedEmitter(std::ostream* out, std::size_t count)
-      : out_(out), buffered_(count), ready_(count, false) {}
-
-  void publish(std::size_t index, std::string text) {
-    if (!out_) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    buffered_[index] = std::move(text);
-    ready_[index] = true;
-    while (next_ < ready_.size() && ready_[next_]) {
-      *out_ << buffered_[next_];
-      buffered_[next_].clear();
-      ++next_;
-    }
-    out_->flush();
-  }
-
- private:
-  std::ostream* out_;
-  std::mutex mu_;
-  std::vector<std::string> buffered_;
-  std::vector<bool> ready_;
-  std::size_t next_ = 0;
-};
 
 }  // namespace
 
@@ -173,31 +131,20 @@ GeneralCampaignResult run_general_campaign(const GeneralCampaignConfig& config,
   SYNERGY_EXPECTS(config.reps > 0);
   GeneralCampaignResult result;
 
-  // All mission seeds derive from the campaign seed before any mission
-  // runs: the fan-out order can never influence the missions themselves.
-  std::vector<std::uint64_t> seeds(config.reps);
-  Rng seeder(config.seed);
-  for (auto& s : seeds) s = seeder.next();
-
+  const std::vector<std::uint64_t> seeds =
+      derive_seeds(config.seed, config.reps);
   result.missions.resize(config.reps);
-  const std::size_t jobs =
-      config.jobs == 0 ? ThreadPool::default_jobs() : config.jobs;
-  result.jobs = std::min(jobs, config.reps);
-
-  OrderedEmitter emitter(out, config.reps);
-  auto run_one = [&](std::size_t i) {
-    GeneralMissionReport report = run_general_mission(config, seeds[i]);
-    emitter.publish(i, format_general_mission(config, i, report));
-    result.missions[i] = std::move(report);
-  };
 
   const auto wall0 = Clock::now();
-  if (result.jobs <= 1) {
-    for (std::size_t i = 0; i < config.reps; ++i) run_one(i);
-  } else {
-    ThreadPool pool(result.jobs);
-    pool.run_indexed(config.reps, run_one);
-  }
+  result.jobs = run_ordered(
+      config.reps, config.jobs,
+      [&](std::size_t i) { return run_general_mission(config, seeds[i]); },
+      [&](std::size_t i, GeneralMissionReport report) {
+        if (out) {
+          *out << format_general_mission(config, i, report) << std::flush;
+        }
+        result.missions[i] = std::move(report);
+      });
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall0).count();
 

@@ -6,12 +6,12 @@
 // the paper's oracles (recovery-line consistency + recoverability) over
 // both the stable line and the live state.
 //
-// The campaign fans missions out over the shared worker pool under the
-// same determinism contract as the chaos campaign (src/core/campaign.hpp):
-// mission seeds all derive from the campaign seed before any mission runs,
-// reports land in mission-index order, and per-mission output is buffered
-// and published in order — everything except the trailing `timing:` line
-// is byte-identical for every --jobs value.
+// The campaign fans missions out through the shared in-order executor
+// (core/pool.hpp) under the same determinism contract as the chaos
+// campaign (src/core/campaign.hpp): mission seeds all derive from the
+// campaign seed before any mission runs, and reports are stored and their
+// text published in mission-index order — everything except the trailing
+// `timing:` line is byte-identical for every --jobs value.
 #pragma once
 
 #include <cstdint>
@@ -60,15 +60,11 @@ struct GeneralMissionReport {
   std::uint64_t sw_replayed = 0;  ///< shadow-takeover log replays
   std::uint64_t consistency_violations = 0;
   std::uint64_t recoverability_violations = 0;
-};
 
-/// Field-wise equality — the determinism contract: `--jobs N` must
-/// reproduce `--jobs 1` exactly.
-bool operator==(const GeneralMissionReport& a, const GeneralMissionReport& b);
-inline bool operator!=(const GeneralMissionReport& a,
-                       const GeneralMissionReport& b) {
-  return !(a == b);
-}
+  /// Field-wise equality — the determinism contract: `--jobs N` must
+  /// reproduce `--jobs 1` exactly.
+  bool operator==(const GeneralMissionReport&) const = default;
+};
 
 struct GeneralCampaignResult {
   std::vector<GeneralMissionReport> missions;  ///< mission-index order

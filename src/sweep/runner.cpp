@@ -1,12 +1,8 @@
 #include "sweep/runner.hpp"
 
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <utility>
 
-#include "common/rng.hpp"
 #include "core/pool.hpp"
 
 namespace synergy::sweep {
@@ -22,30 +18,6 @@ std::uint64_t sample_priority(std::uint64_t cell_seed, std::uint64_t salt,
                               std::uint64_t ordinal) {
   return mix64((cell_seed ^ salt) + ordinal);
 }
-
-/// Releases mission reports to the fold callback strictly in index
-/// order, buffering only the out-of-order suffix (≈jobs entries), so a
-/// parallel cell folds the exact sequence a sequential one would.
-class OrderedFold {
- public:
-  explicit OrderedFold(CellStats& stats) : stats_(stats) {}
-
-  void publish(std::size_t index, MissionReport report) {
-    std::lock_guard<std::mutex> lk(mu_);
-    pending_.emplace(index, std::move(report));
-    while (!pending_.empty() && pending_.begin()->first == next_) {
-      stats_.fold(next_, pending_.begin()->second);
-      pending_.erase(pending_.begin());
-      ++next_;
-    }
-  }
-
- private:
-  CellStats& stats_;
-  std::mutex mu_;
-  std::map<std::size_t, MissionReport> pending_;
-  std::size_t next_ = 0;
-};
 
 }  // namespace
 
@@ -120,12 +92,6 @@ ShardResult run_sweep(const SweepConfig& config, std::ostream* progress) {
   const std::vector<SweepCell> grid = build_grid(config);
   result.cells_total = grid.size();
 
-  std::size_t jobs = config.jobs == 0 ? ThreadPool::default_jobs()
-                                      : config.jobs;
-  jobs = std::min(jobs, std::max<std::size_t>(1, config.reps));
-  std::optional<ThreadPool> pool;
-  if (jobs > 1) pool.emplace(jobs);
-
   for (const SweepCell& cell : grid) {
     if (cell_shard(config.seed, cell.index, config.shard_count) !=
         config.shard_index) {
@@ -135,22 +101,17 @@ ShardResult run_sweep(const SweepConfig& config, std::ostream* progress) {
     CellStats stats(cell);
     const CampaignConfig cc = cell_campaign_config(config, cell);
 
-    // Mission seeds derive from the cell seed up-front, exactly like
-    // run_campaign derives them from a campaign seed: the executor can
-    // reorder execution but never the adversary.
-    std::vector<std::uint64_t> seeds(config.reps);
-    Rng seeder(cell.seed);
-    for (auto& s : seeds) s = seeder.next();
-
-    OrderedFold folder(stats);
-    auto run_one = [&](std::size_t i) {
-      folder.publish(i, run_mission(cc, seeds[i]));
-    };
-    if (pool) {
-      pool->run_indexed(config.reps, run_one);
-    } else {
-      for (std::size_t i = 0; i < config.reps; ++i) run_one(i);
-    }
+    // Mission seeds derive from the cell seed exactly as run_campaign
+    // derives them from a campaign seed, and reports fold in mission-index
+    // order whatever the worker count.
+    const std::vector<std::uint64_t> seeds =
+        derive_seeds(cell.seed, config.reps);
+    run_ordered(
+        config.reps, config.jobs,
+        [&](std::size_t i) { return run_mission(cc, seeds[i]); },
+        [&](std::size_t i, const MissionReport& report) {
+          stats.fold(i, report);
+        });
 
     result.missions_run += stats.tallies.missions;
     if (progress) {

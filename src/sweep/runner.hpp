@@ -1,16 +1,18 @@
 // The sweep executor: cells → missions → streaming aggregates.
 //
 // Cells run sequentially (their identity and seeds are position-free);
-// inside a cell, missions fan out over the work-stealing ThreadPool —
+// inside a cell, missions fan out through run_ordered (core/pool.hpp) —
 // the same executor the chaos campaign uses — with seeds derived
-// up-front. Completed reports are folded strictly in mission-index order
-// through a bounded reorder buffer, so the accumulator sees the exact
-// fold sequence of a sequential run whatever the pool's completion order
-// was: streaming Welford is order-sensitive in its low bits, and the
-// shard/merge byte-identity contract leaves no room for "close enough".
+// up-front. Reports are folded strictly in mission-index order, so the
+// accumulator sees the exact fold sequence of a sequential run whatever
+// the worker count: streaming Welford is order-sensitive in its low bits,
+// and the shard/merge byte-identity contract leaves no room for "close
+// enough".
 //
-// Memory is O(cells) + O(out-of-order window), never O(missions): a
-// mission report is folded and dropped the moment its prefix completes.
+// Memory is O(cells) + O(out-of-order window), never O(missions): workers
+// claim missions in index order, so only reports whose predecessors are
+// still running wait to be folded (about one per worker), and each is
+// dropped the moment it is folded.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +65,7 @@ struct CellStats {
   explicit CellStats(const SweepCell& c) : cell(c) {}
 
   /// Fold mission `index`'s report. MUST be called in mission-index
-  /// order (the runner's reorder buffer guarantees it).
+  /// order (run_ordered guarantees it).
   void fold(std::size_t index, const MissionReport& report);
 
   double dependability() const;  ///< ok / missions (1 when empty).

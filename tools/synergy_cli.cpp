@@ -20,11 +20,15 @@
 //   synergy chaos --reps 50 --seed 1
 //   synergy chaos --replay 13665873534402006364
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,7 +38,6 @@
 #include "bench/bench_common.hpp"
 #include "core/campaign.hpp"
 #include "core/experiment.hpp"
-#include "core/pool.hpp"
 #include "core/system.hpp"
 #include "general/campaign.hpp"
 #include "sweep/fragment.hpp"
@@ -81,7 +84,7 @@ RUN OPTIONS
 SWEEP OPTIONS (run mode)
   Crosses scheme x fault-scale x AT-coverage x checkpoint-interval into a
   deterministic cell grid; each cell runs --reps chaos missions through
-  the work-stealing executor and is aggregated with streaming statistics
+  the in-order parallel executor and is aggregated with streaming statistics
   (memory stays O(cells) however many missions run). Output is a
   `synergy-sweep-v1` JSON document on stdout (or --out).
   --seed N            sweep seed; cell and mission seeds derive from it
@@ -212,71 +215,103 @@ WorkloadKind parse_workload(const std::string& s) {
   usage(2);
 }
 
-/// Parse `value` as a probability; reject anything outside [0, 1] with a
-/// clear error naming the flag.
-double parse_probability(const char* flag, const char* value) {
+/// Parse `value` as a finite number in [lo, hi]; reject junk and
+/// out-of-range values with an error naming the flag and what it expects.
+double parse_number(const char* flag, const char* value, const char* expects,
+                    double lo, double hi = HUGE_VAL) {
   char* end = nullptr;
-  const double p = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
-    std::fprintf(stderr, "%s expects a probability in [0, 1], got \"%s\"\n",
-                 flag, value);
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(v) || !(v >= lo) ||
+      !(v <= hi)) {
+    std::fprintf(stderr, "%s expects %s, got \"%s\"\n", flag, expects, value);
     usage(2);
   }
-  return p;
+  return v;
 }
 
-/// Parse `value` as a non-negative duration in seconds.
+double parse_probability(const char* flag, const char* value) {
+  return parse_number(flag, value, "a probability in [0, 1]", 0.0, 1.0);
+}
+
+/// Parse `value` as a non-negative duration in seconds (capped well inside
+/// Duration's microsecond range).
 Duration parse_seconds(const char* flag, const char* value) {
+  return Duration::from_seconds(parse_number(
+      flag, value, "a non-negative duration in seconds", 0.0, 1e12));
+}
+
+double parse_rate(const char* flag, const char* value) {
+  return parse_number(flag, value, "a non-negative rate per second", 0.0);
+}
+
+/// Parse `value` as a whole number >= `min` (decimal digits only: no
+/// sign, no junk, no overflow).
+std::uint64_t parse_count(const char* flag, const char* value,
+                          std::uint64_t min = 0) {
   char* end = nullptr;
-  const double secs = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(secs >= 0.0)) {
-    std::fprintf(stderr,
-                 "%s expects a non-negative duration in seconds, got \"%s\"\n",
-                 flag, value);
+  errno = 0;
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || n < min) {
+    std::fprintf(stderr, "%s expects a whole number >= %llu, got \"%s\"\n",
+                 flag, static_cast<unsigned long long>(min), value);
     usage(2);
   }
-  return Duration::from_seconds(secs);
+  return n;
 }
 
 struct FaultSpec {
-  double at = 0;
+  Duration at;
   std::uint32_t node = 0;
 };
 
 int cmd_run(int argc, char** argv) {
   SystemConfig config;
-  double duration = 3600;
+  Duration duration = Duration::seconds(3600);
   std::vector<FaultSpec> hw_faults;
-  double sw_error_at = -1;
+  std::optional<Duration> sw_error_at;
   bool check = false, timeline = false;
   std::string trace_csv, trace_jsonl;
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--scheme") config.scheme = parse_scheme(arg_value(argc, argv, i));
-    else if (a == "--seed") config.seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
-    else if (a == "--duration") duration = std::atof(arg_value(argc, argv, i));
+    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
+    else if (a == "--duration") duration = parse_seconds("--duration", arg_value(argc, argv, i));
     else if (a == "--internal-rate") {
-      const double r = std::atof(arg_value(argc, argv, i));
+      const double r = parse_rate("--internal-rate", arg_value(argc, argv, i));
       config.workload.p1_internal_rate = r;
       config.workload.p2_internal_rate = r;
     } else if (a == "--external-rate") {
-      const double r = std::atof(arg_value(argc, argv, i));
+      const double r = parse_rate("--external-rate", arg_value(argc, argv, i));
       config.workload.p1_external_rate = r;
       config.workload.p2_external_rate = r;
     } else if (a == "--interval") {
-      config.tb.interval = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
+      config.tb.interval = parse_seconds("--interval", arg_value(argc, argv, i));
     } else if (a == "--sw-fault-prob") {
-      config.sw_fault.activation_per_send = std::atof(arg_value(argc, argv, i));
+      config.sw_fault.activation_per_send =
+          parse_probability("--sw-fault-prob", arg_value(argc, argv, i));
     } else if (a == "--hw-fault") {
       const std::string spec = arg_value(argc, argv, i);
       const auto colon = spec.find(':');
-      if (colon == std::string::npos) usage(2);
+      if (colon == std::string::npos) {
+        std::fprintf(stderr, "--hw-fault expects T:NODE, got \"%s\"\n",
+                     spec.c_str());
+        usage(2);
+      }
+      const std::uint64_t node = parse_count(
+          "--hw-fault NODE", spec.substr(colon + 1).c_str());
+      if (node >= kNumCanonicalProcesses) {
+        std::fprintf(stderr, "--hw-fault NODE must be below %u, got %llu\n",
+                     kNumCanonicalProcesses,
+                     static_cast<unsigned long long>(node));
+        usage(2);
+      }
       hw_faults.push_back(FaultSpec{
-          std::atof(spec.substr(0, colon).c_str()),
-          static_cast<std::uint32_t>(std::atoi(spec.substr(colon + 1).c_str()))});
+          parse_seconds("--hw-fault T", spec.substr(0, colon).c_str()),
+          static_cast<std::uint32_t>(node)});
     } else if (a == "--sw-error") {
-      sw_error_at = std::atof(arg_value(argc, argv, i));
+      sw_error_at = parse_seconds("--sw-error", arg_value(argc, argv, i));
     } else if (a == "--gate") {
       const std::string m = arg_value(argc, argv, i);
       config.gate_mode = m == "paper" ? NdcGateMode::kPaper
@@ -295,22 +330,28 @@ int cmd_run(int argc, char** argv) {
       usage(2);
     }
   }
+  if (config.tb.interval <= Duration::zero()) {
+    std::fprintf(stderr, "--interval must be positive\n");
+    usage(2);
+  }
+  if (!hw_faults.empty() && config.scheme == Scheme::kMdcdOnly) {
+    std::fprintf(stderr,
+                 "--hw-fault needs stable storage; mdcd_only has none\n");
+    usage(2);
+  }
 
   System system(config);
-  system.start(TimePoint::origin() + Duration::from_seconds(duration));
+  system.start(TimePoint::origin() + duration);
   for (const auto& f : hw_faults) {
-    system.schedule_hw_fault(TimePoint::origin() + Duration::from_seconds(f.at),
-                             NodeId{f.node});
+    system.schedule_hw_fault(TimePoint::origin() + f.at, NodeId{f.node});
   }
-  if (sw_error_at >= 0) {
-    system.schedule_sw_error(TimePoint::origin() +
-                             Duration::from_seconds(sw_error_at));
-  }
+  if (sw_error_at) system.schedule_sw_error(TimePoint::origin() + *sw_error_at);
   system.run();
 
   std::printf("scheme=%s seed=%llu duration=%.0fs\n",
               to_string(config.scheme),
-              static_cast<unsigned long long>(config.seed), duration);
+              static_cast<unsigned long long>(config.seed),
+              duration.to_seconds());
   std::printf("device outputs=%zu  AT failures=%llu\n",
               system.device().entries.size(),
               static_cast<unsigned long long>(system.at_failures_observed()));
@@ -503,8 +544,8 @@ int cmd_sweep(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--merge") merge_mode = true;
-    else if (a == "--seed") config.seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
-    else if (a == "--reps") config.reps = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
+    else if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
     else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
     else if (a == "--schemes") config.axes.schemes = parse_scheme_list("--schemes", arg_value(argc, argv, i));
     else if (a == "--fault-scales") config.axes.fault_scales = parse_double_list("--fault-scales", arg_value(argc, argv, i));
@@ -514,7 +555,7 @@ int cmd_sweep(int argc, char** argv) {
     else if (a == "--lane-gap") config.lane_flip_gap = parse_seconds("--lane-gap", arg_value(argc, argv, i));
     else if (a == "--sig-gap") config.sig_fault_gap = parse_seconds("--sig-gap", arg_value(argc, argv, i));
     else if (a == "--mobile") config.mobile = true;
-    else if (a == "--jobs") config.jobs = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
     else if (a == "--shard") parse_shard(arg_value(argc, argv, i), config.shard_index, config.shard_count);
     else if (a == "--out") out_path = arg_value(argc, argv, i);
     else if (a == "--csv") csv_path = arg_value(argc, argv, i);
@@ -530,11 +571,6 @@ int cmd_sweep(int argc, char** argv) {
     std::fprintf(stderr, "--merge expects fragment paths\n");
     usage(2);
   }
-  if (config.reps == 0) {
-    std::fprintf(stderr, "--reps must be at least 1\n");
-    usage(2);
-  }
-
   try {
     sweep::ShardResult result;
     if (merge_mode) {
@@ -628,29 +664,29 @@ int cmd_chaos(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--reps") config.reps = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
-    else if (a == "--seed") config.seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
-    else if (a == "--jobs") config.jobs = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+    if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
+    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
+    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
     else if (a == "--json") json_path = arg_value(argc, argv, i);
-    else if (a == "--duration") config.mission = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
+    else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
     else if (a == "--scheme") config.scheme = parse_scheme(arg_value(argc, argv, i));
     else if (a == "--replay") {
       replay = true;
-      replay_seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      replay_seed = parse_count("--replay", arg_value(argc, argv, i));
     }
-    else if (a == "--drop") config.rates.net.drop_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--dup") config.rates.net.duplicate_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--reorder") config.rates.net.reorder_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--delay") config.rates.net.delay_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--bitflip") config.rates.net.bitflip_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--write-error") config.rates.storage.write_error_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--torn") config.rates.storage.torn_write_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--latent") config.rates.storage.latent_corruption_probability = std::atof(arg_value(argc, argv, i));
-    else if (a == "--hw-gap") config.rates.timed.hw_fault_mean_gap = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
-    else if (a == "--drift-gap") config.rates.timed.drift_excursion_mean_gap = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
-    else if (a == "--blackout-gap") config.rates.timed.resync_blackout_mean_gap = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
-    else if (a == "--lane-gap") config.rates.timed.lane_flip_mean_gap = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
-    else if (a == "--sig-gap") config.rates.timed.sig_fault_mean_gap = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
+    else if (a == "--drop") config.rates.net.drop_probability = parse_probability("--drop", arg_value(argc, argv, i));
+    else if (a == "--dup") config.rates.net.duplicate_probability = parse_probability("--dup", arg_value(argc, argv, i));
+    else if (a == "--reorder") config.rates.net.reorder_probability = parse_probability("--reorder", arg_value(argc, argv, i));
+    else if (a == "--delay") config.rates.net.delay_probability = parse_probability("--delay", arg_value(argc, argv, i));
+    else if (a == "--bitflip") config.rates.net.bitflip_probability = parse_probability("--bitflip", arg_value(argc, argv, i));
+    else if (a == "--write-error") config.rates.storage.write_error_probability = parse_probability("--write-error", arg_value(argc, argv, i));
+    else if (a == "--torn") config.rates.storage.torn_write_probability = parse_probability("--torn", arg_value(argc, argv, i));
+    else if (a == "--latent") config.rates.storage.latent_corruption_probability = parse_probability("--latent", arg_value(argc, argv, i));
+    else if (a == "--hw-gap") config.rates.timed.hw_fault_mean_gap = parse_seconds("--hw-gap", arg_value(argc, argv, i));
+    else if (a == "--drift-gap") config.rates.timed.drift_excursion_mean_gap = parse_seconds("--drift-gap", arg_value(argc, argv, i));
+    else if (a == "--blackout-gap") config.rates.timed.resync_blackout_mean_gap = parse_seconds("--blackout-gap", arg_value(argc, argv, i));
+    else if (a == "--lane-gap") config.rates.timed.lane_flip_mean_gap = parse_seconds("--lane-gap", arg_value(argc, argv, i));
+    else if (a == "--sig-gap") config.rates.timed.sig_fault_mean_gap = parse_seconds("--sig-gap", arg_value(argc, argv, i));
     else if (a == "--workload") config.base.workload.kind = parse_workload(arg_value(argc, argv, i));
     else if (a == "--disconnect-gap") config.rates.mobile.disconnect_mean_gap = parse_seconds("--disconnect-gap", arg_value(argc, argv, i));
     else if (a == "--disconnect-len") config.rates.mobile.disconnect_mean_len = parse_seconds("--disconnect-len", arg_value(argc, argv, i));
@@ -862,16 +898,16 @@ int cmd_general(int argc, char** argv) {
         usage(2);
       }
     }
-    else if (a == "--size") config.size = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
-    else if (a == "--reps") config.reps = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
-    else if (a == "--seed") config.seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+    else if (a == "--size") config.size = parse_count("--size", arg_value(argc, argv, i));
+    else if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
+    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
     else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
-    else if (a == "--internal-rate") config.internal_rate = std::atof(arg_value(argc, argv, i));
-    else if (a == "--external-rate") config.external_rate = std::atof(arg_value(argc, argv, i));
+    else if (a == "--internal-rate") config.internal_rate = parse_rate("--internal-rate", arg_value(argc, argv, i));
+    else if (a == "--external-rate") config.external_rate = parse_rate("--external-rate", arg_value(argc, argv, i));
     else if (a == "--interval") config.tb_interval = parse_seconds("--interval", arg_value(argc, argv, i));
     else if (a == "--no-hw") config.inject_hw = false;
     else if (a == "--no-sw") config.inject_sw = false;
-    else if (a == "--jobs") config.jobs = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
     else if (a == "--json") json_path = arg_value(argc, argv, i);
     else if (a == "--verbose") config.verbose = true;
     else {
@@ -883,8 +919,8 @@ int cmd_general(int argc, char** argv) {
     std::fprintf(stderr, "--size too small for the chosen topology\n");
     usage(2);
   }
-  if (config.reps == 0) {
-    std::fprintf(stderr, "--reps must be positive\n");
+  if (config.tb_interval <= Duration::zero()) {
+    std::fprintf(stderr, "--interval must be positive\n");
     usage(2);
   }
 
