@@ -73,40 +73,67 @@ struct MonitorParams {
   bool degrade = true;
 };
 
-struct MonitorStats {
-  // Detections.
-  std::uint64_t bound_violations = 0;
-  std::uint64_t blocking_overruns = 0;
-  std::uint64_t write_timeouts = 0;
-  std::uint64_t corrupt_records = 0;
-  std::uint64_t undelivered_messages = 0;
-  std::uint64_t line_inconsistencies = 0;
-  std::uint64_t signature_mismatches = 0;  ///< CFCSS breaks found by sweeps.
-  std::uint64_t unacked_overflows = 0;  ///< Unacked log exceeded its bound.
-  std::uint64_t abft_scrub_detections = 0;  ///< Damaged encodings found.
-  // Deferred (neither violation nor degradation): detections suppressed
-  // because a declared disconnection epoch explains them.
-  std::uint64_t disconnect_deferrals = 0;
-  // Degradations applied.
-  std::uint64_t tau_widenings = 0;
-  std::uint64_t forced_resyncs = 0;
-  std::uint64_t forced_write_throughs = 0;
-  std::uint64_t forced_resends = 0;
-  std::uint64_t relines = 0;
-  std::uint64_t lane_repairs = 0;  ///< Lanes parked/restored by sweep scans.
+/// Declares one counter row of an X-macro counter table as a field.
+#define SYNERGY_DECLARE_COUNTER(field, ...) std::uint64_t field = 0;
 
-  std::uint64_t violations() const {
-    return bound_violations + blocking_overruns + write_timeouts +
-           corrupt_records + undelivered_messages + line_inconsistencies +
-           signature_mismatches + unacked_overflows + abft_scrub_detections;
-  }
+/// What a monitor counter records. Deferrals are detections suppressed
+/// because a declared disconnection epoch explains them: neither a
+/// violation nor a degradation.
+enum class MonitorKind { kDetection, kDeferral, kDegradation };
+
+// Every MonitorStats counter, declared once as X(field, kind) in struct
+// order; violations() and degradations() sum the rows of their kind.
+// signature_mismatches are CFCSS breaks found by sweeps, unacked_overflows
+// unacked logs over their bound, abft_scrub_detections damaged encodings
+// found, lane_repairs lanes parked/restored by sweep scans.
+#define SYNERGY_MONITOR_COUNTERS(X)         \
+  X(bound_violations, kDetection)           \
+  X(blocking_overruns, kDetection)          \
+  X(write_timeouts, kDetection)             \
+  X(corrupt_records, kDetection)            \
+  X(undelivered_messages, kDetection)       \
+  X(line_inconsistencies, kDetection)       \
+  X(signature_mismatches, kDetection)       \
+  X(unacked_overflows, kDetection)          \
+  X(abft_scrub_detections, kDetection)      \
+  X(disconnect_deferrals, kDeferral)        \
+  X(tau_widenings, kDegradation)            \
+  X(forced_resyncs, kDegradation)           \
+  X(forced_write_throughs, kDegradation)    \
+  X(forced_resends, kDegradation)           \
+  X(relines, kDegradation)                  \
+  X(lane_repairs, kDegradation)
+
+struct MonitorStats {
+  SYNERGY_MONITOR_COUNTERS(SYNERGY_DECLARE_COUNTER)
+
+  std::uint64_t total(MonitorKind kind) const;
+  std::uint64_t violations() const { return total(MonitorKind::kDetection); }
   std::uint64_t degradations() const {
-    return tau_widenings + forced_resyncs + forced_write_throughs +
-           forced_resends + relines + lane_repairs;
+    return total(MonitorKind::kDegradation);
   }
 
   bool operator==(const MonitorStats&) const = default;
 };
+
+struct MonitorCounter {
+  const char* name;
+  MonitorKind kind;
+  std::uint64_t MonitorStats::*field;
+};
+#define SYNERGY_MONITOR_COUNTER_ROW(field, kind) \
+  MonitorCounter{#field, MonitorKind::kind, &MonitorStats::field},
+inline constexpr MonitorCounter kMonitorCounters[] = {
+    SYNERGY_MONITOR_COUNTERS(SYNERGY_MONITOR_COUNTER_ROW)};
+#undef SYNERGY_MONITOR_COUNTER_ROW
+
+inline std::uint64_t MonitorStats::total(MonitorKind kind) const {
+  std::uint64_t sum = 0;
+  for (const MonitorCounter& c : kMonitorCounters) {
+    if (c.kind == kind) sum += this->*c.field;
+  }
+  return sum;
+}
 
 class AssumptionMonitor {
  public:

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <ctime>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -236,6 +237,48 @@ MissionReport run_mission(const CampaignConfig& config,
   return report;
 }
 
+namespace {
+
+/// CPU time consumed by the calling thread. Immune to timesharing: on an
+/// oversubscribed machine a mission's wall time inflates while its CPU
+/// time does not, so Σ mission CPU / campaign wall reports real
+/// parallelism (~1 on one core) instead of flattering it.
+double thread_cpu_seconds() {
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+  timespec ts;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
+#endif
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
+/// at_detected / at_exposures; 1 when the AT never ran on tainted state.
+double computed_coverage(const MissionReport& report) {
+  return report.at_exposures > 0
+             ? static_cast<double>(report.at_detected) /
+                   static_cast<double>(report.at_exposures)
+             : 1.0;
+}
+
+/// Whether `group` is shown for `report` (one mission, or the total).
+bool counter_group_shown(const CampaignConfig& config,
+                         const MissionReport& report, CounterGroup group) {
+  switch (group) {
+    case CounterGroup::kLanes:
+      return scheme_lane_count(config.scheme) > 1 || report.lane_injected > 0;
+    case CounterGroup::kMobile:
+      return config.rates.mobile.any() || report.link_epochs > 0;
+    case CounterGroup::kAbft:
+      return config.base.workload.kind == WorkloadKind::kAbft;
+    default:
+      return true;
+  }
+}
+
+}  // namespace
+
 std::string format_mission_report(const CampaignConfig& config,
                                   std::size_t index,
                                   const MissionReport& report) {
@@ -283,11 +326,7 @@ std::string format_mission_report(const CampaignConfig& config,
           << " at_miss=" << report.at_missed;
       out.setf(std::ios::fixed);
       out.precision(3);
-      out << " cov_computed="
-          << (report.at_exposures > 0
-                  ? static_cast<double>(report.at_detected) /
-                        static_cast<double>(report.at_exposures)
-                  : 1.0)
+      out << " cov_computed=" << computed_coverage(report)
           << " cov_assumed=" << config.base.at.coverage;
       out.unsetf(std::ios::fixed);
     }
@@ -310,24 +349,61 @@ std::string format_mission_report(const CampaignConfig& config,
   return out.str();
 }
 
-namespace {
-
-/// CPU time consumed by the calling thread. Immune to timesharing: on an
-/// oversubscribed machine a mission's wall time inflates while its CPU
-/// time does not, so Σ mission CPU / campaign wall reports real
-/// parallelism (~1 on one core) instead of flattering it.
-double thread_cpu_seconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
+std::string format_mission_counters(const CampaignConfig& config,
+                                    const MissionReport& report) {
+  static constexpr const char* kGroupNames[] = {"adversity", "checkpoint",
+                                                "lanes", "mobile", "abft"};
+  static_assert(std::size(kGroupNames) ==
+                static_cast<std::size_t>(CounterGroup::kAbft) + 1);
+  std::ostringstream out;
+  for (std::size_t g = 0; g < std::size(kGroupNames); ++g) {
+    const auto group = static_cast<CounterGroup>(g);
+    if (!counter_group_shown(config, report, group)) continue;
+    out << kGroupNames[g] << ":";
+    for (const MissionCounter& c : kMissionCounters) {
+      if (c.group == group) out << ' ' << c.name << '=' << report.*c.field;
+    }
+    if (group == CounterGroup::kAbft) {
+      out.setf(std::ios::fixed);
+      out.precision(3);
+      out << " cov_computed=" << computed_coverage(report)
+          << " cov_assumed=" << config.base.at.coverage;
+    }
+    out << '\n';
   }
-#endif
-  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+  out << "monitor: violations=" << report.monitor.violations()
+      << " degradations=" << report.monitor.degradations();
+  for (const MonitorCounter& c : kMonitorCounters) {
+    out << ' ' << c.name << '=' << report.monitor.*c.field;
+  }
+  out << '\n';
+  return out.str();
 }
 
-}  // namespace
+std::vector<std::pair<std::string, std::uint64_t>> campaign_counter_totals(
+    const CampaignConfig& config, const std::vector<MissionReport>& missions) {
+  MissionReport total;
+  for (const MissionReport& r : missions) {
+    for (const MissionCounter& c : kMissionCounters) {
+      total.*c.field = c.fold == CounterFold::kMax
+                           ? std::max(total.*c.field, r.*c.field)
+                           : total.*c.field + r.*c.field;
+    }
+    for (const MonitorCounter& c : kMonitorCounters) {
+      total.monitor.*c.field += r.monitor.*c.field;
+    }
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> totals;
+  for (const MissionCounter& c : kMissionCounters) {
+    if (counter_group_shown(config, total, c.group)) {
+      totals.emplace_back(c.name, total.*c.field);
+    }
+  }
+  for (const MonitorCounter& c : kMonitorCounters) {
+    totals.emplace_back(c.name, total.monitor.*c.field);
+  }
+  return totals;
+}
 
 CampaignResult run_campaign(const CampaignConfig& config, std::ostream* out) {
   using Clock = std::chrono::steady_clock;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coord/monitor.hpp"
@@ -55,76 +56,85 @@ struct CampaignConfig {
   CampaignConfig();  ///< Sets rates + a busy default workload.
 };
 
+/// A mission counter's line in the `--replay` dump.
+enum class CounterGroup { kAdversity, kCheckpoint, kLanes, kMobile, kAbft };
+/// How a counter folds across the missions of a campaign.
+enum class CounterFold { kSum, kMax };
+
+// Every MissionReport counter, declared once as X(field, group, fold) in
+// struct order. The rows generate the fields, the `--replay` dump and the
+// `chaos --json` totals: a new counter is one row plus its increment site
+// in run_mission (and in perfbench's field-by-field replica of it).
+//  - adversity: what the injectors actually did. Base-network drops are
+//    split by cause (summing them gives the old conflated figure):
+//    injected/probabilistic loss, no attached receiver, and in-flight
+//    frames cancelled by a crash's drop_in_transit_to.
+//  - checkpoint: records (volatile saves + stable commits), snapshot bytes
+//    serialized, version-keyed snapshot-cache hits/misses across
+//    app/protocol/transport, stable bytes written.
+//  - lanes: redundant-lane fault adjudication (COAST injection model). At
+//    mission end each injected lane fault is exactly one of masked (voted
+//    out), detected (divergence / signature mismatch) or silent (wiped by
+//    a rollback/resync before any vote saw it, or still pending).
+//    lane_unprotected counts flips on a single-lane scheme's live state,
+//    where detection is up to AT coverage; lane_rollbacks are
+//    voter-triggered line rollbacks, lane_resyncs repairs from the
+//    surviving majority, sig_mismatches CFCSS signature-chain detections.
+//  - mobile (zero unless the mobile rates are armed): disconnection epochs
+//    begun, messages lost to blackouts and to burst chains, handoffs
+//    performed, writes abandoned mid-handoff, and the max per-node
+//    unacked-log size.
+//  - abft: acceptance-test outcomes summed over all nodes: runs on tainted
+//    state (exposures), tainted runs that failed (detected) or passed
+//    (missed, the blind spot), clean runs that failed (false alarms). On
+//    ABFT workloads the verdicts are computed from the block checksums, so
+//    at_detected / at_exposures is a *measured* coverage to compare
+//    against the assumed `at.coverage`.
+#define SYNERGY_MISSION_COUNTERS(X)                \
+  X(injected_net, kAdversity, kSum)                \
+  X(late_deliveries, kAdversity, kSum)             \
+  X(net_dropped_loss, kAdversity, kSum)            \
+  X(net_dropped_no_receiver, kAdversity, kSum)     \
+  X(net_dropped_cancelled, kAdversity, kSum)       \
+  X(write_retries, kAdversity, kSum)               \
+  X(failed_writes, kAdversity, kSum)               \
+  X(torn_writes, kAdversity, kSum)                 \
+  X(latent_corruptions, kAdversity, kSum)          \
+  X(corrupt_reads, kAdversity, kSum)               \
+  X(hw_faults, kAdversity, kSum)                   \
+  X(drift_excursions, kAdversity, kSum)            \
+  X(missed_resyncs, kAdversity, kSum)              \
+  X(sw_recoveries, kAdversity, kSum)               \
+  X(ckpt_records, kCheckpoint, kSum)               \
+  X(ckpt_bytes_encoded, kCheckpoint, kSum)         \
+  X(ckpt_cache_hits, kCheckpoint, kSum)            \
+  X(ckpt_cache_misses, kCheckpoint, kSum)          \
+  X(stable_bytes_written, kCheckpoint, kSum)       \
+  X(lane_injected, kLanes, kSum)                   \
+  X(lane_masked, kLanes, kSum)                     \
+  X(lane_detected, kLanes, kSum)                   \
+  X(lane_silent, kLanes, kSum)                     \
+  X(lane_unprotected, kLanes, kSum)                \
+  X(lane_rollbacks, kLanes, kSum)                  \
+  X(lane_resyncs, kLanes, kSum)                    \
+  X(sig_mismatches, kLanes, kSum)                  \
+  X(link_epochs, kMobile, kSum)                    \
+  X(disconnect_drops, kMobile, kSum)               \
+  X(burst_drops, kMobile, kSum)                    \
+  X(handoffs, kMobile, kSum)                       \
+  X(handoff_aborted_writes, kMobile, kSum)         \
+  X(unacked_high_water, kMobile, kMax)             \
+  X(at_exposures, kAbft, kSum)                     \
+  X(at_detected, kAbft, kSum)                      \
+  X(at_missed, kAbft, kSum)                        \
+  X(at_false_alarms, kAbft, kSum)
+
 struct MissionReport {
   std::uint64_t seed = 0;
   bool ok = true;
   std::vector<std::string> failures;
 
-  // Adversity actually experienced.
-  std::uint64_t injected_net = 0;
-  std::uint64_t late_deliveries = 0;
-  // Base-network drop tally, split by cause (summing them reproduces the
-  // old conflated `dropped()` figure): probabilistic/injected frame loss,
-  // deliveries with no attached receiver, and in-flight frames cancelled
-  // by a crash's drop_in_transit_to.
-  std::uint64_t net_dropped_loss = 0;
-  std::uint64_t net_dropped_no_receiver = 0;
-  std::uint64_t net_dropped_cancelled = 0;
-  std::uint64_t write_retries = 0;
-  std::uint64_t failed_writes = 0;
-  std::uint64_t torn_writes = 0;
-  std::uint64_t latent_corruptions = 0;
-  std::uint64_t corrupt_reads = 0;
-  std::uint64_t hw_faults = 0;
-  std::uint64_t drift_excursions = 0;
-  std::uint64_t missed_resyncs = 0;
-  std::uint64_t sw_recoveries = 0;
-
-  // Checkpoint-volume counters (allocation-lean pipeline observability):
-  // how much state the mission actually checkpointed, and how often the
-  // version-keyed snapshot caches spared a re-encode. Reported via the
-  // CLI's --json output only; the per-mission text lines stay unchanged.
-  std::uint64_t ckpt_records = 0;        ///< volatile saves + stable commits
-  std::uint64_t ckpt_bytes_encoded = 0;  ///< snapshot bytes serialized
-  std::uint64_t ckpt_cache_hits = 0;     ///< across app/protocol/transport
-  std::uint64_t ckpt_cache_misses = 0;
-  std::uint64_t stable_bytes_written = 0;
-
-  // Redundant-lane fault adjudication (COAST injection model). At mission
-  // end every injected lane fault is exactly one of masked (voted out),
-  // detected (divergence / signature mismatch) or silent (wiped by a
-  // rollback/resync before any vote saw it, or still pending).
-  // `lane_unprotected` counts flips that landed on a single-lane scheme's
-  // live state — the no-redundancy baseline where detection is up to AT
-  // coverage.
-  std::uint64_t lane_injected = 0;
-  std::uint64_t lane_masked = 0;
-  std::uint64_t lane_detected = 0;
-  std::uint64_t lane_silent = 0;
-  std::uint64_t lane_unprotected = 0;
-  std::uint64_t lane_rollbacks = 0;  ///< voter-triggered recovery-line rollbacks
-  std::uint64_t lane_resyncs = 0;    ///< lane repairs from surviving majority
-  std::uint64_t sig_mismatches = 0;  ///< CFCSS signature-chain detections
-
-  // Mobile/intermittent-connectivity family (zero unless the mobile rates
-  // are armed).
-  std::uint64_t link_epochs = 0;        ///< disconnection epochs begun
-  std::uint64_t disconnect_drops = 0;   ///< messages lost to blackouts
-  std::uint64_t burst_drops = 0;        ///< messages lost to burst chains
-  std::uint64_t handoffs = 0;           ///< base-station handoffs performed
-  std::uint64_t handoff_aborted_writes = 0;  ///< writes abandoned mid-handoff
-  std::uint64_t unacked_high_water = 0;  ///< max per-node unacked-log size
-
-  // Acceptance-test outcome tallies summed over all nodes. For ABFT
-  // workloads the verdicts are computed from the block checksums, so
-  //   computed coverage = at_detected / (at_detected + at_missed)
-  // is a *measured* output to compare against the assumed `at.coverage`
-  // input — the campaign's honest answer to "what does the AT really
-  // catch here".
-  std::uint64_t at_exposures = 0;    ///< AT runs on tainted state
-  std::uint64_t at_detected = 0;     ///< tainted runs that failed the AT
-  std::uint64_t at_missed = 0;       ///< tainted runs that passed (blind spot)
-  std::uint64_t at_false_alarms = 0; ///< clean runs that failed
+  SYNERGY_MISSION_COUNTERS(SYNERGY_DECLARE_COUNTER)
 
   // Distribution-feeding observables for the sweep driver (src/sweep).
   // Derived from simulated time only, so they share the determinism
@@ -145,6 +155,19 @@ struct MissionReport {
   /// determinism contract: `--jobs N` must reproduce `--jobs 1` exactly.
   bool operator==(const MissionReport&) const = default;
 };
+
+struct MissionCounter {
+  const char* name;
+  CounterGroup group;
+  CounterFold fold;
+  std::uint64_t MissionReport::*field;
+};
+#define SYNERGY_MISSION_COUNTER_ROW(field, group, fold)     \
+  MissionCounter{#field, CounterGroup::group, CounterFold::fold, \
+                 &MissionReport::field},
+inline constexpr MissionCounter kMissionCounters[] = {
+    SYNERGY_MISSION_COUNTERS(SYNERGY_MISSION_COUNTER_ROW)};
+#undef SYNERGY_MISSION_COUNTER_ROW
 
 struct CampaignResult {
   std::vector<MissionReport> missions;  ///< Stable order: mission index.
@@ -174,6 +197,20 @@ struct CampaignResult {
 std::string format_mission_report(const CampaignConfig& config,
                                   std::size_t index,
                                   const MissionReport& report);
+
+/// The `--replay` dump: a `group: field=value ...` line per shown group,
+/// then `monitor: violations=N degradations=N` and every monitor row. The
+/// `chaos --json` totals below show the same groups: adversity and
+/// checkpoint always; lanes on redundant schemes or once lane faults were
+/// injected; mobile when its rates are armed or epochs ran; abft on ABFT
+/// workloads.
+std::string format_mission_counters(const CampaignConfig& config,
+                                    const MissionReport& report);
+
+/// The `chaos --json` totals: each shown mission row folded by its rule,
+/// then each monitor row summed, keyed by field name.
+std::vector<std::pair<std::string, std::uint64_t>> campaign_counter_totals(
+    const CampaignConfig& config, const std::vector<MissionReport>& missions);
 
 /// Run one mission with the given seed. Exposed for deterministic replay
 /// (`synergy chaos --replay <seed>`).

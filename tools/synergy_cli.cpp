@@ -137,10 +137,11 @@ CHAOS OPTIONS
   --jobs N            worker threads for the mission fan-out; 0 = all
                       hardware threads (default 1). Reports and per-mission
                       output are bit-identical for every value.
-  --json FILE         write campaign throughput as synergy-bench-v1 JSON
-                      (the BENCH_campaign.json regression baseline)
+  --json FILE         write campaign throughput and counter totals as
+                      synergy-bench-v1 JSON (the BENCH_campaign.json
+                      regression baseline)
   --replay SEED       re-run exactly one mission with this mission seed
-                      (printed by a failing campaign) and dump its report
+                      (printed by a failing campaign) and dump its counters
   --drop P            network drop probability        (default 0.01)
   --dup P             network duplicate probability   (default 0.01)
   --reorder P         network reorder probability     (default 0.02)
@@ -194,6 +195,11 @@ GENERAL OPTIONS
   std::exit(code);
 }
 
+[[noreturn]] void unknown_option(const std::string& option) {
+  std::fprintf(stderr, "unknown option: %s\n", option.c_str());
+  usage(2);
+}
+
 const char* arg_value(int argc, char** argv, int& i) {
   if (i + 1 >= argc) {
     std::fprintf(stderr, "missing value for %s\n", argv[i]);
@@ -240,24 +246,92 @@ Duration parse_seconds(const char* flag, const char* value) {
       flag, value, "a non-negative duration in seconds", 0.0, 1e12));
 }
 
+void require_positive_interval(Duration interval) {
+  if (interval <= Duration::zero()) {
+    std::fprintf(stderr, "--interval must be positive\n");
+    usage(2);
+  }
+}
+
 double parse_rate(const char* flag, const char* value) {
   return parse_number(flag, value, "a non-negative rate per second", 0.0);
 }
 
-/// Parse `value` as a whole number >= `min` (decimal digits only: no
+/// Parse `value` as a whole number in [min, max] (decimal digits only: no
 /// sign, no junk, no overflow).
 std::uint64_t parse_count(const char* flag, const char* value,
-                          std::uint64_t min = 0) {
+                          std::uint64_t min = 0,
+                          std::uint64_t max = UINT64_MAX) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long n = std::strtoull(value, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
-      errno == ERANGE || n < min) {
-    std::fprintf(stderr, "%s expects a whole number >= %llu, got \"%s\"\n",
-                 flag, static_cast<unsigned long long>(min), value);
+      errno == ERANGE || n < min || n > max) {
+    std::fprintf(stderr, "%s expects a whole number >= %llu", flag,
+                 static_cast<unsigned long long>(min));
+    if (max != UINT64_MAX) {
+      std::fprintf(stderr, " and <= %llu", static_cast<unsigned long long>(max));
+    }
+    std::fprintf(stderr, ", got \"%s\"\n", value);
     usage(2);
   }
   return n;
+}
+
+/// The comma-separated items of `list` ("" is one empty item).
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t pos = 0;
+  for (auto comma = list.find(','); comma != std::string::npos;
+       comma = list.find(',', pos)) {
+    items.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  items.push_back(list.substr(pos));
+  return items;
+}
+
+/// Comma-separated list of finite doubles >= `lo`; rejects empty items,
+/// junk and out-of-range values.
+std::vector<double> parse_double_list(const char* flag, const char* value,
+                                      double lo = -HUGE_VAL) {
+  std::vector<double> out;
+  for (const std::string& item : split_list(value)) {
+    char* end = nullptr;
+    const double v = std::strtod(item.c_str(), &end);
+    if (end == item.c_str() || *end != '\0' || !std::isfinite(v) ||
+        !(v >= lo)) {
+      std::fprintf(stderr, "%s expects a comma-separated number list", flag);
+      if (std::isfinite(lo)) std::fprintf(stderr, " (each >= %g)", lo);
+      std::fprintf(stderr, ", got \"%s\"\n", value);
+      usage(2);
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<Scheme> parse_scheme_list(const char* flag, const char* value) {
+  std::vector<Scheme> out;
+  for (const std::string& item : split_list(value)) {
+    const auto scheme = scheme_from_string(item);
+    if (!scheme) {
+      std::fprintf(stderr, "%s: unknown scheme \"%s\"\n", flag, item.c_str());
+      usage(2);
+    }
+    out.push_back(*scheme);
+  }
+  return out;
+}
+
+/// One of a flag's two documented values.
+template <typename T>
+T parse_choice(const char* flag, const char* value, const char* a, T a_value,
+               const char* b, T b_value) {
+  if (std::strcmp(value, a) == 0) return a_value;
+  if (std::strcmp(value, b) == 0) return b_value;
+  std::fprintf(stderr, "%s expects %s | %s, got \"%s\"\n", flag, a, b, value);
+  usage(2);
 }
 
 struct FaultSpec {
@@ -299,41 +373,30 @@ int cmd_run(int argc, char** argv) {
                      spec.c_str());
         usage(2);
       }
-      const std::uint64_t node = parse_count(
-          "--hw-fault NODE", spec.substr(colon + 1).c_str());
-      if (node >= kNumCanonicalProcesses) {
-        std::fprintf(stderr, "--hw-fault NODE must be below %u, got %llu\n",
-                     kNumCanonicalProcesses,
-                     static_cast<unsigned long long>(node));
-        usage(2);
-      }
+      const std::uint64_t node =
+          parse_count("--hw-fault NODE", spec.substr(colon + 1).c_str(), 0,
+                      kNumCanonicalProcesses - 1);
       hw_faults.push_back(FaultSpec{
           parse_seconds("--hw-fault T", spec.substr(0, colon).c_str()),
           static_cast<std::uint32_t>(node)});
     } else if (a == "--sw-error") {
       sw_error_at = parse_seconds("--sw-error", arg_value(argc, argv, i));
     } else if (a == "--gate") {
-      const std::string m = arg_value(argc, argv, i);
-      config.gate_mode = m == "paper" ? NdcGateMode::kPaper
-                                      : NdcGateMode::kBlockingAware;
+      config.gate_mode = parse_choice(
+          "--gate", arg_value(argc, argv, i), "paper", NdcGateMode::kPaper,
+          "blocking_aware", NdcGateMode::kBlockingAware);
     } else if (a == "--tracking") {
-      const std::string m = arg_value(argc, argv, i);
-      config.tracking = m == "paper_dirty_bit"
-                            ? ContaminationTracking::kPaperDirtyBit
-                            : ContaminationTracking::kWatermark;
+      config.tracking = parse_choice(
+          "--tracking", arg_value(argc, argv, i), "paper_dirty_bit",
+          ContaminationTracking::kPaperDirtyBit, "watermark",
+          ContaminationTracking::kWatermark);
     } else if (a == "--check") check = true;
     else if (a == "--timeline") timeline = true;
     else if (a == "--trace-csv") trace_csv = arg_value(argc, argv, i);
     else if (a == "--trace-jsonl") trace_jsonl = arg_value(argc, argv, i);
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      usage(2);
-    }
+    else unknown_option(a);
   }
-  if (config.tb.interval <= Duration::zero()) {
-    std::fprintf(stderr, "--interval must be positive\n");
-    usage(2);
-  }
+  require_positive_interval(config.tb.interval);
   if (!hw_faults.empty() && config.scheme == Scheme::kMdcdOnly) {
     std::fprintf(stderr,
                  "--hw-fault needs stable storage; mdcd_only has none\n");
@@ -411,25 +474,19 @@ int cmd_rollback(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--rates") {
-      rates.clear();
-      std::string list = arg_value(argc, argv, i);
-      for (std::size_t pos = 0; pos < list.size();) {
-        const auto comma = list.find(',', pos);
-        rates.push_back(std::atof(list.substr(pos, comma - pos).c_str()));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      rates = parse_double_list("--rates", arg_value(argc, argv, i), 0.0);
     } else if (a == "--reps") {
-      reps = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      reps = parse_count("--reps", arg_value(argc, argv, i), 1);
     } else if (a == "--seed") {
-      seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      seed = parse_count("--seed", arg_value(argc, argv, i));
     } else if (a == "--interval") {
-      interval = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
+      interval = parse_seconds("--interval", arg_value(argc, argv, i));
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      usage(2);
+      unknown_option(a);
     }
   }
+
+  require_positive_interval(interval);
 
   std::printf("rate,scheme,mean_rollback_s,ci95_s,faults\n");
   for (double rate : rates) {
@@ -457,68 +514,20 @@ int cmd_rollback(int argc, char** argv) {
   return 0;
 }
 
-/// Comma-separated list of doubles; rejects empty items and junk.
-std::vector<double> parse_double_list(const char* flag, const char* value) {
-  std::vector<double> out;
-  const std::string list = value;
-  for (std::size_t pos = 0; pos <= list.size();) {
-    const auto comma = list.find(',', pos);
-    const std::string item =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (item.empty() || end == item.c_str() || *end != '\0') {
-      std::fprintf(stderr, "%s expects a comma-separated number list, got "
-                   "\"%s\"\n", flag, value);
-      usage(2);
-    }
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "%s expects at least one value\n", flag);
-    usage(2);
-  }
-  return out;
-}
-
-std::vector<Scheme> parse_scheme_list(const char* flag, const char* value) {
-  std::vector<Scheme> out;
-  const std::string list = value;
-  for (std::size_t pos = 0; pos <= list.size();) {
-    const auto comma = list.find(',', pos);
-    const std::string item =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (const auto s = scheme_from_string(item)) {
-      out.push_back(*s);
-    } else {
-      std::fprintf(stderr, "%s: unknown scheme \"%s\"\n", flag, item.c_str());
-      usage(2);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "%s expects at least one scheme\n", flag);
-    usage(2);
-  }
-  return out;
-}
-
-/// `I/N` with 1 <= I <= N.
+/// `I/N` with 1 <= I <= N <= UINT32_MAX.
 void parse_shard(const char* value, std::uint32_t& index,
                  std::uint32_t& count) {
-  unsigned long long i = 0, n = 0;
-  char* end = nullptr;
-  i = std::strtoull(value, &end, 10);
-  if (end == value || *end != '/') {
+  const std::string spec = value;
+  const auto slash = spec.find('/');
+  if (slash == std::string::npos) {
     std::fprintf(stderr, "--shard expects I/N (e.g. 2/3), got \"%s\"\n", value);
     usage(2);
   }
-  const char* rest = end + 1;
-  n = std::strtoull(rest, &end, 10);
-  if (end == rest || *end != '\0' || i < 1 || n < 1 || i > n) {
+  const std::uint64_t i =
+      parse_count("--shard I", spec.substr(0, slash).c_str(), 1, UINT32_MAX);
+  const std::uint64_t n =
+      parse_count("--shard N", spec.substr(slash + 1).c_str(), 1, UINT32_MAX);
+  if (i > n) {
     std::fprintf(stderr, "--shard expects I/N with 1 <= I <= N, got \"%s\"\n",
                  value);
     usage(2);
@@ -562,10 +571,7 @@ int cmd_sweep(int argc, char** argv) {
     else if (a == "--bench-json") bench_path = arg_value(argc, argv, i);
     else if (a == "--quiet") quiet = true;
     else if (merge_mode && !a.empty() && a[0] != '-') fragment_paths.push_back(a);
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      usage(2);
-    }
+    else unknown_option(a);
   }
   if (merge_mode && fragment_paths.empty()) {
     std::fprintf(stderr, "--merge expects fragment paths\n");
@@ -640,11 +646,12 @@ int cmd_model(int argc, char** argv) {
   RollbackModelParams params;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--lambda-dirty") params.lambda_dirty = std::atof(arg_value(argc, argv, i));
-    else if (a == "--lambda-valid") params.lambda_valid = std::atof(arg_value(argc, argv, i));
-    else if (a == "--interval") params.interval = Duration::from_seconds(std::atof(arg_value(argc, argv, i)));
-    else usage(2);
+    if (a == "--lambda-dirty") params.lambda_dirty = parse_rate("--lambda-dirty", arg_value(argc, argv, i));
+    else if (a == "--lambda-valid") params.lambda_valid = parse_rate("--lambda-valid", arg_value(argc, argv, i));
+    else if (a == "--interval") params.interval = parse_seconds("--interval", arg_value(argc, argv, i));
+    else unknown_option(a);
   }
+  require_positive_interval(params.interval);
   std::printf("lambda_dirty=%g /s  lambda_valid=%g /s  Delta=%g s\n",
               params.lambda_dirty, params.lambda_valid,
               params.interval.to_seconds());
@@ -695,10 +702,7 @@ int cmd_chaos(int argc, char** argv) {
     else if (a == "--handoff-gap") config.rates.mobile.handoff_mean_gap = parse_seconds("--handoff-gap", arg_value(argc, argv, i));
     else if (a == "--trace-csv") config.trace_csv = arg_value(argc, argv, i);
     else if (a == "--verbose") config.verbose = true;
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      usage(2);
-    }
+    else unknown_option(a);
   }
 
   if (replay) {
@@ -706,85 +710,7 @@ int cmd_chaos(int argc, char** argv) {
     std::printf("mission seed=%llu %s\n",
                 static_cast<unsigned long long>(r.seed),
                 r.ok ? "ok" : "FAIL");
-    std::printf("adversity: net=%llu late=%llu drop_loss=%llu "
-                "drop_norecv=%llu drop_cancel=%llu retries=%llu "
-                "failed_writes=%llu "
-                "torn=%llu latent=%llu corrupt_reads=%llu hw=%llu drift=%llu "
-                "missed_resync=%llu sw_recoveries=%llu\n",
-                static_cast<unsigned long long>(r.injected_net),
-                static_cast<unsigned long long>(r.late_deliveries),
-                static_cast<unsigned long long>(r.net_dropped_loss),
-                static_cast<unsigned long long>(r.net_dropped_no_receiver),
-                static_cast<unsigned long long>(r.net_dropped_cancelled),
-                static_cast<unsigned long long>(r.write_retries),
-                static_cast<unsigned long long>(r.failed_writes),
-                static_cast<unsigned long long>(r.torn_writes),
-                static_cast<unsigned long long>(r.latent_corruptions),
-                static_cast<unsigned long long>(r.corrupt_reads),
-                static_cast<unsigned long long>(r.hw_faults),
-                static_cast<unsigned long long>(r.drift_excursions),
-                static_cast<unsigned long long>(r.missed_resyncs),
-                static_cast<unsigned long long>(r.sw_recoveries));
-    std::printf("monitor: detected=%llu (bound=%llu overrun=%llu timeout=%llu "
-                "corrupt=%llu undelivered=%llu line=%llu) degraded=%llu "
-                "(widen=%llu resync=%llu write_through=%llu resend=%llu "
-                "reline=%llu)\n",
-                static_cast<unsigned long long>(r.monitor.violations()),
-                static_cast<unsigned long long>(r.monitor.bound_violations),
-                static_cast<unsigned long long>(r.monitor.blocking_overruns),
-                static_cast<unsigned long long>(r.monitor.write_timeouts),
-                static_cast<unsigned long long>(r.monitor.corrupt_records),
-                static_cast<unsigned long long>(r.monitor.undelivered_messages),
-                static_cast<unsigned long long>(r.monitor.line_inconsistencies),
-                static_cast<unsigned long long>(r.monitor.degradations()),
-                static_cast<unsigned long long>(r.monitor.tau_widenings),
-                static_cast<unsigned long long>(r.monitor.forced_resyncs),
-                static_cast<unsigned long long>(r.monitor.forced_write_throughs),
-                static_cast<unsigned long long>(r.monitor.forced_resends),
-                static_cast<unsigned long long>(r.monitor.relines));
-    if (scheme_lane_count(config.scheme) > 1 || r.lane_injected > 0) {
-      std::printf("lanes: injected=%llu masked=%llu detected=%llu "
-                  "silent=%llu unprotected=%llu rollbacks=%llu resyncs=%llu "
-                  "sig_mismatch=%llu\n",
-                  static_cast<unsigned long long>(r.lane_injected),
-                  static_cast<unsigned long long>(r.lane_masked),
-                  static_cast<unsigned long long>(r.lane_detected),
-                  static_cast<unsigned long long>(r.lane_silent),
-                  static_cast<unsigned long long>(r.lane_unprotected),
-                  static_cast<unsigned long long>(r.lane_rollbacks),
-                  static_cast<unsigned long long>(r.lane_resyncs),
-                  static_cast<unsigned long long>(r.sig_mismatches));
-    }
-    if (config.rates.mobile.any() || r.link_epochs > 0) {
-      std::printf("mobile: link_epochs=%llu disc_drop=%llu burst_drop=%llu "
-                  "handoffs=%llu handoff_aborts=%llu unacked_hw=%llu "
-                  "deferred=%llu\n",
-                  static_cast<unsigned long long>(r.link_epochs),
-                  static_cast<unsigned long long>(r.disconnect_drops),
-                  static_cast<unsigned long long>(r.burst_drops),
-                  static_cast<unsigned long long>(r.handoffs),
-                  static_cast<unsigned long long>(r.handoff_aborted_writes),
-                  static_cast<unsigned long long>(r.unacked_high_water),
-                  static_cast<unsigned long long>(
-                      r.monitor.disconnect_deferrals));
-    }
-    if (config.base.workload.kind == WorkloadKind::kAbft) {
-      const double computed =
-          r.at_exposures == 0
-              ? 1.0
-              : static_cast<double>(r.at_detected) /
-                    static_cast<double>(r.at_exposures);
-      std::printf("abft: exposures=%llu detected=%llu missed=%llu "
-                  "false_alarms=%llu scrub=%llu cov_computed=%.3f "
-                  "cov_assumed=%.3f\n",
-                  static_cast<unsigned long long>(r.at_exposures),
-                  static_cast<unsigned long long>(r.at_detected),
-                  static_cast<unsigned long long>(r.at_missed),
-                  static_cast<unsigned long long>(r.at_false_alarms),
-                  static_cast<unsigned long long>(
-                      r.monitor.abft_scrub_detections),
-                  computed, config.base.at.coverage);
-    }
+    std::fputs(format_mission_counters(config, r).c_str(), stdout);
     for (const auto& f : r.failures) std::printf("  %s\n", f.c_str());
     if (!r.ok) std::printf("schedule: %s\n", r.schedule_json.c_str());
     return r.ok ? 0 : 1;
@@ -801,77 +727,9 @@ int cmd_chaos(int argc, char** argv) {
                 result.wall_seconds * 1e9 /
                     static_cast<double>(std::max<std::size_t>(1, config.reps)),
                 result.missions_per_sec});
-    // Checkpoint-volume counters across all missions: trend data for the
-    // allocation-lean pipeline (how much encoding the caches spared).
-    std::uint64_t records = 0, encoded = 0, hits = 0, misses = 0, stable = 0;
-    std::uint64_t lane_inj = 0, lane_masked = 0, lane_det = 0, lane_silent = 0,
-                  lane_unprot = 0, lane_rb = 0;
-    std::uint64_t link_epochs = 0, disc_drops = 0, burst_drops = 0,
-                  handoffs = 0, handoff_aborts = 0, unacked_hw = 0,
-                  deferred = 0;
-    std::uint64_t at_exp = 0, at_det = 0, at_miss = 0, at_fa = 0;
-    std::uint64_t drop_loss = 0, drop_norecv = 0, drop_cancel = 0;
-    for (const MissionReport& r : result.missions) {
-      drop_loss += r.net_dropped_loss;
-      drop_norecv += r.net_dropped_no_receiver;
-      drop_cancel += r.net_dropped_cancelled;
-      records += r.ckpt_records;
-      encoded += r.ckpt_bytes_encoded;
-      hits += r.ckpt_cache_hits;
-      misses += r.ckpt_cache_misses;
-      stable += r.stable_bytes_written;
-      lane_inj += r.lane_injected;
-      lane_masked += r.lane_masked;
-      lane_det += r.lane_detected;
-      lane_silent += r.lane_silent;
-      lane_unprot += r.lane_unprotected;
-      lane_rb += r.lane_rollbacks;
-      link_epochs += r.link_epochs;
-      disc_drops += r.disconnect_drops;
-      burst_drops += r.burst_drops;
-      handoffs += r.handoffs;
-      handoff_aborts += r.handoff_aborted_writes;
-      unacked_hw = std::max(unacked_hw, r.unacked_high_water);
-      deferred += r.monitor.disconnect_deferrals;
-      at_exp += r.at_exposures;
-      at_det += r.at_detected;
-      at_miss += r.at_missed;
-      at_fa += r.at_false_alarms;
-    }
-    writer.set_counter("net_dropped_loss", drop_loss);
-    writer.set_counter("net_dropped_no_receiver", drop_norecv);
-    writer.set_counter("net_dropped_cancelled", drop_cancel);
-    writer.set_counter("ckpt_records_established", records);
-    writer.set_counter("ckpt_bytes_encoded", encoded);
-    writer.set_counter("ckpt_cache_hits", hits);
-    writer.set_counter("ckpt_cache_misses", misses);
-    writer.set_counter("stable_bytes_written", stable);
-    // Lane-fault adjudication across the campaign: the masked-vs-detected
-    // -vs-silent comparison EXPERIMENTS.md commits for the TMR demo.
-    writer.set_counter("lane_faults_injected", lane_inj);
-    writer.set_counter("lane_faults_masked", lane_masked);
-    writer.set_counter("lane_faults_detected", lane_det);
-    writer.set_counter("lane_faults_silent", lane_silent);
-    writer.set_counter("lane_faults_unprotected", lane_unprot);
-    writer.set_counter("lane_rollbacks", lane_rb);
-    // Mobile-family counters (all zero unless the mobile rates are armed,
-    // keeping pre-mobile baselines comparable).
-    if (config.rates.mobile.any()) {
-      writer.set_counter("link_epochs", link_epochs);
-      writer.set_counter("disconnect_drops", disc_drops);
-      writer.set_counter("burst_drops", burst_drops);
-      writer.set_counter("handoffs", handoffs);
-      writer.set_counter("handoff_aborted_writes", handoff_aborts);
-      writer.set_counter("unacked_high_water", unacked_hw);
-      writer.set_counter("disconnect_deferrals", deferred);
-    }
-    // ABFT computed-coverage tallies: the campaign's measured answer to
-    // the assumed AT coverage input.
-    if (config.base.workload.kind == WorkloadKind::kAbft) {
-      writer.set_counter("at_exposures", at_exp);
-      writer.set_counter("at_detected", at_det);
-      writer.set_counter("at_missed", at_miss);
-      writer.set_counter("at_false_alarms", at_fa);
+    for (const auto& [name, value] :
+         campaign_counter_totals(config, result.missions)) {
+      writer.set_counter(name, value);
     }
     if (!writer.write_file(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
@@ -889,14 +747,9 @@ int cmd_general(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--topology") {
-      const std::string t = arg_value(argc, argv, i);
-      if (t == "star") config.shape = GeneralShape::kStar;
-      else if (t == "chain") config.shape = GeneralShape::kChain;
-      else {
-        std::fprintf(stderr, "unknown topology: %s (expected star | chain)\n",
-                     t.c_str());
-        usage(2);
-      }
+      config.shape = parse_choice("--topology", arg_value(argc, argv, i),
+                                  "star", GeneralShape::kStar, "chain",
+                                  GeneralShape::kChain);
     }
     else if (a == "--size") config.size = parse_count("--size", arg_value(argc, argv, i));
     else if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
@@ -910,19 +763,13 @@ int cmd_general(int argc, char** argv) {
     else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
     else if (a == "--json") json_path = arg_value(argc, argv, i);
     else if (a == "--verbose") config.verbose = true;
-    else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      usage(2);
-    }
+    else unknown_option(a);
   }
   if (config.size < (config.shape == GeneralShape::kChain ? 2u : 1u)) {
     std::fprintf(stderr, "--size too small for the chosen topology\n");
     usage(2);
   }
-  if (config.tb_interval <= Duration::zero()) {
-    std::fprintf(stderr, "--interval must be positive\n");
-    usage(2);
-  }
+  require_positive_interval(config.tb_interval);
 
   const GeneralCampaignResult result =
       run_general_campaign(config, &std::cout);
