@@ -23,16 +23,10 @@ ProcessFacts facts_from_record(const CheckpointRecord& record) {
   // protocol): exactly the right notion for recovery-line analysis.
   facts.dirty = record.dirty_bit;
 
-  // Engine-independent prefix of the protocol state (see
-  // MdcdEngine::snapshot_protocol_state): dirty, msg_SN, guarded, views.
-  ByteReader r(record.protocol_state);
-  (void)r.u8();   // raw dirty bit (P1act: constant 1 while guarded)
-  (void)r.u64();  // msg_SN
-  (void)r.u8();   // guarded
-  (void)r.u64();  // validated watermark
-  (void)r.u64();  // dirty contamination watermark
-  facts.sent = ViewLog::deserialize(r);
-  facts.recv = ViewLog::deserialize(r);
+  if (const ViewHistory* views = record.views.log.get()) {
+    facts.sent = views->sent_at(record.views.mark);
+    facts.recv = views->recv_at(record.views.mark);
+  }
 
   ApplicationState app;
   app.restore(record.app_state);

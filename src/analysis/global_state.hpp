@@ -35,9 +35,9 @@ struct GlobalState {
   const ProcessFacts* find(ProcessId id) const;
 };
 
-/// Extract facts from a checkpoint record. Decodes the engine-independent
-/// prefix of protocol_state (dirty bit, msg_SN, guarded flag, view logs)
-/// and the application snapshot's taint flag.
+/// Extract facts from a checkpoint record: its contamination flag, the
+/// views its ViewRef reads (none without one) and the application
+/// snapshot's taint flag.
 ProcessFacts facts_from_record(const CheckpointRecord& record);
 
 /// Extract facts from a live engine (post-recovery audits).

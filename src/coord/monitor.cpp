@@ -335,14 +335,24 @@ std::size_t AssumptionMonitor::line_violations() {
   if (participants.empty()) return 0;
   const auto line = common_valid_line(participants);
   if (!line) return 0;
+  std::vector<LineRecord> key;
+  key.reserve(participants.size());
+  for (ProcessNode* n : participants) {
+    key.push_back(LineRecord{n->id(), *line, n->sstore().generation()});
+  }
+  // Same records, same verdict: a record's views are frozen at its mark.
+  // Only clean decodes are memoized, so a hit skips no corrupt read.
+  if (key == audited_line_) return audited_violations_;
   std::vector<CheckpointRecord> records;
   for (ProcessNode* n : participants) {
     auto rec = n->sstore().committed_for(*line);
     if (!rec) return 0;  // mid-commit: skip this audit
     records.push_back(std::move(*rec));
   }
-  const GlobalState state = global_state_from_records(records);
-  return check_consistency(state).size();
+  audited_violations_ =
+      check_consistency(global_state_from_records(records)).size();
+  audited_line_ = std::move(key);
+  return audited_violations_;
 }
 
 void AssumptionMonitor::start_line_repair() {

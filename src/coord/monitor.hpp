@@ -170,7 +170,8 @@ class AssumptionMonitor {
   void start_line_repair();
   void finish_line_repair();
   /// Consistency violations in the currently committed recovery line, or 0
-  /// when the line cannot be audited (no common index space).
+  /// when the line cannot be audited (no common index space). Memoized on
+  /// the identities of the line's records.
   std::size_t line_violations();
   void reestablish_line();
   bool quiescent() const;  ///< No node crashed / recovery in flight.
@@ -197,6 +198,17 @@ class AssumptionMonitor {
   std::vector<char> unacked_over_;
   /// Latch per node: a damaged ABFT encoding is counted once per episode.
   std::vector<char> abft_flagged_;
+  /// Identity of one record on an audited line: a store's record at `ndc`
+  /// is the same record for as long as the store's generation stands.
+  struct LineRecord {
+    ProcessId owner;
+    StableSeq ndc;
+    std::uint64_t generation;
+    bool operator==(const LineRecord&) const = default;
+  };
+  /// The last line audit whose records all decoded, and its verdict.
+  std::vector<LineRecord> audited_line_;
+  std::size_t audited_violations_ = 0;
 };
 
 }  // namespace synergy

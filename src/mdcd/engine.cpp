@@ -41,6 +41,11 @@ void MdcdEngine::set_validation_observer(std::function<void()> fn) {
   validation_observer_ = std::move(fn);
 }
 
+void MdcdEngine::set_record_observer(
+    std::function<void(const CheckpointRecord&)> fn) {
+  record_observer_ = std::move(fn);
+}
+
 void MdcdEngine::notify_validation() {
   // A validation event restores full redundant coverage: parked lanes are
   // re-synced from the just-validated primary before any observer (e.g.
@@ -102,7 +107,6 @@ void MdcdEngine::on_confidence_loss() {
 
 void MdcdEngine::process_confidence_loss() {
   trace(TraceKind::kConfidenceLoss);
-  bump_protocol_version();
   // Anchor the last trusted state immediately before admitting suspicion,
   // mirroring the Type-1 placement before consuming a dirty message.
   if (!contamination_flag()) {
@@ -122,7 +126,6 @@ void MdcdEngine::on_app_send(bool external, std::uint64_t input) {
     ++deferred_ops_;
     return;
   }
-  bump_protocol_version();  // role hooks mutate serialized state freely
   do_app_send(external, input);
 }
 
@@ -175,13 +178,11 @@ void MdcdEngine::process_passed_at(const Message& m) {
   // Validation notifications are acknowledged immediately: their effect
   // is a monotone watermark, so redelivery after a rollback is harmless.
   services_.transport->ack(m);
-  bump_protocol_version();  // role hooks mutate serialized state freely
   do_passed_at(m);
 }
 
 void MdcdEngine::process_app_message(const Message& m) {
   if (!consume_or_drop(m)) return;
-  bump_protocol_version();  // role hooks mutate serialized state freely
   do_app_message(m);
   // Marking and acking come after the role handler ran: the Type-1
   // checkpoint it may have established must capture a transport state
@@ -260,7 +261,6 @@ void MdcdEngine::end_blocking() {
   for (auto& op : pending) {
     if (!alive_) break;
     if (auto* send = std::get_if<SendReq>(&op)) {
-      bump_protocol_version();
       do_app_send(send->external, send->input);
     } else if (auto* step = std::get_if<StepReq>(&op)) {
       on_local_step(step->input);
@@ -313,7 +313,6 @@ bool MdcdEngine::effectively_dirty(const Message& m) {
 void MdcdEngine::mark_dirty() {
   if (dirty_) return;
   dirty_ = true;
-  bump_protocol_version();
   trace(TraceKind::kDirtySet);
 }
 
@@ -321,7 +320,6 @@ void MdcdEngine::clear_dirty() {
   if (!dirty_) return;
   dirty_ = false;
   dirty_contam_ = 0;
-  bump_protocol_version();
   trace(TraceKind::kDirtyClear);
   if (!contamination_flag()) {
     flush_deferred_acks();
@@ -331,13 +329,10 @@ void MdcdEngine::clear_dirty() {
 
 void MdcdEngine::note_validation(MsgSeq watermark) {
   validated_w_ = std::max(validated_w_, watermark);
-  bump_protocol_version();
   if (config_.tracking == ContaminationTracking::kPaperDirtyBit) {
-    sent_views_.validate_all();
-    recv_views_.validate_all();
+    views_->validate_all();
   } else {
-    sent_views_.validate_covered(watermark);
-    recv_views_.validate_covered(watermark);
+    views_->validate_covered(watermark);
   }
 }
 
@@ -348,7 +343,6 @@ bool MdcdEngine::validation_covers_dirt(MsgSeq watermark) const {
 
 void MdcdEngine::absorb_contamination(const Message& m) {
   dirty_contam_ = std::max(dirty_contam_, m.contam_sn);
-  bump_protocol_version();
 }
 
 void MdcdEngine::fence_all_below(std::uint32_t epoch) {
@@ -380,8 +374,7 @@ void MdcdEngine::send_recorded(Message m, bool suspect) {
   const MsgKind kind = m.kind;
   const std::uint64_t seq = services_.transport->send(std::move(m));
   if (config_.record_history && kind != MsgKind::kPassedAt) {
-    sent_views_.add(MsgView{to, seq, sn, kind, suspect, contam});
-    bump_protocol_version();
+    views_->add_sent(MsgView{to, seq, sn, kind, suspect, contam});
   }
   if (tracing()) {
     trace(TraceKind::kSend,
@@ -391,9 +384,8 @@ void MdcdEngine::send_recorded(Message m, bool suspect) {
 
 void MdcdEngine::record_recv(const Message& m, bool suspect) {
   if (config_.record_history && m.kind != MsgKind::kPassedAt) {
-    recv_views_.add(MsgView{m.sender, m.transport_seq, m.sn, m.kind, suspect,
-                            m.contam_sn});
-    bump_protocol_version();
+    views_->add_recv(MsgView{m.sender, m.transport_seq, m.sn, m.kind,
+                             suspect, m.contam_sn});
   }
 }
 
@@ -414,15 +406,24 @@ CheckpointRecord MdcdEngine::make_record(CkptKind kind) const {
   rec.ndc = ndc();
   // Version-cached shared blobs: repeated checkpoints of an unchanged
   // process (e.g. clean-state TB timer expiries) alias the same immutable
-  // buffers instead of re-encoding three snapshots per record.
+  // app and transport buffers instead of re-encoding them per record.
   rec.app_state = services_.app->snapshot_shared();
-  rec.protocol_state =
-      proto_cache_.get(protocol_version_, [this] {
-        return snapshot_protocol_state();
-      });
+  // The protocol blob is a few dozen bytes: encode it for every record,
+  // into a reused buffer, and allocate a new blob only when the bytes
+  // differ from the previous record's.
+  proto_scratch_.clear();
+  write_protocol_state(proto_scratch_);
+  ++protocol_encodes_;
+  protocol_bytes_encoded_ += proto_scratch_.size();
+  if (last_proto_ != proto_scratch_.data()) {
+    last_proto_ = SharedBytes(proto_scratch_.data());
+  }
+  rec.protocol_state = last_proto_;
   rec.transport_state = services_.transport->snapshot_state_shared();
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
+  rec.views = ViewRef{views_, views_->mark()};
+  if (record_observer_) record_observer_(rec);
   return rec;
 }
 
@@ -434,7 +435,7 @@ void MdcdEngine::establish_volatile_checkpoint(CkptKind kind) {
 
 void MdcdEngine::restore_from_record(const CheckpointRecord& record) {
   services_.app->restore(record.app_state);
-  restore_protocol_state(record.protocol_state);
+  restore_protocol_state(record.protocol_state, record.views.log.get());
   services_.transport->restore_state(record.transport_state);
   services_.transport->restore_unacked(record.unacked);
   deferred_.clear();
@@ -447,30 +448,35 @@ void MdcdEngine::restore_from_record(const CheckpointRecord& record) {
 
 Bytes MdcdEngine::snapshot_protocol_state() const {
   ByteWriter w;
+  write_protocol_state(w);
+  return w.take();
+}
+
+void MdcdEngine::write_protocol_state(ByteWriter& w) const {
   w.u8(dirty_ ? 1 : 0);
   w.u64(msg_sn_);
   w.u8(guarded_ ? 1 : 0);
   w.u64(validated_w_);
   w.u64(dirty_contam_);
-  sent_views_.serialize(w);
-  recv_views_.serialize(w);
+  views_->mark().serialize(w);
   serialize_role_state(w);
-  return w.take();
 }
 
 void MdcdEngine::restore_protocol_state(const Bytes& state) {
+  restore_protocol_state(state, views_.get());
+}
+
+void MdcdEngine::restore_protocol_state(const Bytes& state,
+                                        const ViewHistory* views) {
   ByteReader r(state);
   dirty_ = r.u8() != 0;
   msg_sn_ = r.u64();
   guarded_ = r.u8() != 0;
   validated_w_ = r.u64();
   dirty_contam_ = r.u64();
-  sent_views_ = ViewLog::deserialize(r);
-  recv_views_ = ViewLog::deserialize(r);
+  const ViewMark mark = ViewMark::deserialize(r);
+  views_ = views ? views->fork(mark) : std::make_shared<ViewHistory>();
   deserialize_role_state(r);
-  // The restored state may differ from whatever the cache last encoded;
-  // a conservative bump costs one re-encode, a stale hit would be a bug.
-  bump_protocol_version();
 }
 
 void MdcdEngine::serialize_role_state(ByteWriter&) const {}

@@ -6,8 +6,9 @@
 //
 //   - the dirty bit, its trace/observer plumbing, and Type-1 checkpoint
 //     placement (immediately before contamination);
-//   - msg_SN bookkeeping and sent/received validity views (the oracles'
-//     ground for the paper's consistency/recoverability properties);
+//   - msg_SN bookkeeping and the sent/received validity views (the
+//     oracles' ground for the paper's consistency/recoverability
+//     properties), kept in a shared ViewHistory outside the records;
 //   - blocking-period behaviour: application sends/steps/receives are
 //     deferred, while (modified variant) passed-AT notifications are still
 //     monitored with the Ndc gate;
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <variant>
 
@@ -93,6 +95,10 @@ class MdcdEngine : public CheckpointableProcess {
   /// its stable Type-2 writes off this.
   void set_validation_observer(std::function<void()> fn);
 
+  /// Observer fired with every record make_record builds (the view
+  /// history's differential tests copy the live views here).
+  void set_record_observer(std::function<void(const CheckpointRecord&)> fn);
+
   // ---- Recovery / lifecycle ----------------------------------------------
 
   std::uint32_t epoch() const { return epoch_; }
@@ -108,10 +114,7 @@ class MdcdEngine : public CheckpointableProcess {
   /// guarded mode ends (successful upgrade or takeover), dirty bits stay 0
   /// and MDCD "goes on leave" (paper §4.2).
   bool guarded() const { return guarded_; }
-  virtual void set_guarded(bool guarded) {
-    guarded_ = guarded;
-    bump_protocol_version();
-  }
+  virtual void set_guarded(bool guarded) { guarded_ = guarded; }
 
   /// A terminated engine ignores all events (P1act after takeover; any
   /// process while its node is crashed).
@@ -122,14 +125,17 @@ class MdcdEngine : public CheckpointableProcess {
   // ---- Checkpointing -----------------------------------------------------
 
   /// Build a checkpoint record of the *current* instant: application
-  /// snapshot, protocol state, transport dedup state and unacked log.
+  /// snapshot, protocol state, transport dedup state, unacked log, and a
+  /// reference to the view history at its current mark.
   CheckpointRecord make_record(CkptKind kind) const override;
 
   /// Establish a volatile checkpoint of the current state.
   void establish_volatile_checkpoint(CkptKind kind);
 
   /// Restore process state from a checkpoint record (software rollback or
-  /// hardware recovery). Clears deferred/held queues and blocking.
+  /// hardware recovery). Clears deferred/held queues and blocking. The
+  /// engine continues in a copy of the record's view history up to its
+  /// mark (copy-on-restore); a record without one starts an empty history.
   void restore_from_record(const CheckpointRecord& record);
 
   /// The most recent volatile checkpoint (rollback target).
@@ -137,7 +143,10 @@ class MdcdEngine : public CheckpointableProcess {
     return services_.vstore->latest();
   }
 
+  /// The protocol blob: scalars, the view mark, and role state.
   Bytes snapshot_protocol_state() const;
+  /// Restore a blob this engine produced since its last restore: its view
+  /// mark is read against the engine's current history.
   void restore_protocol_state(const Bytes& state);
 
   // ---- Oracle / diagnostics surface ---------------------------------------
@@ -146,25 +155,21 @@ class MdcdEngine : public CheckpointableProcess {
   /// coordination layers for trace stamps).
   TimePoint current_time() const override { return services_.now(); }
 
-  const ViewLog& sent_views() const { return sent_views_; }
-  const ViewLog& recv_views() const { return recv_views_; }
+  /// Live views (current validity).
+  const ViewLog& sent_views() const { return views_->sent(); }
+  const ViewLog& recv_views() const { return views_->recv(); }
   MsgSeq msg_sn() const { return msg_sn_; }
   std::uint64_t volatile_checkpoints() const { return vckpts_; }
   /// Operations deferred by blocking periods so far (overhead metric).
   std::uint64_t deferred_ops() const { return deferred_ops_; }
 
-  /// Monotone mutation stamp of the serialized protocol state. Bumped
-  /// conservatively: at every event-dispatch site that can reach a role
-  /// hook, and by every helper that touches a serialized field. An
-  /// over-bump wastes one re-encode; an under-bump would hand out a stale
-  /// checkpoint blob (the invalidation test hunts for those).
-  std::uint64_t protocol_version() const { return protocol_version_; }
-  std::uint64_t protocol_cache_hits() const { return proto_cache_.hits(); }
-  std::uint64_t protocol_cache_misses() const {
-    return proto_cache_.misses();
-  }
+  /// Protocol-blob encodes by make_record, reported beside the app and
+  /// transport snapshot caches' counters. The blob is encoded for every
+  /// record, so there are no hits.
+  std::uint64_t protocol_cache_hits() const { return 0; }
+  std::uint64_t protocol_cache_misses() const { return protocol_encodes_; }
   std::uint64_t protocol_bytes_encoded() const {
-    return proto_cache_.bytes_encoded();
+    return protocol_bytes_encoded_;
   }
 
  protected:
@@ -251,9 +256,6 @@ class MdcdEngine : public CheckpointableProcess {
   void trace(TraceKind kind, std::string_view detail = {}, std::uint64_t a = 0,
              std::uint64_t b = 0) const;
   bool tracing() const { return services_.trace != nullptr; }
-  /// Roles call this whenever they mutate serialized role state outside
-  /// the dispatched event hooks (which bump automatically).
-  void bump_protocol_version() { ++protocol_version_; }
   TimePoint now() const { return services_.now(); }
   StableSeq ndc() const { return ndc_provider_(); }
   void notify_contamination_cleared();
@@ -271,8 +273,6 @@ class MdcdEngine : public CheckpointableProcess {
   MsgSeq validated_w_ = 0;
   /// Highest contamination watermark absorbed since last clean.
   MsgSeq dirty_contam_ = 0;
-  ViewLog sent_views_;
-  ViewLog recv_views_;
 
  private:
   struct SendReq {
@@ -288,12 +288,19 @@ class MdcdEngine : public CheckpointableProcess {
   void process_passed_at(const Message& m);
   void process_app_message(const Message& m);
   void process_confidence_loss();
+  void write_protocol_state(ByteWriter& w) const;
+  /// Restore a protocol blob whose view mark indexes `views` (none: start
+  /// an empty history).
+  void restore_protocol_state(const Bytes& state, const ViewHistory* views);
 
   struct AckKey {
     ProcessId sender;
     std::uint64_t transport_seq;
   };
 
+  /// The ghost log: shared by handle with every record established from
+  /// it, replaced by a copy on restore.
+  std::shared_ptr<ViewHistory> views_ = std::make_shared<ViewHistory>();
   bool blocking_ = false;
   std::deque<Deferred> deferred_;
   std::vector<AckKey> deferred_acks_;
@@ -303,10 +310,14 @@ class MdcdEngine : public CheckpointableProcess {
   std::function<StableSeq()> ndc_provider_ = [] { return StableSeq{0}; };
   std::function<void()> contamination_cleared_;
   std::function<void()> validation_observer_;
+  std::function<void(const CheckpointRecord&)> record_observer_;
   std::uint64_t vckpts_ = 0;
   std::uint64_t deferred_ops_ = 0;
-  std::uint64_t protocol_version_ = 0;
-  mutable SnapshotCache proto_cache_;
+  mutable std::uint64_t protocol_encodes_ = 0;
+  mutable std::uint64_t protocol_bytes_encoded_ = 0;
+  mutable ByteWriter proto_scratch_;
+  /// The previous record's protocol blob, shared while the bytes repeat.
+  mutable SharedBytes last_proto_;
 };
 
 }  // namespace synergy

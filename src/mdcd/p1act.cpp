@@ -28,7 +28,6 @@ void P1ActEngine::maybe_all_clear() {
 void P1ActEngine::clear_pseudo_dirty() {
   if (!pseudo_dirty_) return;
   pseudo_dirty_ = false;
-  bump_protocol_version();  // serialized role state changed
   trace(TraceKind::kPseudoDirtyClear);
   maybe_all_clear();
 }
@@ -37,7 +36,6 @@ void P1ActEngine::clear_recv_dirty() {
   if (!recv_dirty_) return;
   recv_dirty_ = false;
   dirty_contam_ = 0;
-  bump_protocol_version();  // serialized role state changed
   trace(TraceKind::kDirtyClear);
   maybe_all_clear();
 }
@@ -135,7 +133,6 @@ void P1ActEngine::do_app_message(const Message& m) {
     }
     if (!recv_dirty_) {
       recv_dirty_ = true;
-      bump_protocol_version();  // serialized role state changed
       trace(TraceKind::kDirtySet);
     }
     absorb_contamination(m);
@@ -153,7 +150,6 @@ void P1ActEngine::note_confidence_loss() {
   if (config_.variant != MdcdVariant::kModified) return;
   if (!recv_dirty_) {
     recv_dirty_ = true;
-    bump_protocol_version();  // serialized role state changed
     trace(TraceKind::kDirtySet);
   }
 }

@@ -116,7 +116,6 @@ void P1SdwEngine::do_app_message(const Message& m) {
 std::size_t P1SdwEngine::takeover() {
   SYNERGY_EXPECTS(!active_);
   active_ = true;
-  bump_protocol_version();  // active_ + msg_log_ are serialized role state
   trace(TraceKind::kTakeover);
   std::size_t replayed = 0;
   SmallVec<Message, 4> log = std::move(msg_log_);

@@ -4,18 +4,24 @@
 // validity*: in a recovered global state, sender and receiver must agree
 // on whether each reflected message is valid (validated) or suspect
 // (sent from a potentially contaminated state, not yet covered by an
-// acceptance test). Engines therefore keep, as part of their protocol
-// state, a log of sent and received application-purpose messages together
-// with the local validity view. The global-state checkers compare these
-// logs across checkpoints.
+// acceptance test). Engines therefore keep a log of sent and received
+// application-purpose messages together with the local validity view. The
+// global-state checkers compare these logs across checkpoints.
+//
+// Only the oracles read the views, so they live outside the checkpoint
+// record, in one append-only ViewHistory per process (the "ghost log",
+// DESIGN.md §19). A record carries a ViewMark — both prefix lengths plus
+// the validation epoch at capture — and a handle on the history it indexes.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
-#include "common/serialize.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "net/message.hpp"
+#include "storage/checkpoint.hpp"
 
 namespace synergy {
 
@@ -33,31 +39,85 @@ struct MsgView {
   friend bool operator==(const MsgView&, const MsgView&) = default;
 };
 
-/// Append-only log of message views with bulk validation upgrades.
+/// Append-only log of message views with bulk validation upgrades. An
+/// index of the still-suspect entries makes an upgrade O(suspect), not
+/// O(log), and every upgrade is journaled with the validation epoch that
+/// made it, so the log can be read as it stood at an earlier epoch.
 class ViewLog {
  public:
-  void add(MsgView view) { views_.push_back(view); }
+  void add(MsgView view);
 
   /// A validation event (own AT pass, or accepted passed-AT notification)
-  /// upgrades every suspect entry to valid. Returns how many changed.
-  std::size_t validate_all();
+  /// upgrades every suspect entry to valid, stamped `epoch`. Returns how
+  /// many changed.
+  std::size_t validate_all(std::uint64_t epoch);
 
   /// Watermark-scoped upgrade: only suspect entries whose contamination
   /// watermark is covered (contam_sn <= watermark) become valid.
-  std::size_t validate_covered(MsgSeq watermark);
+  std::size_t validate_covered(MsgSeq watermark, std::uint64_t epoch);
+
+  /// The first `len` entries as they stood at validation epoch `epoch`:
+  /// entries upgraded by a later validation read as suspect again. The
+  /// copy's own upgrade journal starts empty.
+  ViewLog prefix_at(std::size_t len, std::uint64_t epoch) const;
 
   /// Inline-small storage: short logs (the steady state between
   /// checkpoints) never touch the heap.
   using Entries = SmallVec<MsgView, 8>;
   const Entries& entries() const { return views_; }
   std::size_t size() const { return views_.size(); }
-  void clear() { views_.clear(); }
-
-  void serialize(ByteWriter& w) const;
-  static ViewLog deserialize(ByteReader& r);
 
  private:
+  struct Upgrade {
+    std::uint32_t index;
+    std::uint64_t epoch;
+  };
+
+  template <typename Covered>
+  std::size_t upgrade(std::uint64_t epoch, Covered covered);
+
   Entries views_;
+  /// Indices of the entries still suspect, ascending.
+  std::vector<std::uint32_t> suspects_;
+  /// Every upgrade in the order made, hence in non-decreasing epoch.
+  std::vector<Upgrade> upgrades_;
+};
+
+/// One process's view history — the ghost log: its sent and received
+/// views plus the validation epoch that orders their upgrades. The engine
+/// appends to it and upgrades it; every checkpoint it establishes shares
+/// it by handle and reads it through the record's ViewMark. Appends land
+/// past every existing mark, and an upgrade is stamped with an epoch newer
+/// than every existing mark, so what a mark reads never changes.
+class ViewHistory {
+ public:
+  void add_sent(MsgView view) { sent_.add(view); }
+  void add_recv(MsgView view) { recv_.add(view); }
+
+  /// Open a new validation epoch and upgrade both logs in it.
+  void validate_all();
+  void validate_covered(MsgSeq watermark);
+
+  /// Where the history ends right now.
+  ViewMark mark() const;
+
+  /// The live views (current validity).
+  const ViewLog& sent() const { return sent_; }
+  const ViewLog& recv() const { return recv_; }
+
+  /// The views as a checkpoint taken at `mark` saw them.
+  ViewLog sent_at(const ViewMark& mark) const;
+  ViewLog recv_at(const ViewMark& mark) const;
+
+  /// Copy-on-restore: a fresh history holding exactly what `mark` sees.
+  /// The engine continues in the copy; this history (and every record
+  /// that references it) is never touched again by the restored engine.
+  std::shared_ptr<ViewHistory> fork(const ViewMark& mark) const;
+
+ private:
+  ViewLog sent_;
+  ViewLog recv_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace synergy

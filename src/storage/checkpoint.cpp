@@ -14,9 +14,23 @@ const char* to_string(CkptKind kind) {
   return "?";
 }
 
+void ViewMark::serialize(ByteWriter& w) const {
+  w.u32(sent_len);
+  w.u32(recv_len);
+  w.u64(epoch);
+}
+
+ViewMark ViewMark::deserialize(ByteReader& r) {
+  ViewMark m;
+  m.sent_len = r.u32();
+  m.recv_len = r.u32();
+  m.epoch = r.u64();
+  return m;
+}
+
 void CheckpointRecord::serialize(ByteWriter& w) const {
   const std::size_t start = w.data().size();
-  w.reserve(start + encoded_size());  // one exact-size allocation
+  w.reserve(start + serialized_size());  // one exact-size allocation
   w.u8(static_cast<std::uint8_t>(kind));
   w.u32(owner.value());
   w.i64(established_at.count());
@@ -81,6 +95,10 @@ std::optional<CheckpointRecord> CheckpointRecord::try_deserialize(
 }
 
 std::size_t CheckpointRecord::encoded_size() const {
+  return serialized_size() + views.modelled_extra();
+}
+
+std::size_t CheckpointRecord::serialized_size() const {
   // Mirrors serialize() field for field; the round-trip test in
   // storage_test asserts the two never drift apart.
   std::size_t n = 1 + 4 + 8 + 8 + 1 + 8;                    // header fields

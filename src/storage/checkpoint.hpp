@@ -15,9 +15,14 @@
 // serialized application state, the serialized protocol-engine state
 // (dirty bits, SN counters, message logs, VR), and — for stable
 // checkpoints — the unacked-send log used for re-send on recovery.
+//
+// The oracles' per-message validity views are not in the bytes: an MDCD
+// record references its process's view history (the ghost log, DESIGN.md
+// §19) through a ViewRef, and its protocol blob holds only the ViewMark.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -31,6 +36,45 @@ namespace synergy {
 enum class CkptKind : std::uint8_t { kType1, kType2, kPseudo, kStable };
 
 const char* to_string(CkptKind kind);
+
+/// Where a checkpoint's view history ends: the sent and received prefix
+/// lengths and the validation epoch at capture (mdcd/views.hpp).
+struct ViewMark {
+  std::uint32_t sent_len = 0;
+  std::uint32_t recv_len = 0;
+  std::uint64_t epoch = 0;
+
+  /// What the mark occupies inside a protocol blob.
+  static constexpr std::size_t kEncodedBytes = 4 + 4 + 8;
+  /// What the views it covers would occupy if serialized in the record:
+  /// two u32 counts plus 30 bytes per view (peer u32, transport_seq u64,
+  /// sn u64, kind u8, suspect u8, contam_sn u64). Stable-store timing
+  /// and the storage fault draws are charged at this size.
+  std::size_t modelled_view_bytes() const {
+    return 2 * 4 + 30 * (std::size_t{sent_len} + recv_len);
+  }
+
+  void serialize(ByteWriter& w) const;
+  static ViewMark deserialize(ByteReader& r);
+
+  friend bool operator==(const ViewMark&, const ViewMark&) = default;
+};
+
+class ViewHistory;
+
+/// A record's handle on its process's view history plus the mark it reads
+/// it at. Never serialized: the stable store keeps it beside each
+/// committed record's bytes and re-attaches it on decode.
+struct ViewRef {
+  std::shared_ptr<const ViewHistory> log;
+  ViewMark mark;
+
+  /// What the model charges beyond the serialized record: the views as
+  /// if serialized, less the mark that stands in for them.
+  std::size_t modelled_extra() const {
+    return log ? mark.modelled_view_bytes() - ViewMark::kEncodedBytes : 0;
+  }
+};
 
 struct CheckpointRecord {
   CkptKind kind = CkptKind::kType1;
@@ -70,6 +114,9 @@ struct CheckpointRecord {
   /// recovery (stable checkpoints only; empty for volatile records).
   std::vector<Message> unacked;
 
+  /// The oracles' view of this state (MDCD records; empty otherwise).
+  ViewRef views;
+
   /// Encoding ends with a CRC-32 over the record's own bytes, so storage
   /// corruption (torn writes, latent bit rot, truncation) is detectable at
   /// decode time.
@@ -82,10 +129,14 @@ struct CheckpointRecord {
   /// so recovery can fall back to an older retained record.
   static std::optional<CheckpointRecord> try_deserialize(ByteReader& r);
 
-  /// Encoded size in bytes (what a stable write actually persists).
-  /// Computed arithmetically — no serialization happens — so the stable
-  /// store's latency model and exact-size buffer reservations are free.
+  /// Modelled size in bytes: what a stable write persists in the model,
+  /// which charges the referenced views as if they were serialized in the
+  /// record (serialized_size() + views.modelled_extra()). Write latency,
+  /// bytes written and the storage fault draws use it. Computed
+  /// arithmetically — no serialization happens.
   std::size_t encoded_size() const;
+  /// Exact length of serialize()'s output.
+  std::size_t serialized_size() const;
 };
 
 }  // namespace synergy

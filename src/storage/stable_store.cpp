@@ -38,18 +38,42 @@ std::optional<TimePoint> StableStore::write_deadline() const {
   return in_progress_->expected_commit;
 }
 
-void StableStore::retain(StableSeq ndc, Bytes encoded) {
+StableStore::Committed StableStore::encode(const CheckpointRecord& record) {
+  ByteWriter w;
+  record.serialize(w);
+  const std::size_t modelled = w.size() + record.views.modelled_extra();
+  bytes_written_ += modelled;
+  return Committed{record.ndc, w.take(), record.views, modelled};
+}
+
+void StableStore::retain(Committed entry) {
+  ++generation_;
   // Same-index re-commit (post-recovery line refresh) replaces in place.
   for (auto& c : history_) {
-    if (c.ndc == ndc) {
-      c.encoded = std::move(encoded);
+    if (c.ndc == entry.ndc) {
+      c = std::move(entry);
       return;
     }
   }
-  history_.push_back(Committed{ndc, std::move(encoded)});
+  history_.push_back(std::move(entry));
   if (history_.size() > kHistoryDepth) {
     history_.erase(history_.begin());
   }
+}
+
+void StableStore::tear(Committed& c, std::size_t keep) {
+  // A cut inside the modelled view region still loses real bytes: every
+  // modelled prefix shorter than the record is undecodable, and so must be
+  // the real one.
+  if (!c.encoded.empty()) {
+    c.encoded.resize(std::min(keep, c.encoded.size() - 1));
+  }
+  c.modelled = keep;
+}
+
+void StableStore::flip(Committed& c, std::size_t offset, int bit) {
+  if (c.encoded.empty()) return;
+  c.encoded[offset % c.encoded.size()] ^= static_cast<std::uint8_t>(1u << bit);
 }
 
 void StableStore::commit() {
@@ -78,25 +102,20 @@ void StableStore::commit() {
     return;
   }
 
-  ByteWriter w;
-  in_progress_->record.serialize(w);
-  bytes_written_ += w.data().size();
-  const StableSeq ndc = in_progress_->record.ndc;
-  Bytes encoded = w.take();
+  Committed entry = encode(in_progress_->record);
 
   // Torn write: only a prefix of the record reaches the platter, but the
   // writer is told the commit succeeded. The CRC inside the encoding makes
   // the damage detectable at the next read.
   if (params_.faults.torn_write_probability > 0.0 &&
       fault_rng_.bernoulli(params_.faults.torn_write_probability) &&
-      encoded.size() > 1) {
-    const auto keep = static_cast<std::size_t>(fault_rng_.uniform_int(
-        1, static_cast<std::int64_t>(encoded.size()) - 1));
-    encoded.resize(keep);
+      entry.modelled > 1) {
+    tear(entry, static_cast<std::size_t>(fault_rng_.uniform_int(
+                    1, static_cast<std::int64_t>(entry.modelled) - 1)));
     ++torn_writes_;
   }
 
-  retain(ndc, std::move(encoded));
+  retain(std::move(entry));
   ++commits_;
   apply_post_commit_faults();
   CommitCallback cb = std::move(in_progress_->on_commit);
@@ -113,39 +132,45 @@ void StableStore::apply_post_commit_faults() {
   }
   auto& victim = history_[static_cast<std::size_t>(fault_rng_.uniform_int(
       0, static_cast<std::int64_t>(history_.size()) - 1))];
-  if (victim.encoded.empty()) return;
+  if (victim.modelled == 0) return;
   const auto byte = static_cast<std::size_t>(fault_rng_.uniform_int(
-      0, static_cast<std::int64_t>(victim.encoded.size()) - 1));
+      0, static_cast<std::int64_t>(victim.modelled) - 1));
   const auto bit = static_cast<int>(fault_rng_.uniform_int(0, 7));
-  victim.encoded[byte] ^= static_cast<std::uint8_t>(1u << bit);
+  flip(victim, byte, bit);
   ++latent_corruptions_;
+  ++generation_;
 }
 
 void StableStore::commit_now(CheckpointRecord record) {
   crash_abort_in_progress();
-  ByteWriter w;
-  record.serialize(w);
-  bytes_written_ += w.data().size();
-  retain(record.ndc, w.take());
+  retain(encode(record));
   ++commits_;
 }
 
-std::optional<CheckpointRecord> StableStore::decode(
-    const Bytes& encoded) const {
-  ByteReader r(encoded);
-  auto rec = CheckpointRecord::try_deserialize(r);
+bool StableStore::decodes(const Committed& c) {
+  ByteReader r(c.encoded);
   // Record-boundary check: a stored blob is exactly one record. Trailing
   // bytes mean the blob is not what the writer produced (overlong torn
   // read, appended garbage) even when the record's own CRC happens to
   // pass — treat it as corrupt, never hand back state plus junk.
-  if (rec && !r.exhausted()) rec.reset();
-  if (!rec) ++corrupt_reads_;
+  return CheckpointRecord::try_deserialize(r).has_value() && r.exhausted();
+}
+
+std::optional<CheckpointRecord> StableStore::decode(const Committed& c) const {
+  ByteReader r(c.encoded);
+  auto rec = CheckpointRecord::try_deserialize(r);
+  if (rec && !r.exhausted()) rec.reset();  // record-boundary check
+  if (!rec) {
+    ++corrupt_reads_;
+    return rec;
+  }
+  rec->views = c.views;
   return rec;
 }
 
 std::optional<CheckpointRecord> StableStore::latest_committed() const {
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    if (auto rec = decode(it->encoded)) return rec;
+    if (auto rec = decode(*it)) return rec;
   }
   return std::nullopt;
 }
@@ -156,8 +181,7 @@ StableSeq StableStore::latest_ndc() const {
 
 StableSeq StableStore::latest_valid_ndc() const {
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    ByteReader r(it->encoded);
-    if (CheckpointRecord::try_deserialize(r) && r.exhausted()) return it->ndc;
+    if (decodes(*it)) return it->ndc;
   }
   return 0;
 }
@@ -165,7 +189,7 @@ StableSeq StableStore::latest_valid_ndc() const {
 std::optional<CheckpointRecord> StableStore::committed_for(
     StableSeq ndc) const {
   for (const auto& c : history_) {
-    if (c.ndc == ndc) return decode(c.encoded);
+    if (c.ndc == ndc) return decode(c);
   }
   return std::nullopt;
 }
@@ -174,17 +198,14 @@ std::optional<CheckpointRecord> StableStore::best_valid_at_most(
     StableSeq ndc) const {
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
     if (it->ndc > ndc) continue;
-    if (auto rec = decode(it->encoded)) return rec;
+    if (auto rec = decode(*it)) return rec;
   }
   return std::nullopt;
 }
 
 bool StableStore::has_valid(StableSeq ndc) const {
   for (const auto& c : history_) {
-    if (c.ndc == ndc) {
-      ByteReader r(c.encoded);
-      return CheckpointRecord::try_deserialize(r).has_value() && r.exhausted();
-    }
+    if (c.ndc == ndc) return decodes(c);
   }
   return false;
 }
@@ -197,8 +218,10 @@ std::vector<StableSeq> StableStore::retained_ndcs() const {
 }
 
 void StableStore::discard_above(StableSeq ndc) {
-  std::erase_if(history_,
-                [ndc](const Committed& c) { return c.ndc > ndc; });
+  if (std::erase_if(history_,
+                    [ndc](const Committed& c) { return c.ndc > ndc; }) > 0) {
+    ++generation_;
+  }
 }
 
 StableStore::HandoffOutcome StableStore::handoff(std::size_t keep_depth,
@@ -230,6 +253,7 @@ StableStore::HandoffOutcome StableStore::handoff(std::size_t keep_depth,
     history_.erase(history_.begin(),
                    history_.begin() +
                        static_cast<std::ptrdiff_t>(out.dropped));
+    ++generation_;
   }
   out.migrated = history_.size();
   return out;
@@ -243,10 +267,18 @@ void StableStore::crash_abort_in_progress() {
 }
 
 bool StableStore::corrupt_retained(StableSeq ndc) {
+  for (const auto& c : history_) {
+    if (c.ndc == ndc) return corrupt_retained(ndc, c.modelled / 2);
+  }
+  return false;
+}
+
+bool StableStore::corrupt_retained(StableSeq ndc, std::size_t offset) {
   for (auto& c : history_) {
-    if (c.ndc == ndc && !c.encoded.empty()) {
-      c.encoded[c.encoded.size() / 2] ^= 0x10;
+    if (c.ndc == ndc && offset < c.modelled && !c.encoded.empty()) {
+      flip(c, offset, 4);
       ++latent_corruptions_;
+      ++generation_;
       return true;
     }
   }
@@ -257,7 +289,9 @@ bool StableStore::pad_retained(StableSeq ndc, std::size_t extra) {
   for (auto& c : history_) {
     if (c.ndc == ndc) {
       c.encoded.insert(c.encoded.end(), extra, std::uint8_t{0xA5});
+      c.modelled += extra;
       ++latent_corruptions_;
+      ++generation_;
       return true;
     }
   }
@@ -266,9 +300,10 @@ bool StableStore::pad_retained(StableSeq ndc, std::size_t extra) {
 
 bool StableStore::truncate_retained(StableSeq ndc, std::size_t keep) {
   for (auto& c : history_) {
-    if (c.ndc == ndc && keep < c.encoded.size()) {
-      c.encoded.resize(keep);
+    if (c.ndc == ndc && keep < c.modelled) {
+      tear(c, keep);
       ++torn_writes_;
+      ++generation_;
       return true;
     }
   }

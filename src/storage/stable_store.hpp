@@ -10,7 +10,9 @@
 //   - crash semantics: an uncommitted write is lost, the last committed
 //     record survives.
 // Committed records persist encoded (byte blobs), so restore() exercises
-// real (de)serialization exactly like a disk would.
+// real (de)serialization exactly like a disk would. Beside each blob the
+// store keeps the record's view-history handle (never on disk; DESIGN.md
+// §19) and re-attaches it on decode.
 //
 // The paper assumes stable storage never fails; the chaos campaigns break
 // that assumption on purpose. StorageFaultParams injects three failure
@@ -19,7 +21,10 @@
 // of an already-committed record. Every read decodes through the record
 // checksum, so a damaged record is *detected* (counted in corrupt_reads)
 // and skipped in favour of the previous retained record, never returned
-// as data and never allowed to crash the process.
+// as data and never allowed to crash the process. Fault draws are made
+// over the record's modelled size (CheckpointRecord::encoded_size) and
+// land in its real bytes: a tear past the real end is clamped to cut the
+// last real byte, and a flip offset past it wraps into the real bytes.
 #pragma once
 
 #include <cstdint>
@@ -176,8 +181,11 @@ class StableStore {
   }
 
   // ---- Deterministic damage (tests / targeted injection) -----------------
+  // Offsets and lengths are in the record's modelled bytes.
   /// Flip one bit near the middle of the retained record with index `ndc`.
   bool corrupt_retained(StableSeq ndc);
+  /// Flip one bit at modelled byte `offset` of the retained record.
+  bool corrupt_retained(StableSeq ndc, std::size_t offset);
   /// Truncate the retained record with index `ndc` to `keep` bytes.
   bool truncate_retained(StableSeq ndc, std::size_t keep);
   /// Append `extra` garbage bytes after the retained record with index
@@ -203,13 +211,32 @@ class StableStore {
   std::uint64_t corrupt_reads() const { return corrupt_reads_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
 
+  /// Bumped by every change to the retained history: equal generations
+  /// mean every retained record still decodes to the same record.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   static constexpr std::size_t kHistoryDepth = 8;
 
+  struct Committed {
+    StableSeq ndc;
+    Bytes encoded;
+    ViewRef views;
+    /// Modelled length of what is stored (encoded_size(), or the kept
+    /// prefix of a torn write): the range the fault draws cover.
+    std::size_t modelled;
+  };
+
   void commit();
-  void retain(StableSeq ndc, Bytes encoded);
+  void retain(Committed entry);
+  Committed encode(const CheckpointRecord& record);
+  /// Keep `keep` modelled bytes (torn write / truncation).
+  static void tear(Committed& c, std::size_t keep);
+  /// Flip `bit` of modelled byte `offset` (latent corruption).
+  static void flip(Committed& c, std::size_t offset, int bit);
   void apply_post_commit_faults();
-  std::optional<CheckpointRecord> decode(const Bytes& encoded) const;
+  std::optional<CheckpointRecord> decode(const Committed& c) const;
+  static bool decodes(const Committed& c);
 
   struct InProgress {
     CheckpointRecord record;
@@ -217,10 +244,6 @@ class StableStore {
     EventHandle handle;
     std::size_t attempt = 0;
     TimePoint expected_commit;
-  };
-  struct Committed {
-    StableSeq ndc;
-    Bytes encoded;
   };
 
   Simulator& sim_;
@@ -239,6 +262,7 @@ class StableStore {
   mutable std::uint64_t corrupt_reads_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t handoffs_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace synergy

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "mdcd/views.hpp"
 #include "sim/simulator.hpp"
 #include "storage/stable_store.hpp"
 #include "storage/volatile_store.hpp"
@@ -23,6 +24,26 @@ CheckpointRecord sample_record(std::uint64_t ndc = 1) {
   m.receiver = kP1Sdw;
   m.transport_seq = 9;
   rec.unacked.push_back(m);
+  return rec;
+}
+
+/// sample_record() referencing a view history of `sent` + `recv` views,
+/// with the mark bytes in its protocol blob (as an MDCD record has).
+CheckpointRecord record_with_views(std::uint64_t ndc, std::uint32_t sent,
+                                   std::uint32_t recv) {
+  auto history = std::make_shared<ViewHistory>();
+  for (std::uint32_t i = 0; i < sent; ++i) {
+    history->add_sent(MsgView{kP1Sdw, i, i, MsgKind::kInternal, true, i});
+  }
+  for (std::uint32_t i = 0; i < recv; ++i) {
+    history->add_recv(MsgView{kP1Act, i, i, MsgKind::kInternal, false, 0});
+  }
+  CheckpointRecord rec = sample_record(ndc);
+  rec.views = ViewRef{history, history->mark()};
+  ByteWriter w;
+  w.u8(1);
+  rec.views.mark.serialize(w);
+  rec.protocol_state = w.take();
   return rec;
 }
 
@@ -70,6 +91,16 @@ TEST(CheckpointTest, EncodedSizeMatchesSerializedSize) {
   const std::size_t before = w.data().size();
   rec.serialize(w);
   EXPECT_EQ(w.data().size() - before, rec.encoded_size());
+  EXPECT_EQ(rec.serialized_size(), rec.encoded_size());
+
+  // A record with views is charged as if they were serialized in it: the
+  // mark is replaced by two counts and 30 bytes per view.
+  const CheckpointRecord viewed = record_with_views(1, 40, 25);
+  ByteWriter wv;
+  viewed.serialize(wv);
+  EXPECT_EQ(wv.data().size(), viewed.serialized_size());
+  EXPECT_EQ(viewed.encoded_size(),
+            wv.data().size() - ViewMark::kEncodedBytes + 8 + 30 * (40 + 25));
 }
 
 TEST(VolatileStoreTest, KeepsOnlyLatest) {
@@ -176,6 +207,65 @@ TEST_F(StableStoreFixture, CommittedSurvivesAsBytes) {
   auto rec = store_.latest_committed();
   rec->ndc = 999;
   EXPECT_EQ(store_.latest_committed()->ndc, 3u);
+}
+
+TEST_F(StableStoreFixture, TornWritePastRealBytesIsUndecodable) {
+  // The modelled size exceeds the real bytes by the views it charges; a
+  // tear that keeps every real byte must still lose the record.
+  const CheckpointRecord rec = record_with_views(2, 200, 0);
+  const std::size_t real = rec.serialized_size();
+  ASSERT_GT(rec.encoded_size(), real + 100);
+  store_.commit_now(record_with_views(1, 0, 0));
+  store_.commit_now(rec);
+  ASSERT_TRUE(store_.has_valid(2));
+  ASSERT_TRUE(store_.truncate_retained(2, real + 50));
+  EXPECT_FALSE(store_.has_valid(2));
+  const std::uint64_t reads = store_.corrupt_reads();
+  EXPECT_FALSE(store_.committed_for(2).has_value());
+  EXPECT_EQ(store_.corrupt_reads(), reads + 1);
+  EXPECT_EQ(store_.latest_committed()->ndc, 1u);
+}
+
+TEST_F(StableStoreFixture, LatentFlipPastRealBytesIsUndecodable) {
+  const CheckpointRecord rec = record_with_views(2, 0, 200);
+  const std::size_t real = rec.serialized_size();
+  store_.commit_now(rec);
+  ASSERT_TRUE(store_.corrupt_retained(2, real + 1000));
+  EXPECT_FALSE(store_.has_valid(2));
+  const std::uint64_t reads = store_.corrupt_reads();
+  EXPECT_FALSE(store_.committed_for(2).has_value());
+  EXPECT_EQ(store_.corrupt_reads(), reads + 1);
+  // Offsets are bounded by the modelled size, not the real one.
+  EXPECT_FALSE(store_.corrupt_retained(2, rec.encoded_size()));
+}
+
+TEST_F(StableStoreFixture, DecodeReattachesViewHandle) {
+  const CheckpointRecord rec = record_with_views(3, 7, 5);
+  store_.commit_now(rec);
+  const auto back = store_.committed_for(3);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->views.log, rec.views.log);
+  EXPECT_EQ(back->views.mark, rec.views.mark);
+  EXPECT_EQ(back->encoded_size(), rec.encoded_size());
+}
+
+TEST(StableStoreLatencyTest, WritesAreChargedTheModelledSize) {
+  Simulator sim;
+  StableStoreParams p;
+  p.write_base_latency = Duration::zero();
+  p.write_per_kib = Duration::millis(1);
+  StableStore store(sim, p);
+  const CheckpointRecord rec = record_with_views(1, 300, 100);
+  const std::size_t modelled = rec.encoded_size();
+  ASSERT_GT(modelled, rec.serialized_size() + 10'000);
+  store.begin_write(rec);
+  sim.run();
+  EXPECT_EQ(store.commits(), 1u);
+  EXPECT_EQ(store.bytes_written(), modelled);
+  const auto kib = static_cast<std::int64_t>((modelled + 1023) / 1024);
+  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(kib));
+  store.commit_now(rec);
+  EXPECT_EQ(store.bytes_written(), 2 * modelled);
 }
 
 TEST(StableStoreLatencyTest, PerKibLatencyScalesWithSize) {

@@ -124,7 +124,8 @@ TEST(TbEdgeTest, BlockingNoneNeverBlocks) {
 }
 
 TEST(TbEdgeTest, CheckpointContentsSurviveSerializationSizes) {
-  // A record with a large view history round-trips, and the per-KiB
+  // A record with a large view history round-trips through the stable
+  // store (bytes plus the re-attached view handle), and the per-KiB
   // latency model scales accordingly.
   SystemConfig c = tb_config(9);
   c.workload.p1_internal_rate = 50.0;
@@ -140,8 +141,15 @@ TEST(TbEdgeTest, CheckpointContentsSurviveSerializationSizes) {
   rec.serialize(w);
   ByteReader r(w.data());
   const CheckpointRecord back = CheckpointRecord::deserialize(r);
-  EXPECT_EQ(back.encoded_size(), rec.encoded_size());
-  const Duration latency = system.node(kP2).sstore().write_latency_for(rec);
+  EXPECT_EQ(back.serialized_size(), rec.serialized_size());
+  StableStore& store = system.node(kP2).sstore();
+  CheckpointRecord stored = rec;
+  stored.ndc = 1000;
+  store.commit_now(stored);
+  const auto committed = store.committed_for(1000);
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_EQ(committed->encoded_size(), rec.encoded_size());
+  const Duration latency = store.write_latency_for(rec);
   EXPECT_GT(latency, c.sstore.write_base_latency + Duration::millis(1));
 }
 
