@@ -171,10 +171,10 @@ int run(int argc, char** argv) {
       sink += w.size();
     });
 
-    // Repeated establishment with unchanged process state: every snapshot
-    // cache hits, so the record is three refcount bumps plus the unacked
-    // log. This is the clean-state TB-expiry path the caches exist for.
-    record("ckpt_establish_cached",
+    // Repeated establishment with unchanged process state (the clean-state
+    // TB-expiry path): encode the app, protocol and transport blobs, copy
+    // the unacked log and save the record in the volatile store.
+    record("ckpt_establish",
            scaled(effort, 50'000, 200'000, 1'000'000),
            [&] { system.p2().establish_volatile_checkpoint(CkptKind::kPseudo); });
     if (sink == 0) std::printf("(unreachable)\n");

@@ -41,7 +41,6 @@ void ApplicationState::apply_message(std::uint64_t payload,
     regs_[0] += payload;
   }
   ++steps_;
-  ++version_;
   if (payload_tainted) tainted_ = true;
 }
 
@@ -54,7 +53,6 @@ void ApplicationState::local_step(std::uint64_t input) {
     regs_[(steps_ + 1) % regs_.size()] += m;
   }
   ++steps_;
-  ++version_;
 }
 
 std::uint64_t ApplicationState::output() const {
@@ -80,7 +78,6 @@ void ApplicationState::corrupt(std::uint64_t noise) {
     regs_[noise % regs_.size()] ^= (noise | 1);
   }
   tainted_ = true;
-  ++version_;
 }
 
 void ApplicationState::flip_bit(std::uint64_t noise) {
@@ -101,7 +98,6 @@ void ApplicationState::flip_bit(std::uint64_t noise) {
     regs_[(noise >> 6) % regs_.size()] ^= 1ULL << (noise & 63);
   }
   tainted_ = true;
-  ++version_;
 }
 
 bool ApplicationState::abft_check_ok() const {
@@ -118,11 +114,6 @@ bool ApplicationState::abft_check_ok() const {
 Bytes ApplicationState::snapshot() const {
   ByteWriter w;
   w.reserve(mode_ == WorkloadKind::kAbft ? kAbftEncodedSize : kEncodedSize);
-  snapshot_into(w);
-  return w.take();
-}
-
-void ApplicationState::snapshot_into(ByteWriter& w) const {
   // Registers-mode encoding is unchanged (no mode byte): the mode is a
   // construction-time property of the process, never of the record, so
   // pre-ABFT checkpoint layouts stay byte-identical.
@@ -135,10 +126,9 @@ void ApplicationState::snapshot_into(ByteWriter& w) const {
   }
   w.u64(steps_);
   w.u8(tainted_ ? 1 : 0);
-}
-
-const SharedBytes& ApplicationState::snapshot_shared() const {
-  return cache_.get(version_, [this] { return snapshot(); });
+  ++encodes_;
+  bytes_encoded_ += w.size();
+  return w.take();
 }
 
 void ApplicationState::restore(const Bytes& snapshot) {
@@ -152,9 +142,6 @@ void ApplicationState::restore(const Bytes& snapshot) {
   }
   steps_ = r.u64();
   tainted_ = r.u8() != 0;
-  // The restored state may differ from whatever the cache last encoded;
-  // a conservative bump costs one re-encode, a stale hit would be a bug.
-  ++version_;
 }
 
 std::uint64_t ApplicationState::fingerprint() const {

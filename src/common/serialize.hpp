@@ -6,12 +6,11 @@
 // form produced here. Encoding is little-endian, fixed-width, versioned by
 // the caller.
 //
-// The checkpoint pipeline is the steady-state hot path of the coordinated
-// scheme (every Type-1/pseudo/stable checkpoint encodes state), so this
-// header also carries the allocation-lean machinery it leans on:
-// SharedBytes (a refcounted immutable blob, so records copy by reference
-// count instead of deep copy) and SnapshotCache (re-encode only when the
-// source's version stamp moved).
+// Every Type-1/pseudo/stable checkpoint encodes its process's state afresh
+// (the app blob is 73 bytes, the protocol and transport blobs are small and
+// bounded), into SharedBytes: a refcounted immutable blob, so a record
+// copied between the stores and the oracles shares one buffer instead of
+// deep-copying it.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +31,11 @@ using ByteView = std::span<const std::uint8_t>;
 
 /// Refcounted immutable byte blob. Copying a SharedBytes bumps a reference
 /// count; the underlying buffer is never mutated after construction, so a
-/// checkpoint record, the snapshot cache, and the volatile store can all
-/// hold the same encoded state without deep copies. Converts implicitly
-/// from/to `Bytes` so decode/restore call sites keep their signatures
-/// (conversion to `const Bytes&` borrows; it never copies).
+/// checkpoint record, its copies in the volatile and stable stores, and a
+/// message's aux payload can hold the same encoded state without deep
+/// copies. Converts implicitly from/to `Bytes` so decode/restore call sites
+/// keep their signatures (conversion to `const Bytes&` borrows; it never
+/// copies).
 class SharedBytes {
  public:
   SharedBytes() = default;
@@ -53,8 +53,7 @@ class SharedBytes {
   void clear() { data_.reset(); }
 
   /// True iff both refer to the *same* underlying buffer (not just equal
-  /// contents) — the cache-hit observability hook the snapshot-cache tests
-  /// assert on.
+  /// contents): copies share, independent encodes do not.
   bool shares_buffer_with(const SharedBytes& other) const {
     return data_ != nullptr && data_ == other.data_;
   }
@@ -158,49 +157,6 @@ class ByteReader {
   const Bytes& data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
-};
-
-/// Caches the encoded form of a version-stamped snapshot source. get()
-/// returns the shared blob unchanged while `version` matches the cached
-/// stamp; any version movement re-encodes. Sources bump their version on
-/// *every* mutation of snapshotted state — an over-bump costs one wasted
-/// re-encode, an under-bump would hand out a stale checkpoint, so sources
-/// bump conservatively and the cache-invalidation tests treat a stale hit
-/// as failure.
-class SnapshotCache {
- public:
-  template <typename Fn>
-  const SharedBytes& get(std::uint64_t version, Fn&& encode) {
-    if (!valid_ || version_ != version) {
-      blob_ = SharedBytes(encode());
-      version_ = version;
-      valid_ = true;
-      ++misses_;
-      bytes_encoded_ += blob_.size();
-    } else {
-      ++hits_;
-    }
-    return blob_;
-  }
-
-  void invalidate() {
-    valid_ = false;
-    blob_.clear();
-  }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  /// Total bytes actually serialized (cache misses only) — the
-  /// checkpoint-volume counter campaigns report.
-  std::uint64_t bytes_encoded() const { return bytes_encoded_; }
-
- private:
-  SharedBytes blob_;
-  std::uint64_t version_ = 0;
-  bool valid_ = false;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t bytes_encoded_ = 0;
 };
 
 /// FNV-1a fingerprint, used to compare application states cheaply.

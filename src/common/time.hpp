@@ -24,6 +24,11 @@ class Duration {
   static constexpr Duration seconds(std::int64_t n) {
     return Duration{n * 1'000'000};
   }
+  /// Largest span, in seconds, that untrusted input (CLI flags, sweep
+  /// fragments) may name: far inside the microsecond range, so
+  /// from_seconds of any value in [0, kMaxInputSeconds] cannot overflow.
+  static constexpr double kMaxInputSeconds = 1e12;
+
   /// Fractional seconds, rounded to the nearest microsecond.
   static constexpr Duration from_seconds(double s) {
     return Duration{static_cast<std::int64_t>(s * 1e6 + (s >= 0 ? 0.5 : -0.5))};

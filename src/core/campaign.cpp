@@ -187,9 +187,6 @@ MissionReport run_mission(const CampaignConfig& config,
     report.ckpt_bytes_encoded += n.app().snapshot_bytes_encoded() +
                                  n.engine().protocol_bytes_encoded() +
                                  n.endpoint().snapshot_bytes_encoded();
-    report.ckpt_cache_hits += n.app().snapshot_cache_hits() +
-                              n.engine().protocol_cache_hits() +
-                              n.endpoint().snapshot_cache_hits();
     report.ckpt_cache_misses += n.app().snapshot_cache_misses() +
                                 n.engine().protocol_cache_misses() +
                                 n.endpoint().snapshot_cache_misses();

@@ -70,8 +70,11 @@ enum class CounterFold { kSum, kMax };
 //    injected/probabilistic loss, no attached receiver, and in-flight
 //    frames cancelled by a crash's drop_in_transit_to.
 //  - checkpoint: records (volatile saves + stable commits), snapshot bytes
-//    serialized, version-keyed snapshot-cache hits/misses across
-//    app/protocol/transport, stable bytes written.
+//    encoded across app/protocol/transport, stable bytes written.
+//    ckpt_cache_misses counts those snapshot encodes (app encodes include
+//    the TMR lanes' state copies); nothing caches them, so
+//    ckpt_cache_hits is always 0 and is kept only because the perfbench
+//    harness, a field-by-field replica of run_mission, fills it.
 //  - lanes: redundant-lane fault adjudication (COAST injection model). At
 //    mission end each injected lane fault is exactly one of masked (voted
 //    out), detected (divergence / signature mismatch) or silent (wiped by

@@ -532,9 +532,9 @@ CheckpointRecord GeneralEngine::make_record(CkptKind kind) const {
   rec.state_time = current_time();
   rec.dirty_bit = contamination_flag();
   rec.ndc = ndc_provider_();
-  rec.app_state = services_.app->snapshot_shared();
+  rec.app_state = SharedBytes(services_.app->snapshot());
   rec.protocol_state = snapshot_protocol_state();
-  rec.transport_state = services_.transport->snapshot_state_shared();
+  rec.transport_state = SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
   return rec;
@@ -557,8 +557,9 @@ void GeneralEngine::capture_anchor(CkptKind kind) {
   candidate.serial = ++candidate_serial_;
   candidate.sent_len = static_cast<std::uint32_t>(sent_views_.size());
   candidate.recv_len = static_cast<std::uint32_t>(recv_views_.size());
-  candidate.app_state = services_.app->snapshot_shared();
-  candidate.transport_state = services_.transport->snapshot_state_shared();
+  candidate.app_state = SharedBytes(services_.app->snapshot());
+  candidate.transport_state =
+      SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   candidate.unacked.assign(unacked.begin(), unacked.end());
   anchor_candidates_.push_back(std::move(candidate));

@@ -404,22 +404,9 @@ CheckpointRecord MdcdEngine::make_record(CkptKind kind) const {
   rec.state_time = now();
   rec.dirty_bit = contamination_flag();
   rec.ndc = ndc();
-  // Version-cached shared blobs: repeated checkpoints of an unchanged
-  // process (e.g. clean-state TB timer expiries) alias the same immutable
-  // app and transport buffers instead of re-encoding them per record.
-  rec.app_state = services_.app->snapshot_shared();
-  // The protocol blob is a few dozen bytes: encode it for every record,
-  // into a reused buffer, and allocate a new blob only when the bytes
-  // differ from the previous record's.
-  proto_scratch_.clear();
-  write_protocol_state(proto_scratch_);
-  ++protocol_encodes_;
-  protocol_bytes_encoded_ += proto_scratch_.size();
-  if (last_proto_ != proto_scratch_.data()) {
-    last_proto_ = SharedBytes(proto_scratch_.data());
-  }
-  rec.protocol_state = last_proto_;
-  rec.transport_state = services_.transport->snapshot_state_shared();
+  rec.app_state = SharedBytes(services_.app->snapshot());
+  rec.protocol_state = SharedBytes(snapshot_protocol_state());
+  rec.transport_state = SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
   rec.views = ViewRef{views_, views_->mark()};
@@ -448,11 +435,7 @@ void MdcdEngine::restore_from_record(const CheckpointRecord& record) {
 
 Bytes MdcdEngine::snapshot_protocol_state() const {
   ByteWriter w;
-  write_protocol_state(w);
-  return w.take();
-}
-
-void MdcdEngine::write_protocol_state(ByteWriter& w) const {
+  w.reserve(64);  // scalars + view mark = 42 B, then the role state
   w.u8(dirty_ ? 1 : 0);
   w.u64(msg_sn_);
   w.u8(guarded_ ? 1 : 0);
@@ -460,6 +443,9 @@ void MdcdEngine::write_protocol_state(ByteWriter& w) const {
   w.u64(dirty_contam_);
   views_->mark().serialize(w);
   serialize_role_state(w);
+  ++protocol_encodes_;
+  protocol_bytes_encoded_ += w.size();
+  return w.take();
 }
 
 void MdcdEngine::restore_protocol_state(const Bytes& state) {

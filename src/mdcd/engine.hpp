@@ -163,9 +163,9 @@ class MdcdEngine : public CheckpointableProcess {
   /// Operations deferred by blocking periods so far (overhead metric).
   std::uint64_t deferred_ops() const { return deferred_ops_; }
 
-  /// Protocol-blob encodes by make_record, reported beside the app and
-  /// transport snapshot caches' counters. The blob is encoded for every
-  /// record, so there are no hits.
+  /// Protocol-blob encode counters (every snapshot_protocol_state()),
+  /// reported beside the app and transport ones: misses counts encodes and
+  /// hits is always 0. The names are the ones the perfbench harness reads.
   std::uint64_t protocol_cache_hits() const { return 0; }
   std::uint64_t protocol_cache_misses() const { return protocol_encodes_; }
   std::uint64_t protocol_bytes_encoded() const {
@@ -288,7 +288,6 @@ class MdcdEngine : public CheckpointableProcess {
   void process_passed_at(const Message& m);
   void process_app_message(const Message& m);
   void process_confidence_loss();
-  void write_protocol_state(ByteWriter& w) const;
   /// Restore a protocol blob whose view mark indexes `views` (none: start
   /// an empty history).
   void restore_protocol_state(const Bytes& state, const ViewHistory* views);
@@ -315,9 +314,6 @@ class MdcdEngine : public CheckpointableProcess {
   std::uint64_t deferred_ops_ = 0;
   mutable std::uint64_t protocol_encodes_ = 0;
   mutable std::uint64_t protocol_bytes_encoded_ = 0;
-  mutable ByteWriter proto_scratch_;
-  /// The previous record's protocol blob, shared while the bytes repeat.
-  mutable SharedBytes last_proto_;
 };
 
 }  // namespace synergy

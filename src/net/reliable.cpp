@@ -72,10 +72,6 @@ std::size_t ReliableEndpoint::resend_unacked(std::uint32_t epoch) {
 
 Bytes ReliableEndpoint::snapshot_state() const { return core_.snapshot_state(); }
 
-SharedBytes ReliableEndpoint::snapshot_state_shared() const {
-  return core_.snapshot_state_shared();
-}
-
 void ReliableEndpoint::restore_state(const Bytes& state) {
   core_.restore_state(state);
 }

@@ -80,13 +80,6 @@ class Transport {
   /// Serialize / restore dedup state + send counter for checkpoints.
   virtual Bytes snapshot_state() const = 0;
   virtual void restore_state(const Bytes& state) = 0;
-
-  /// Shared encoded dedup state for checkpoint records. Hosts backed by
-  /// TransportCore return its version-cached buffer; the default wraps
-  /// snapshot_state() uncached.
-  virtual SharedBytes snapshot_state_shared() const {
-    return SharedBytes(snapshot_state());
-  }
 };
 
 class ReliableEndpoint final : public Transport {
@@ -113,9 +106,8 @@ class ReliableEndpoint final : public Transport {
   std::size_t resend_unacked(std::uint32_t epoch) override;
   Bytes snapshot_state() const override;
   void restore_state(const Bytes& state) override;
-  SharedBytes snapshot_state_shared() const override;
 
-  std::uint64_t state_version() const { return core_.state_version(); }
+  /// TransportCore's encode counters.
   std::uint64_t snapshot_cache_hits() const {
     return core_.snapshot_cache_hits();
   }

@@ -15,7 +15,6 @@ Message TransportCore::prepare_send(Message m) {
     return m;
   }
   m.transport_seq = next_seq_for(m.receiver.value())++;
-  ++version_;  // the stream counters are part of the snapshotted state
   // Device messages are fire-and-forget: the external world never replies.
   if (m.receiver != kDeviceId) {
     unacked_.push_back(m);
@@ -83,7 +82,6 @@ bool TransportCore::already_consumed(const Message& m) const {
 
 void TransportCore::mark_consumed(const Message& m) {
   SYNERGY_EXPECTS(m.kind != MsgKind::kAck);
-  ++version_;  // bump even on idempotent re-marks, like the old set insert
   PeerConsumed& pc = peer_entry(m.sender.value());
   const std::uint64_t seq = m.transport_seq;
   if (seq <= pc.low) return;  // idempotent
@@ -121,7 +119,6 @@ void TransportCore::restore_unacked(std::span<const Message> msgs) {
     next = std::max(next, m.transport_seq + 1);
   }
   unacked_high_water_ = std::max(unacked_high_water_, unacked_.size());
-  ++version_;  // stream counters may have moved
 }
 
 std::span<const Message> TransportCore::prepare_resend(std::uint32_t epoch) {
@@ -132,7 +129,11 @@ std::span<const Message> TransportCore::prepare_resend(std::uint32_t epoch) {
 }
 
 Bytes TransportCore::snapshot_state() const {
+  // Two u32 counts, 12 B per stream, 16 B + 8 B per tail seq per peer.
+  std::size_t size = 8 + 12 * streams_.size();
+  for (const PeerConsumed& pc : consumed_) size += 16 + 8 * pc.tail.size();
   ByteWriter w;
+  w.reserve(size);
   w.u32(static_cast<std::uint32_t>(streams_.size()));
   for (const DestStream& s : streams_) {
     w.u32(s.dest);
@@ -145,11 +146,9 @@ Bytes TransportCore::snapshot_state() const {
     w.u32(static_cast<std::uint32_t>(pc.tail.size()));
     for (auto s : pc.tail) w.u64(s);
   }
+  ++encodes_;
+  bytes_encoded_ += w.size();
   return w.take();
-}
-
-const SharedBytes& TransportCore::snapshot_state_shared() const {
-  return cache_.get(version_, [this] { return snapshot_state(); });
 }
 
 void TransportCore::restore_state(const Bytes& state) {
@@ -174,7 +173,6 @@ void TransportCore::restore_state(const Bytes& state) {
     pc.tail.reserve(n);
     for (std::uint32_t j = 0; j < n; ++j) pc.tail.push_back(r.u64());
   }
-  ++version_;
 }
 
 }  // namespace synergy

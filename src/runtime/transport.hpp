@@ -44,9 +44,6 @@ class ThreadTransport final : public Transport {
     return msgs.size();
   }
   Bytes snapshot_state() const override { return core_.snapshot_state(); }
-  SharedBytes snapshot_state_shared() const override {
-    return core_.snapshot_state_shared();
-  }
   void restore_state(const Bytes& state) override {
     core_.restore_state(state);
   }

@@ -96,11 +96,10 @@ struct CheckpointRecord {
   /// Stable-checkpoint sequence number (Ndc) at establishment.
   StableSeq ndc = 0;
 
-  /// Encoded snapshots are refcounted and immutable: copying a record
-  /// (volatile → stable promotion, retained-history reads) bumps reference
-  /// counts instead of deep-copying blobs, and the per-source snapshot
-  /// caches hand the same buffer to every record established while the
-  /// source's version stamp is unchanged.
+  /// Encoded snapshots, fresh for every record and then refcounted and
+  /// immutable: copying a record (volatile → stable promotion,
+  /// retained-history reads) bumps reference counts instead of
+  /// deep-copying blobs.
   SharedBytes app_state;
   SharedBytes protocol_state;
 

@@ -203,6 +203,22 @@ namespace {
   throw std::runtime_error("synergy-sweep-v1: " + what);
 }
 
+/// A header duration or axis value: finite and inside the range the CLI
+/// accepts, so the Duration conversions below cannot overflow.
+double bounded(const JsonValue& v, const std::string& what) {
+  const double x = v.as_double();
+  if (!(x >= 0 && x <= Duration::kMaxInputSeconds)) {
+    bad(what + " must be in [0, 1e12], got " + g17(x));
+  }
+  return x;
+}
+
+std::vector<double> bounded_list(const JsonValue& v, const std::string& what) {
+  std::vector<double> out;
+  for (const JsonValue& item : v.items()) out.push_back(bounded(item, what));
+  return out;
+}
+
 Moments parse_moments(const JsonValue& v) {
   Moments m;
   m.n = v.at("n").as_u64();
@@ -265,7 +281,8 @@ ShardResult parse_fragment(const std::string& json_text) {
   SweepConfig& cfg = out.config;
   cfg.seed = sweep.at("seed").as_u64();
   cfg.reps = static_cast<std::size_t>(sweep.at("reps").as_u64());
-  cfg.mission = Duration::from_seconds(sweep.at("duration_s").as_double());
+  cfg.mission =
+      Duration::from_seconds(bounded(sweep.at("duration_s"), "duration_s"));
   const std::string workload = sweep.at("workload").as_string();
   if (const auto kind = workload_kind_from_string(workload)) {
     cfg.workload = *kind;
@@ -276,22 +293,14 @@ ShardResult parse_fragment(const std::string& json_text) {
   for (const JsonValue& s : sweep.at("schemes").items()) {
     cfg.axes.schemes.push_back(parse_scheme_or_die(s.as_string()));
   }
-  cfg.axes.fault_scales.clear();
-  for (const JsonValue& v : sweep.at("fault_scales").items()) {
-    cfg.axes.fault_scales.push_back(v.as_double());
-  }
-  cfg.axes.coverages.clear();
-  for (const JsonValue& v : sweep.at("coverages").items()) {
-    cfg.axes.coverages.push_back(v.as_double());
-  }
-  cfg.axes.intervals_s.clear();
-  for (const JsonValue& v : sweep.at("intervals_s").items()) {
-    cfg.axes.intervals_s.push_back(v.as_double());
-  }
-  cfg.lane_flip_gap =
-      Duration::from_seconds(sweep.at("lane_flip_gap_s").as_double());
-  cfg.sig_fault_gap =
-      Duration::from_seconds(sweep.at("sig_fault_gap_s").as_double());
+  cfg.axes.fault_scales =
+      bounded_list(sweep.at("fault_scales"), "fault_scales");
+  cfg.axes.coverages = bounded_list(sweep.at("coverages"), "coverages");
+  cfg.axes.intervals_s = bounded_list(sweep.at("intervals_s"), "intervals_s");
+  cfg.lane_flip_gap = Duration::from_seconds(
+      bounded(sweep.at("lane_flip_gap_s"), "lane_flip_gap_s"));
+  cfg.sig_fault_gap = Duration::from_seconds(
+      bounded(sweep.at("sig_fault_gap_s"), "sig_fault_gap_s"));
   cfg.mobile = sweep.at("mobile").as_bool();
   const std::uint64_t shard = sweep.at("shard").as_u64();
   const std::uint64_t shards = sweep.at("shards").as_u64();

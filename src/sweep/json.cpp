@@ -1,6 +1,7 @@
 #include "sweep/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -12,6 +13,11 @@ namespace {
   throw std::runtime_error("json parse error at byte " + std::to_string(pos) +
                            ": " + what);
 }
+
+/// Deepest array/object nesting accepted. Sweep fragments nest 6 deep
+/// (document, cells, cell, metric, samples, sample); the bound keeps a
+/// hostile document from exhausting the stack through recursion.
+constexpr int kMaxDepth = 32;
 
 }  // namespace
 
@@ -48,8 +54,16 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't':
       case 'f': return parse_bool();
@@ -190,6 +204,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 const JsonValue* JsonValue::find(const std::string& key) const {
@@ -213,12 +228,27 @@ bool JsonValue::as_bool() const {
 
 double JsonValue::as_double() const {
   if (kind_ != Kind::kNumber) throw std::runtime_error("json: not a number");
-  return std::strtod(scalar_.c_str(), nullptr);
+  char* end = nullptr;
+  const double v = std::strtod(scalar_.c_str(), &end);
+  if (*end != '\0') throw std::runtime_error("json: bad number " + scalar_);
+  return v;
 }
 
 std::uint64_t JsonValue::as_u64() const {
   if (kind_ != Kind::kNumber) throw std::runtime_error("json: not a number");
-  return std::strtoull(scalar_.c_str(), nullptr, 10);
+  // Plain digits only: strtoull alone would wrap "-1" to 2^64-1 and stop
+  // "2.9" at 2.
+  for (const char c : scalar_) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) {
+      throw std::runtime_error("json: not an unsigned integer: " + scalar_);
+    }
+  }
+  errno = 0;
+  const std::uint64_t v = std::strtoull(scalar_.c_str(), nullptr, 10);
+  if (errno == ERANGE) {
+    throw std::runtime_error("json: integer exceeds 64 bits: " + scalar_);
+  }
+  return v;
 }
 
 const std::string& JsonValue::as_string() const {

@@ -7,7 +7,9 @@
 // token and convert on demand (as_u64 via strtoull, as_double via strtod
 // — both exact for our emitters' output). This is a reader for
 // machine-written JSON, not a general validator: it accepts the full
-// JSON grammar but only the escapes our emitter produces.
+// JSON grammar but only the escapes our emitter produces. Fragments are
+// still untrusted input, so malformed numbers and nesting deeper than a
+// fixed limit throw instead of wrapping or overflowing the stack.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,9 @@ class JsonValue {
   const std::vector<JsonValue>& items() const { return items_; }
 
   bool as_bool() const;
-  double as_double() const;          ///< strtod over the raw token.
-  std::uint64_t as_u64() const;      ///< strtoull over the raw token.
+  double as_double() const;          ///< strtod over the whole raw token.
+  /// Plain decimal digits that fit in 64 bits; anything else throws.
+  std::uint64_t as_u64() const;
   const std::string& as_string() const;
 
   /// Parse a complete document; throws std::runtime_error with a byte

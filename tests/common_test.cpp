@@ -183,30 +183,6 @@ TEST(SerializeTest, SharedBytesAliasesWithoutCopying) {
   EXPECT_FALSE(empty.shares_buffer_with(empty));  // null never "shares"
 }
 
-TEST(SnapshotCacheTest, ReencodesOnlyOnVersionChange) {
-  SnapshotCache cache;
-  int encodes = 0;
-  auto encode = [&encodes] {
-    ++encodes;
-    return Bytes{1, 2, 3};
-  };
-  const SharedBytes first = cache.get(1, encode);
-  const SharedBytes again = cache.get(1, encode);
-  EXPECT_EQ(encodes, 1);
-  EXPECT_TRUE(first.shares_buffer_with(again));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  const SharedBytes moved = cache.get(2, encode);
-  EXPECT_EQ(encodes, 2);
-  EXPECT_FALSE(first.shares_buffer_with(moved));
-  EXPECT_EQ(cache.bytes_encoded(), 6u);
-
-  cache.invalidate();
-  (void)cache.get(2, encode);  // same version, but invalidated: re-encode
-  EXPECT_EQ(encodes, 3);
-}
-
 // ---- CRC-32 ----------------------------------------------------------------
 
 TEST(Crc32Test, KnownAnswerVector) {

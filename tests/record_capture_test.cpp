@@ -1,10 +1,9 @@
-// Version-stamped snapshot caching: every mutating entry point must bump
-// the source's version, so a cached encoded blob handed to a checkpoint
-// record is never stale. The central oracle: after ANY driven event
-// sequence, the cached blob must equal a fresh encode — a mismatch means a
-// mutation path forgot its version bump (a stale checkpoint bug, paper-
-// level incorrect recovery content). Cache-hit behaviour is asserted via
-// SharedBytes::shares_buffer_with, not timing.
+// Checkpoint capture: every record encodes its process's app, protocol and
+// transport state afresh. The central oracle: after ANY driven event
+// sequence, a record built by make_record must carry exactly the blobs a
+// fresh encode of the three sources produces — a mismatch would mean a
+// capture path recorded something other than the live state (a stale
+// checkpoint, paper-level incorrect recovery content).
 #include <gtest/gtest.h>
 
 #include "app/state.hpp"
@@ -14,62 +13,69 @@
 namespace synergy {
 namespace {
 
-TEST(AppSnapshotCacheTest, RepeatedSnapshotsShareOneBuffer) {
+TEST(AppStateCaptureTest, EncodeCountersCountEverySnapshot) {
   ApplicationState app(1);
-  const SharedBytes first = app.snapshot_shared();
-  const SharedBytes second = app.snapshot_shared();
-  EXPECT_TRUE(first.shares_buffer_with(second));
-  EXPECT_EQ(first, app.snapshot());
-  EXPECT_EQ(app.snapshot_cache_misses(), 1u);
-  EXPECT_EQ(app.snapshot_cache_hits(), 1u);
+  const Bytes first = app.snapshot();
+  const Bytes second = app.snapshot();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(app.snapshot_cache_misses(), 2u);
+  EXPECT_EQ(app.snapshot_cache_hits(), 0u);
+  EXPECT_EQ(app.snapshot_bytes_encoded(), first.size() + second.size());
 }
 
-TEST(AppSnapshotCacheTest, EveryMutatorInvalidates) {
+TEST(AppStateCaptureTest, EveryMutatorReachesTheSnapshot) {
   ApplicationState app(1);
-  const auto expect_fresh = [&app](const char* what) {
-    const std::uint64_t before = app.version();
-    const SharedBytes cached = app.snapshot_shared();
-    EXPECT_EQ(cached, app.snapshot()) << "stale cache after " << what;
-    EXPECT_EQ(app.version(), before) << "snapshot must not mutate";
+  Bytes last = app.snapshot();
+  const auto expect_changed = [&app, &last](const char* what) {
+    const Bytes now = app.snapshot();
+    EXPECT_NE(now, last) << "snapshot missed " << what;
+    last = now;
   };
-  expect_fresh("construction");
 
-  const SharedBytes before = app.snapshot_shared();
   app.apply_message(42, /*payload_tainted=*/false);
-  EXPECT_FALSE(app.snapshot_shared().shares_buffer_with(before));
-  expect_fresh("apply_message");
-
+  expect_changed("apply_message");
   app.local_step(7);
-  expect_fresh("local_step");
-
+  expect_changed("local_step");
   app.corrupt(99);
-  expect_fresh("corrupt");
+  expect_changed("corrupt");
+  app.flip_bit(5);
+  expect_changed("flip_bit");
 
   const Bytes clean = app.snapshot();
   app.corrupt(123);
   app.restore(clean);
-  expect_fresh("restore");
   EXPECT_EQ(app.snapshot(), clean);
 }
 
-TEST(TransportCoreSnapshotCacheTest, EveryMutatorInvalidates) {
+TEST(TransportCoreCaptureTest, EncodeCountersCountEverySnapshot) {
   TransportCore core(kP1Act);
-  const auto expect_fresh = [&core](const char* what) {
-    EXPECT_EQ(core.snapshot_state_shared(), core.snapshot_state())
-        << "stale cache after " << what;
+  const Bytes a = core.snapshot_state();
+  const Bytes b = core.snapshot_state();
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(core.snapshot_cache_misses(), 2u);
+  EXPECT_EQ(core.snapshot_cache_hits(), 0u);
+  EXPECT_EQ(core.snapshot_bytes_encoded(), a.size() + b.size());
+}
+
+TEST(TransportCoreCaptureTest, EveryMutatorReachesTheSnapshot) {
+  TransportCore core(kP1Act);
+  Bytes last = core.snapshot_state();
+  const auto expect_changed = [&core, &last](const char* what) {
+    const Bytes now = core.snapshot_state();
+    EXPECT_NE(now, last) << "snapshot missed " << what;
+    last = now;
   };
-  expect_fresh("construction");
 
   Message m;
   m.kind = MsgKind::kInternal;
   m.receiver = kP2;
   const Message stamped = core.prepare_send(m);
-  expect_fresh("prepare_send");  // send counter is snapshotted state
+  expect_changed("prepare_send");  // send counter is snapshotted state
 
   Message recv = stamped;
   recv.sender = kP2;
   core.mark_consumed(recv);
-  expect_fresh("mark_consumed");
+  expect_changed("mark_consumed");
 
   const Bytes state = core.snapshot_state();
   core.mark_consumed([&] {
@@ -77,24 +83,16 @@ TEST(TransportCoreSnapshotCacheTest, EveryMutatorInvalidates) {
     other.transport_seq = 999;
     return other;
   }());
+  expect_changed("out-of-order mark_consumed");
   core.restore_state(state);
-  expect_fresh("restore_state");
+  EXPECT_EQ(core.snapshot_state(), state);
 
   const Message log[] = {stamped};
   core.restore_unacked(log);
-  expect_fresh("restore_unacked");
+  EXPECT_EQ(core.snapshot_state(), state);  // counter already past the log
 }
 
-TEST(TransportCoreSnapshotCacheTest, UnchangedStateHitsCache) {
-  TransportCore core(kP1Act);
-  const SharedBytes a = core.snapshot_state_shared();
-  const SharedBytes b = core.snapshot_state_shared();
-  EXPECT_TRUE(a.shares_buffer_with(b));
-  EXPECT_EQ(core.snapshot_cache_hits(), 1u);
-  EXPECT_EQ(core.snapshot_cache_misses(), 1u);
-}
-
-// ---- Engine-level: records built from cached blobs are never stale ---------
+// ---- Engine-level: records carry the live state ---------------------------
 
 SystemConfig quiet_config(std::uint64_t seed = 1) {
   SystemConfig c;
@@ -105,7 +103,7 @@ SystemConfig quiet_config(std::uint64_t seed = 1) {
   return c;
 }
 
-class SnapshotCacheFixture : public ::testing::Test {
+class RecordCaptureFixture : public ::testing::Test {
  protected:
   void build() {
     system_ = std::make_unique<System>(quiet_config());
@@ -121,8 +119,8 @@ class SnapshotCacheFixture : public ::testing::Test {
     system_->sim().run_until(system_->sim().now() + Duration::seconds(1));
   }
 
-  /// The stale-hit oracle: a record built from the caches must match
-  /// fresh encodes of all three snapshot sources.
+  /// The freshness oracle: a record's blobs must match fresh encodes of
+  /// all three sources.
   void expect_records_fresh(const char* what) {
     for (ProcessId p : {kP1Act, kP1Sdw, kP2}) {
       ProcessNode& n = system_->node(p);
@@ -139,33 +137,31 @@ class SnapshotCacheFixture : public ::testing::Test {
   std::unique_ptr<System> system_;
 };
 
-TEST_F(SnapshotCacheFixture, CleanStateRecordsShareBuffers) {
+TEST_F(RecordCaptureFixture, CleanStateRecordsAreFresh) {
   build();
-  // Two records of an unchanged process alias the same immutable blobs —
-  // the clean-state TB-expiry path establishes records without
-  // re-serializing anything.
+  // Two records of an unchanged process (the clean-state TB-expiry path)
+  // carry the same state.
   const CheckpointRecord a = system_->p2().make_record(CkptKind::kStable);
   const CheckpointRecord b = system_->p2().make_record(CkptKind::kStable);
-  EXPECT_TRUE(a.app_state.shares_buffer_with(b.app_state));
-  EXPECT_TRUE(a.protocol_state.shares_buffer_with(b.protocol_state));
-  EXPECT_TRUE(a.transport_state.shares_buffer_with(b.transport_state));
+  EXPECT_EQ(a.app_state, b.app_state);
+  EXPECT_EQ(a.protocol_state, b.protocol_state);
+  EXPECT_EQ(a.transport_state, b.transport_state);
   expect_records_fresh("repeated clean records");
 }
 
-TEST_F(SnapshotCacheFixture, MessageTrafficInvalidates) {
+TEST_F(RecordCaptureFixture, MessageTrafficReachesRecords) {
   build();
   const CheckpointRecord before = system_->p2().make_record(CkptKind::kStable);
   c1_send(false);  // P1act dirties P2 (Type-1 + state application)
   settle();
   const CheckpointRecord after = system_->p2().make_record(CkptKind::kStable);
-  EXPECT_FALSE(before.app_state.shares_buffer_with(after.app_state));
-  EXPECT_FALSE(before.protocol_state.shares_buffer_with(after.protocol_state));
-  EXPECT_FALSE(
-      before.transport_state.shares_buffer_with(after.transport_state));
+  EXPECT_NE(before.app_state, after.app_state);
+  EXPECT_NE(before.protocol_state, after.protocol_state);
+  EXPECT_NE(before.transport_state, after.transport_state);
   expect_records_fresh("internal send + delivery");
 }
 
-TEST_F(SnapshotCacheFixture, ValidationAndClearPathsInvalidate) {
+TEST_F(RecordCaptureFixture, ValidationAndClearPathsReachRecords) {
   build();
   c1_send(false);
   settle();
@@ -176,7 +172,7 @@ TEST_F(SnapshotCacheFixture, ValidationAndClearPathsInvalidate) {
   expect_records_fresh("AT pass + passed-AT broadcast");
 }
 
-TEST_F(SnapshotCacheFixture, CorruptionAndRestoreInvalidate) {
+TEST_F(RecordCaptureFixture, CorruptionAndRestoreReachRecords) {
   build();
   c1_send(false);
   settle();
@@ -190,7 +186,7 @@ TEST_F(SnapshotCacheFixture, CorruptionAndRestoreInvalidate) {
   expect_records_fresh("restore_from_record");
 }
 
-TEST_F(SnapshotCacheFixture, TakeoverInvalidates) {
+TEST_F(RecordCaptureFixture, TakeoverReachesRecords) {
   build();
   c1_send(false);  // shadow logs a suppressed message (serialized role state)
   settle();

@@ -163,6 +163,34 @@ TEST(SweepFragment, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(parse_fragment("{}"), std::runtime_error);
   EXPECT_THROW(parse_fragment(R"({"schema": "something-else"})"),
                std::runtime_error);
+
+  // One edited value in a valid fragment: each must be an error, never a
+  // wrapped or truncated integer, an overflowing double-to-integer cast or
+  // unbounded recursion.
+  const std::string valid = to_json(run_sweep(small_config(), nullptr));
+  EXPECT_NO_THROW(parse_fragment(valid));
+  const auto edited = [&valid](const std::string& from, const std::string& to) {
+    const std::size_t at = valid.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string doc = valid;
+    if (at != std::string::npos) doc.replace(at, from.size(), to);
+    return doc;
+  };
+  const std::string malformed[] = {
+      edited("\"reps\": 3,", "\"reps\": -1,"),
+      edited("\"reps\": 3,", "\"reps\": 2.9,"),
+      edited("\"reps\": 3,", "\"reps\": 18446744073709551616,"),
+      edited("\"duration_s\": 20,", "\"duration_s\": 1e300,"),
+      edited("\"duration_s\": 20,", "\"duration_s\": -1,"),
+      edited("\"duration_s\": 20,", "\"duration_s\": 20-1,"),
+      edited("\"intervals_s\": [10, 20]", "\"intervals_s\": [10, 1e300]"),
+      edited("\"fault_scales\": [1, 2]", "\"fault_scales\": [1, 1e999]"),
+      std::string(200000, '['),
+  };
+  for (const std::string& doc : malformed) {
+    EXPECT_THROW(parse_fragment(doc), std::runtime_error)
+        << doc.substr(0, 200);
+  }
 }
 
 TEST(SweepFragment, MergeValidatesHeadersAndCompleteness) {

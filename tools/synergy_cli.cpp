@@ -242,8 +242,9 @@ double parse_probability(const char* flag, const char* value) {
 /// Parse `value` as a non-negative duration in seconds (capped well inside
 /// Duration's microsecond range).
 Duration parse_seconds(const char* flag, const char* value) {
-  return Duration::from_seconds(parse_number(
-      flag, value, "a non-negative duration in seconds", 0.0, 1e12));
+  return Duration::from_seconds(
+      parse_number(flag, value, "a non-negative duration in seconds", 0.0,
+                   Duration::kMaxInputSeconds));
 }
 
 void require_positive_interval(Duration interval) {
@@ -291,24 +292,35 @@ std::vector<std::string> split_list(const std::string& list) {
   return items;
 }
 
-/// Comma-separated list of finite doubles >= `lo`; rejects empty items,
-/// junk and out-of-range values.
+/// Comma-separated list of finite doubles in [`lo`, `hi`]; rejects empty
+/// items, junk and out-of-range values.
 std::vector<double> parse_double_list(const char* flag, const char* value,
-                                      double lo = -HUGE_VAL) {
+                                      double lo = -HUGE_VAL,
+                                      double hi = HUGE_VAL) {
   std::vector<double> out;
   for (const std::string& item : split_list(value)) {
     char* end = nullptr;
     const double v = std::strtod(item.c_str(), &end);
     if (end == item.c_str() || *end != '\0' || !std::isfinite(v) ||
-        !(v >= lo)) {
+        !(v >= lo) || !(v <= hi)) {
       std::fprintf(stderr, "%s expects a comma-separated number list", flag);
-      if (std::isfinite(lo)) std::fprintf(stderr, " (each >= %g)", lo);
+      if (std::isfinite(hi)) {
+        std::fprintf(stderr, " (each in [%g, %g])", lo, hi);
+      } else if (std::isfinite(lo)) {
+        std::fprintf(stderr, " (each >= %g)", lo);
+      }
       std::fprintf(stderr, ", got \"%s\"\n", value);
       usage(2);
     }
     out.push_back(v);
   }
   return out;
+}
+
+/// A sweep axis: the same range a fragment's axes must satisfy on --merge,
+/// so every fragment a sweep writes can be merged.
+std::vector<double> parse_axis(const char* flag, const char* value) {
+  return parse_double_list(flag, value, 0.0, Duration::kMaxInputSeconds);
 }
 
 std::vector<Scheme> parse_scheme_list(const char* flag, const char* value) {
@@ -557,9 +569,9 @@ int cmd_sweep(int argc, char** argv) {
     else if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
     else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
     else if (a == "--schemes") config.axes.schemes = parse_scheme_list("--schemes", arg_value(argc, argv, i));
-    else if (a == "--fault-scales") config.axes.fault_scales = parse_double_list("--fault-scales", arg_value(argc, argv, i));
-    else if (a == "--coverages") config.axes.coverages = parse_double_list("--coverages", arg_value(argc, argv, i));
-    else if (a == "--intervals") config.axes.intervals_s = parse_double_list("--intervals", arg_value(argc, argv, i));
+    else if (a == "--fault-scales") config.axes.fault_scales = parse_axis("--fault-scales", arg_value(argc, argv, i));
+    else if (a == "--coverages") config.axes.coverages = parse_axis("--coverages", arg_value(argc, argv, i));
+    else if (a == "--intervals") config.axes.intervals_s = parse_axis("--intervals", arg_value(argc, argv, i));
     else if (a == "--workload") config.workload = parse_workload(arg_value(argc, argv, i));
     else if (a == "--lane-gap") config.lane_flip_gap = parse_seconds("--lane-gap", arg_value(argc, argv, i));
     else if (a == "--sig-gap") config.sig_fault_gap = parse_seconds("--sig-gap", arg_value(argc, argv, i));
@@ -585,7 +597,8 @@ int cmd_sweep(int argc, char** argv) {
       for (const std::string& path : fragment_paths) {
         std::ifstream in(path, std::ios::binary);
         if (!in) {
-          std::fprintf(stderr, "cannot read %s\n", path.c_str());
+          std::fprintf(stderr, "synergy sweep: cannot read %s\n",
+                       path.c_str());
           return 1;
         }
         std::ostringstream buf;
@@ -593,7 +606,8 @@ int cmd_sweep(int argc, char** argv) {
         try {
           fragments.push_back(sweep::parse_fragment(buf.str()));
         } catch (const std::exception& e) {
-          std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+          std::fprintf(stderr, "synergy sweep: %s: %s\n", path.c_str(),
+                       e.what());
           return 1;
         }
       }
