@@ -1,9 +1,10 @@
 // Self-timed micro benchmarks with machine-readable output.
 //
 // Times the protocol hot paths the regression gate watches (simulator event
-// dispatch, RNG, application state step/snapshot, a full short chaos
-// mission) and emits BENCH_micro.json via the synergy-bench-v1 emitter in
-// bench_common.hpp — no google-benchmark JSON post-processing involved.
+// dispatch, RNG, application state step/snapshot, the oracles' line audit,
+// a full short chaos mission) and emits BENCH_micro.json via the
+// synergy-bench-v1 emitter in bench_common.hpp — no google-benchmark JSON
+// post-processing involved.
 //
 //   bench_micro_json [--quick|--full] [--json BENCH_micro.json]
 #include <chrono>
@@ -16,6 +17,7 @@
 // net_send_deliver bench arms the counter to enforce the zero-alloc
 // contract of the pooled message path.
 #define SYNERGY_BENCH_COUNT_ALLOCS
+#include "analysis/checkers.hpp"
 #include "app/state.hpp"
 #include "bench_common.hpp"
 #include "core/campaign.hpp"
@@ -243,6 +245,34 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(allocs));
       return 1;
     }
+  }
+  {
+    // The oracles' line audit: check_all over the final committed recovery
+    // line of one 600 s coordinated chaos mission (the chaos workload with
+    // its network and storage injectors, the monitor and hardened
+    // recovery; no timed crash schedule), read in place from the records'
+    // view histories.
+    const CampaignConfig chaos;
+    SystemConfig sc = chaos.base;
+    sc.scheme = Scheme::kCoordinated;
+    sc.seed = 1;
+    sc.net_faults = chaos.rates.net;
+    sc.sstore.faults = chaos.rates.storage;
+    sc.enable_monitor = true;
+    sc.harden_recovery = true;
+    System system(sc);
+    system.start(TimePoint::origin() + Duration::seconds(600));
+    system.run();
+    const GlobalState line = system.stable_line_state();
+    std::size_t views = 0;
+    for (const ProcessFacts& p : line.processes) {
+      views += p.views.mark.sent_len + p.views.mark.recv_len;
+    }
+    std::size_t sink = 0;
+    record("line_audit_600s", scaled(effort, 200, 1'000, 5'000),
+           [&] { sink += check_all(line).size() + 1; });
+    std::printf("%-28s %12zu views on the line\n", "", views);
+    if (sink == 0) std::printf("(unreachable)\n");
   }
   {
     // End-to-end MDCD/TB hot path: one short chaos mission per iteration.

@@ -1,47 +1,159 @@
 #include "analysis/checkers.hpp"
 
+#include <algorithm>
+#include <optional>
+#include <span>
 #include <sstream>
-
-#include <unordered_map>
-#include <unordered_set>
-
-#include "common/assert.hpp"
+#include <utility>
 
 namespace synergy {
 namespace {
 
-// Composite (peer, transport_seq) key. Transport sequences stay far below
-// 2^48 in any realistic run; assert rather than silently collide.
-std::uint64_t view_key(ProcessId peer, std::uint64_t transport_seq) {
-  SYNERGY_ASSERT(transport_seq < (1ULL << 48));
-  return (static_cast<std::uint64_t>(peer.value()) << 48) | transport_seq;
-}
+// One process's entries for one peer, as its mark reads them: positions
+// in transport-seq order, cut at the mark's prefix length, with suspicion
+// read at the mark's epoch. Nothing is copied.
+struct PeerViews {
+  const ViewLog* log = nullptr;
+  std::span<const std::uint32_t> by_seq;
+  std::uint32_t len = 0;
+  std::uint64_t epoch = 0;
 
-using ViewIndex = std::unordered_map<std::uint64_t, const MsgView*>;
-
-ViewIndex index_views(const ViewLog& log) {
-  ViewIndex index;
-  index.reserve(log.size());
-  for (const auto& v : log.entries()) {
-    index.emplace(view_key(v.peer, v.transport_seq), &v);
+  std::uint64_t seq(std::uint32_t i) const {
+    return log->entries()[i].transport_seq;
   }
-  return index;
+  bool suspect(std::uint32_t i) const { return log->suspect_at(i, epoch); }
+};
+
+PeerViews peer_views(const ProcessFacts& p, bool sent, ProcessId peer) {
+  const ViewHistory* history = p.views.log.get();
+  if (history == nullptr) return {};
+  const ViewLog& log = sent ? history->sent() : history->recv();
+  const ViewLog::PeerIndex* index = log.peer(peer);
+  if (index == nullptr) return {};
+  return PeerViews{&log, index->by_seq,
+                   sent ? p.views.mark.sent_len : p.views.mark.recv_len,
+                   p.views.mark.epoch};
 }
 
-const MsgView* find_view(const ViewIndex& index, std::uint64_t transport_seq,
-                         ProcessId peer) {
-  auto it = index.find(view_key(peer, transport_seq));
-  return it == index.end() ? nullptr : it->second;
+// A finding and the log position of the entry that raised it: violations
+// come out per process in log order, as a scan of the log would list them.
+struct Finding {
+  std::uint32_t pos;
+  Violation violation;
+};
+
+void flush(std::vector<Finding>& found, std::vector<Violation>& out) {
+  std::sort(found.begin(), found.end(),
+            [](const Finding& a, const Finding& b) { return a.pos < b.pos; });
+  for (const Finding& f : found) out.push_back(f.violation);
+  found.clear();
 }
 
-std::unordered_set<std::uint64_t> unacked_seqs(const ProcessFacts& sender) {
-  std::unordered_set<std::uint64_t> seqs;
-  seqs.reserve(sender.unacked.size());
-  for (const auto& m : sender.unacked) seqs.insert(m.transport_seq);
-  return seqs;
+// One audit of a state: its processes by id (where ids repeat, the first
+// process wins) and the two pairwise properties.
+class Audit {
+ public:
+  explicit Audit(const GlobalState& state) : state_(state) {
+    by_id_.reserve(state.processes.size());
+    for (const ProcessFacts& p : state.processes) by_id_.push_back(&p);
+    std::stable_sort(by_id_.begin(), by_id_.end(),
+                     [](const ProcessFacts* a, const ProcessFacts* b) {
+                       return a->id < b->id;
+                     });
+  }
+
+  void consistency(std::vector<Violation>& out) const {
+    walk(false, out, [](const ProcessFacts&, std::uint64_t) {
+      return std::optional{Violation::Kind::kReceivedNotSent};
+    });
+  }
+
+  void recoverability(std::vector<Violation>& out) const {
+    walk(true, out,
+         [](const ProcessFacts& sender,
+            std::uint64_t seq) -> std::optional<Violation::Kind> {
+           const bool restorable = std::any_of(
+               sender.unacked.begin(), sender.unacked.end(),
+               [seq](const Message& m) { return m.transport_seq == seq; });
+           if (restorable) return std::nullopt;
+           return Violation::Kind::kLostMessage;
+         });
+  }
+
+ private:
+  // Walks each process's received (consistency) or sent (recoverability)
+  // entries against the other side of every peer the state holds. A
+  // matched pair must agree on validity; `missing(p, seq)` names what an
+  // unmatched entry of p violates, if anything.
+  template <typename Missing>
+  void walk(bool sent, std::vector<Violation>& out, Missing missing) const {
+    std::vector<Finding> found;
+    for (const ProcessFacts& p : state_.processes) {
+      const ViewHistory* history = p.views.log.get();
+      if (history == nullptr) continue;
+      const ViewLog& log = sent ? history->sent() : history->recv();
+      for (const ViewLog::PeerIndex& index : log.peers()) {
+        const ProcessFacts* peer = find(index.peer);
+        if (peer == nullptr) continue;  // peer outside the examined state
+        const PeerViews own = peer_views(p, sent, index.peer);
+        const PeerViews other = peer_views(*peer, !sent, p.id);
+        // Both sides are in seq order, so the cursor into other only moves
+        // forward. An own entry is answered by other's first entry with
+        // its seq (the one appended first) inside other's mark, whatever
+        // that entry's kind.
+        std::size_t k = 0;
+        for (const std::uint32_t i : own.by_seq) {
+          if (i >= own.len) continue;
+          const MsgView& e = own.log->entries()[i];
+          if (e.kind != MsgKind::kInternal) continue;
+          while (k < other.by_seq.size() &&
+                 (other.by_seq[k] >= other.len ||
+                  other.seq(other.by_seq[k]) < e.transport_seq)) {
+            ++k;
+          }
+          std::optional<Violation::Kind> kind;
+          if (k < other.by_seq.size() &&
+              other.seq(other.by_seq[k]) == e.transport_seq) {
+            if (own.suspect(i) != other.suspect(other.by_seq[k])) {
+              kind = Violation::Kind::kValidityMismatch;
+            }
+          } else {
+            kind = missing(p, e.transport_seq);
+          }
+          if (kind) {
+            found.push_back(
+                Finding{i, Violation{*kind, p.id, peer->id, e.transport_seq}});
+          }
+        }
+      }
+      flush(found, out);
+    }
+  }
+
+  const ProcessFacts* find(ProcessId id) const {
+    const auto it = std::lower_bound(
+        by_id_.begin(), by_id_.end(), id,
+        [](const ProcessFacts* p, ProcessId key) { return p->id < key; });
+    return it != by_id_.end() && (*it)->id == id ? *it : nullptr;
+  }
+
+  const GlobalState& state_;
+  std::vector<const ProcessFacts*> by_id_;
+};
+
+thread_local AuditObserver audit_observer;
+
+std::vector<Violation> observed(AuditKind kind, const GlobalState& state,
+                                std::vector<Violation> found) {
+  if (audit_observer) audit_observer(kind, state, found);
+  return found;
 }
 
 }  // namespace
+
+void set_audit_observer(AuditObserver observer) {
+  audit_observer = std::move(observer);
+}
 
 std::string Violation::describe() const {
   std::ostringstream out;
@@ -70,61 +182,14 @@ std::string Violation::describe() const {
 
 std::vector<Violation> check_consistency(const GlobalState& state) {
   std::vector<Violation> violations;
-  std::unordered_map<std::uint32_t, ViewIndex> sent_index;
-  for (const auto& p : state.processes) {
-    sent_index.emplace(p.id.value(), index_views(p.sent));
-  }
-  for (const auto& receiver : state.processes) {
-    for (const auto& e : receiver.recv.entries()) {
-      if (e.kind != MsgKind::kInternal) continue;
-      const ProcessFacts* sender = state.find(e.peer);
-      if (sender == nullptr) continue;  // peer outside the examined state
-      const MsgView* sent = find_view(sent_index.at(sender->id.value()),
-                                      e.transport_seq, receiver.id);
-      if (sent == nullptr) {
-        violations.push_back(Violation{Violation::Kind::kReceivedNotSent,
-                                       receiver.id, sender->id,
-                                       e.transport_seq});
-      } else if (sent->suspect != e.suspect) {
-        violations.push_back(Violation{Violation::Kind::kValidityMismatch,
-                                       receiver.id, sender->id,
-                                       e.transport_seq});
-      }
-    }
-  }
-  return violations;
+  Audit(state).consistency(violations);
+  return observed(AuditKind::kConsistency, state, std::move(violations));
 }
 
 std::vector<Violation> check_recoverability(const GlobalState& state) {
   std::vector<Violation> violations;
-  std::unordered_map<std::uint32_t, ViewIndex> recv_index;
-  for (const auto& p : state.processes) {
-    recv_index.emplace(p.id.value(), index_views(p.recv));
-  }
-  for (const auto& sender : state.processes) {
-    const auto unacked = unacked_seqs(sender);
-    for (const auto& e : sender.sent.entries()) {
-      if (e.kind != MsgKind::kInternal) continue;
-      const ProcessFacts* receiver = state.find(e.peer);
-      if (receiver == nullptr) continue;
-      const MsgView* recv = find_view(recv_index.at(receiver->id.value()),
-                                      e.transport_seq, sender.id);
-      if (recv != nullptr) {
-        if (recv->suspect != e.suspect) {
-          violations.push_back(Violation{Violation::Kind::kValidityMismatch,
-                                         sender.id, receiver->id,
-                                         e.transport_seq});
-        }
-        continue;
-      }
-      if (!unacked.contains(e.transport_seq)) {
-        violations.push_back(Violation{Violation::Kind::kLostMessage,
-                                       sender.id, receiver->id,
-                                       e.transport_seq});
-      }
-    }
-  }
-  return violations;
+  Audit(state).recoverability(violations);
+  return observed(AuditKind::kRecoverability, state, std::move(violations));
 }
 
 std::vector<Violation> check_software_recoverability(const GlobalState& state) {
@@ -144,12 +209,13 @@ std::vector<Violation> check_software_recoverability(const GlobalState& state) {
 }
 
 std::vector<Violation> check_all(const GlobalState& state) {
-  std::vector<Violation> all = check_consistency(state);
-  auto rec = check_recoverability(state);
-  all.insert(all.end(), rec.begin(), rec.end());
+  std::vector<Violation> all;
+  const Audit audit(state);
+  audit.consistency(all);
+  audit.recoverability(all);
   auto sw = check_software_recoverability(state);
   all.insert(all.end(), sw.begin(), sw.end());
-  return all;
+  return observed(AuditKind::kAll, state, std::move(all));
 }
 
 }  // namespace synergy

@@ -14,6 +14,7 @@
 // recovery would need.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,5 +50,16 @@ std::vector<Violation> check_software_recoverability(const GlobalState& state);
 
 /// All three checks.
 std::vector<Violation> check_all(const GlobalState& state);
+
+/// Which entry point an audit came through.
+enum class AuditKind { kConsistency, kRecoverability, kAll };
+
+/// Test seam: while set, every check_consistency, check_recoverability and
+/// check_all call on the calling thread reports the state it audited and
+/// the violations it returns (the differential test replays each audit
+/// through a reference checker). Unset, it costs one branch per audit.
+using AuditObserver = std::function<void(
+    AuditKind, const GlobalState&, const std::vector<Violation>&)>;
+void set_audit_observer(AuditObserver observer);
 
 }  // namespace synergy

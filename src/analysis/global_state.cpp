@@ -5,13 +5,6 @@
 
 namespace synergy {
 
-const ProcessFacts* GlobalState::find(ProcessId id) const {
-  for (const auto& p : processes) {
-    if (p.id == id) return &p;
-  }
-  return nullptr;
-}
-
 ProcessFacts facts_from_record(const CheckpointRecord& record) {
   ProcessFacts facts;
   facts.id = record.owner;
@@ -22,11 +15,7 @@ ProcessFacts facts_from_record(const CheckpointRecord& record) {
   // layer consulted (pseudo_dirty_bit for P1act under the modified
   // protocol): exactly the right notion for recovery-line analysis.
   facts.dirty = record.dirty_bit;
-
-  if (const ViewHistory* views = record.views.log.get()) {
-    facts.sent = views->sent_at(record.views.mark);
-    facts.recv = views->recv_at(record.views.mark);
-  }
+  facts.views = record.views;
 
   ApplicationState app;
   app.restore(record.app_state);

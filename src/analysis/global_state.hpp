@@ -24,20 +24,18 @@ struct ProcessFacts {
   bool dirty = false;
   bool app_tainted = false;
   TimePoint state_time;
-  ViewLog sent;
-  ViewLog recv;
+  /// The views this state reflects: its history read at the mark, in
+  /// place (no history: no views).
+  ViewRef views;
   std::vector<Message> unacked;
 };
 
 struct GlobalState {
   std::vector<ProcessFacts> processes;
-
-  const ProcessFacts* find(ProcessId id) const;
 };
 
-/// Extract facts from a checkpoint record: its contamination flag, the
-/// views its ViewRef reads (none without one) and the application
-/// snapshot's taint flag.
+/// Extract facts from a checkpoint record: its contamination flag, its
+/// ViewRef and the application snapshot's taint flag.
 ProcessFacts facts_from_record(const CheckpointRecord& record);
 
 /// Extract facts from a live engine (post-recovery audits).

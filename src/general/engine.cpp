@@ -592,48 +592,7 @@ CheckpointRecord GeneralEngine::build_promoted_record(
   rec.transport_state = cand.transport_state;
   rec.unacked.assign(cand.unacked.begin(), cand.unacked.end());
 
-  ByteWriter w;
-  w.u64(cand.msg_sn);
-  w.u8(cand.takeover_done ? 1 : 0);
-  const bool still_dirty = !contam_covered(cand.absorbed, validated_);
-  w.u8(still_dirty ? 1 : 0);
-  if (still_dirty) {
-    contam_serialize(cand.absorbed, w);
-  } else {
-    contam_serialize(ContamVector{}, w);
-  }
-  contam_serialize(validated_, w);
-  // Shadow suppression log at capture: entries carry monotone SNs, so the
-  // capture-time log is exactly the live entries with sn <= cand.msg_sn
-  // (entries reclaimed since were validated — a restore would drop them
-  // at replay anyway, because the promoted record carries validated_).
-  std::uint32_t logs = 0;
-  for (const Message& m : msg_log_) {
-    if (m.sn <= cand.msg_sn) ++logs;
-  }
-  w.u32(logs);
-  for (const Message& m : msg_log_) {
-    if (m.sn <= cand.msg_sn) m.serialize(w);
-  }
-  auto write_prefix = [this, &w](const SmallVec<GView, 8>& views,
-                                 std::uint32_t len) {
-    w.u32(len);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      const GView& v = views[i];
-      w.u32(v.peer.value());
-      w.u64(v.transport_seq);
-      w.u64(v.sn);
-      w.u8(static_cast<std::uint8_t>(v.kind));
-      const bool suspect = v.suspect && !contam_covered(v.contam, validated_);
-      w.u8(suspect ? 1 : 0);
-      contam_serialize(v.contam, w);
-    }
-  };
-  write_prefix(sent_views_, cand.sent_len);
-  write_prefix(recv_views_, cand.recv_len);
-  w.u32(static_cast<std::uint32_t>(failed_over_.size()));
-  for (auto c : failed_over_) w.u32(c);
-  rec.protocol_state = w.take();
+  rec.protocol_state = encode_protocol_state(&cand);
   return rec;
 }
 
@@ -716,74 +675,136 @@ std::size_t GeneralEngine::takeover() {
 }
 
 Bytes GeneralEngine::snapshot_protocol_state() const {
+  return encode_protocol_state(nullptr);
+}
+
+namespace {
+
+void write_views(ByteWriter& w, const SmallVec<GView, 8>& views,
+                 std::uint32_t len, const ContamVector* revalidate) {
+  w.u32(len);
+  for (std::uint32_t i = 0; i < len; ++i) {
+    const GView& v = views[i];
+    w.u32(v.peer.value());
+    w.u64(v.transport_seq);
+    w.u64(v.sn);
+    w.u8(static_cast<std::uint8_t>(v.kind));
+    const bool suspect =
+        v.suspect && (revalidate == nullptr ||
+                      !contam_covered(v.contam, *revalidate));
+    w.u8(suspect ? 1 : 0);
+    contam_serialize(v.contam, w);
+  }
+}
+
+void read_views(ByteReader& r, SmallVec<GView, 8>& views) {
+  const std::uint32_t n = r.u32();
+  views.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    GView v;
+    v.peer = ProcessId{r.u32()};
+    v.transport_seq = r.u64();
+    v.sn = r.u64();
+    v.kind = static_cast<MsgKind>(r.u8());
+    v.suspect = r.u8() != 0;
+    v.contam = contam_deserialize(r);
+    views.push_back(std::move(v));
+  }
+}
+
+}  // namespace
+
+Bytes GeneralEngine::encode_protocol_state(
+    const AnchorCandidate* promoted) const {
   ByteWriter w;
-  w.u64(msg_sn_);
-  w.u8(takeover_done_ ? 1 : 0);
-  w.u8(dirty_bit_ ? 1 : 0);
-  contam_serialize(absorbed_, w);
+  if (promoted == nullptr) {
+    w.u64(msg_sn_);
+    w.u8(takeover_done_ ? 1 : 0);
+    w.u8(dirty_bit_ ? 1 : 0);
+    contam_serialize(absorbed_, w);
+  } else {
+    // See build_promoted_record: the captured scalars and view prefixes,
+    // with dirt and suspicion re-read under today's validations.
+    w.u64(promoted->msg_sn);
+    w.u8(promoted->takeover_done ? 1 : 0);
+    const bool still_dirty = !contam_covered(promoted->absorbed, validated_);
+    w.u8(still_dirty ? 1 : 0);
+    contam_serialize(still_dirty ? promoted->absorbed : ContamVector{}, w);
+  }
   contam_serialize(validated_, w);
-  w.u32(static_cast<std::uint32_t>(msg_log_.size()));
-  for (const auto& m : msg_log_) m.serialize(w);
-  auto write_views = [&w](const SmallVec<GView, 8>& views) {
-    w.u32(static_cast<std::uint32_t>(views.size()));
-    for (const auto& v : views) {
-      w.u32(v.peer.value());
-      w.u64(v.transport_seq);
-      w.u64(v.sn);
-      w.u8(static_cast<std::uint8_t>(v.kind));
-      w.u8(v.suspect ? 1 : 0);
-      contam_serialize(v.contam, w);
-    }
-  };
-  write_views(sent_views_);
-  write_views(recv_views_);
+  // Shadow suppression log. At a promoted capture it held exactly the live
+  // entries with sn <= the captured msg_sn: entries carry monotone SNs,
+  // and those reclaimed since were validated (a restore would drop them
+  // at replay anyway, because the promoted record carries validated_).
+  const MsgSeq log_sn = promoted ? promoted->msg_sn : ~MsgSeq{0};
+  std::uint32_t logs = 0;
+  for (const Message& m : msg_log_) {
+    if (m.sn <= log_sn) ++logs;
+  }
+  w.u32(logs);
+  for (const Message& m : msg_log_) {
+    if (m.sn <= log_sn) m.serialize(w);
+  }
+  const ContamVector* revalidate = promoted ? &validated_ : nullptr;
+  write_views(w, sent_views_,
+              promoted ? promoted->sent_len
+                       : static_cast<std::uint32_t>(sent_views_.size()),
+              revalidate);
+  write_views(w, recv_views_,
+              promoted ? promoted->recv_len
+                       : static_cast<std::uint32_t>(recv_views_.size()),
+              revalidate);
   w.u32(static_cast<std::uint32_t>(failed_over_.size()));
   for (auto c : failed_over_) w.u32(c);
   return w.take();
 }
 
-void GeneralEngine::restore_protocol_state(const Bytes& state) {
-  ByteReader r(state);
-  msg_sn_ = r.u64();
-  takeover_done_ = r.u8() != 0;
-  dirty_bit_ = r.u8() != 0;
-  absorbed_ = contam_deserialize(r);
-  validated_ = contam_deserialize(r);
-  ++validated_version_;  // restored knowledge invalidates promotion cache
-  msg_log_.clear();
+GeneralProtocolState GeneralProtocolState::decode(const Bytes& blob) {
+  ByteReader r(blob);
+  GeneralProtocolState s;
+  s.msg_sn = r.u64();
+  s.takeover_done = r.u8() != 0;
+  s.dirty = r.u8() != 0;
+  s.absorbed = contam_deserialize(r);
+  s.validated = contam_deserialize(r);
   const std::uint32_t logs = r.u32();
-  msg_log_.reserve(logs);
+  s.msg_log.reserve(logs);
   for (std::uint32_t i = 0; i < logs; ++i) {
-    msg_log_.push_back(Message::deserialize(r));
+    s.msg_log.push_back(Message::deserialize(r));
   }
+  read_views(r, s.sent_views);
+  read_views(r, s.recv_views);
+  const std::uint32_t fo = r.u32();
+  s.failed_over.reserve(fo);
+  for (std::uint32_t i = 0; i < fo; ++i) s.failed_over.push_back(r.u32());
+  return s;
+}
+
+void GeneralEngine::restore_protocol_state(const Bytes& state) {
+  GeneralProtocolState s = GeneralProtocolState::decode(state);
+  msg_sn_ = s.msg_sn;
+  takeover_done_ = s.takeover_done;
+  dirty_bit_ = s.dirty;
+  absorbed_ = std::move(s.absorbed);
+  validated_ = std::move(s.validated);
+  ++validated_version_;  // restored knowledge invalidates promotion cache
+  msg_log_ = std::move(s.msg_log);
+  sent_views_ = std::move(s.sent_views);
+  recv_views_ = std::move(s.recv_views);
   suspect_views_ = 0;
-  auto read_views = [this, &r](SmallVec<GView, 8>& views,
+  auto index_suspects = [this](const SmallVec<GView, 8>& views,
                                SmallVec<std::uint32_t, 8>& index) {
-    views.clear();
     index.clear();
-    const std::uint32_t n = r.u32();
-    views.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      GView v;
-      v.peer = ProcessId{r.u32()};
-      v.transport_seq = r.u64();
-      v.sn = r.u64();
-      v.kind = static_cast<MsgKind>(r.u8());
-      v.suspect = r.u8() != 0;
-      if (v.suspect) {
-        ++suspect_views_;
-        index.push_back(i);
-      }
-      v.contam = contam_deserialize(r);
-      views.push_back(std::move(v));
+    for (std::uint32_t i = 0; i < views.size(); ++i) {
+      if (!views[i].suspect) continue;
+      ++suspect_views_;
+      index.push_back(i);
     }
   };
-  read_views(sent_views_, suspect_sent_);
-  read_views(recv_views_, suspect_recv_);
+  index_suspects(sent_views_, suspect_sent_);
+  index_suspects(recv_views_, suspect_recv_);
   failed_over_.clear();
-  const std::uint32_t fo = r.u32();
-  failed_over_.reserve(fo);
-  for (std::uint32_t i = 0; i < fo; ++i) mark_component_failed_over(r.u32());
+  for (const std::uint32_t c : s.failed_over) mark_component_failed_over(c);
 }
 
 }  // namespace synergy

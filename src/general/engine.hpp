@@ -54,6 +54,28 @@ struct GView {
   ContamVector contam;
 };
 
+/// The general engine's protocol blob, decoded. The engine writes it in
+/// one place (GeneralEngine::encode_protocol_state), and restore and the
+/// oracles (general_facts_from_record) read it through decode(), so the
+/// layout is spelled out once each way: msg_sn u64, takeover u8, dirty u8,
+/// the absorbed and validated vectors, the shadow suppression log (u32
+/// count, messages), the sent then received views (u32 count; per view
+/// peer u32, transport_seq u64, sn u64, kind u8, suspect u8, contamination
+/// vector) and the failed-over components (u32 count, u32 each).
+struct GeneralProtocolState {
+  MsgSeq msg_sn = 0;
+  bool takeover_done = false;
+  bool dirty = false;
+  ContamVector absorbed;
+  ContamVector validated;
+  SmallVec<Message, 4> msg_log;
+  SmallVec<GView, 8> sent_views;
+  SmallVec<GView, 8> recv_views;
+  SmallVec<std::uint32_t, 8> failed_over;
+
+  static GeneralProtocolState decode(const Bytes& blob);
+};
+
 class GeneralEngine final : public CheckpointableProcess {
  public:
   GeneralEngine(const Topology& topology, ProcessId self,
@@ -204,6 +226,9 @@ class GeneralEngine final : public CheckpointableProcess {
   void refresh_best_anchor();
   void materialize_anchor() const;
   CheckpointRecord build_promoted_record(const AnchorCandidate& cand) const;
+  /// The one writer of the protocol blob: the live state, or the promoted
+  /// anchor `promoted` stands for.
+  Bytes encode_protocol_state(const AnchorCandidate* promoted) const;
 
   void send_internal_multicast(std::uint64_t payload, bool tainted);
   void trace(TraceKind kind, std::string_view detail = {}, std::uint64_t a = 0,

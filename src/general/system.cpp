@@ -309,30 +309,18 @@ ProcessFacts general_facts_from_record(const CheckpointRecord& record) {
   facts.unacked = record.unacked;
   facts.dirty = record.dirty_bit;
 
-  ByteReader r(record.protocol_state);
-  (void)r.u64();  // msg_sn
-  (void)r.u8();   // takeover flag
-  (void)r.u8();   // dirty bit
-  (void)contam_deserialize(r);  // absorbed
-  (void)contam_deserialize(r);  // validated
-  const std::uint32_t logs = r.u32();
-  for (std::uint32_t i = 0; i < logs; ++i) (void)Message::deserialize(r);
-  auto read_views = [&r](ViewLog& out) {
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      MsgView v;
-      v.peer = ProcessId{r.u32()};
-      v.transport_seq = r.u64();
-      v.sn = r.u64();
-      v.kind = static_cast<MsgKind>(r.u8());
-      v.suspect = r.u8() != 0;
-      (void)contam_deserialize(r);
-      v.contam_sn = 0;
-      out.add(v);
-    }
-  };
-  read_views(facts.sent);
-  read_views(facts.recv);
+  // The oracles read MsgViews: the contamination vector has no scalar
+  // watermark to keep, and nothing upgrades a decoded history.
+  const GeneralProtocolState blob =
+      GeneralProtocolState::decode(record.protocol_state);
+  auto views = std::make_shared<ViewHistory>();
+  for (const GView& v : blob.sent_views) {
+    views->add_sent(MsgView{v.peer, v.transport_seq, v.sn, v.kind, v.suspect});
+  }
+  for (const GView& v : blob.recv_views) {
+    views->add_recv(MsgView{v.peer, v.transport_seq, v.sn, v.kind, v.suspect});
+  }
+  facts.views = ViewRef{views, views->mark()};
 
   ApplicationState app;
   app.restore(record.app_state);

@@ -7,10 +7,35 @@
 namespace synergy {
 
 void ViewLog::add(MsgView view) {
-  if (view.suspect) {
-    suspects_.push_back(static_cast<std::uint32_t>(views_.size()));
-  }
+  const auto pos = static_cast<std::uint32_t>(views_.size());
+  if (view.suspect) suspects_.push_back(pos);
   views_.push_back(view);
+  upgraded_at_.push_back(0);
+
+  auto it = std::lower_bound(
+      peers_.begin(), peers_.end(), view.peer,
+      [](const PeerIndex& p, ProcessId peer) { return p.peer < peer; });
+  if (it == peers_.end() || it->peer != view.peer) {
+    it = peers_.insert(it, PeerIndex{view.peer, {}});
+  }
+  std::vector<std::uint32_t>& run = it->by_seq;
+  // Receipts can arrive out of seq order: land after every entry whose seq
+  // is <= this one, so equal seqs stay in log order.
+  auto at = run.end();
+  if (!run.empty() && views_[run.back()].transport_seq > view.transport_seq) {
+    at = std::upper_bound(run.begin(), run.end(), view.transport_seq,
+                          [this](std::uint64_t seq, std::uint32_t i) {
+                            return seq < views_[i].transport_seq;
+                          });
+  }
+  run.insert(at, pos);
+}
+
+const ViewLog::PeerIndex* ViewLog::peer(ProcessId peer) const {
+  const auto it = std::lower_bound(
+      peers_.begin(), peers_.end(), peer,
+      [](const PeerIndex& p, ProcessId id) { return p.peer < id; });
+  return it != peers_.end() && it->peer == peer ? &*it : nullptr;
 }
 
 template <typename Covered>
@@ -20,7 +45,7 @@ std::size_t ViewLog::upgrade(std::uint64_t epoch, Covered covered) {
     MsgView& v = views_[i];
     if (covered(v)) {
       v.suspect = false;
-      upgrades_.push_back(Upgrade{i, epoch});
+      upgraded_at_[i] = epoch;
     } else {
       suspects_[kept++] = i;
     }
@@ -44,20 +69,19 @@ ViewLog ViewLog::prefix_at(std::size_t len, std::uint64_t epoch) const {
   SYNERGY_EXPECTS(len <= views_.size());
   ViewLog out;
   out.views_.assign(views_.begin(), views_.begin() + len);
-  for (const std::uint32_t i : suspects_) {
-    if (i >= len) break;
-    out.suspects_.push_back(i);
+  out.upgraded_at_.assign(len, 0);  // upgrades up to `epoch` baked in
+  for (std::size_t i = 0; i < len; ++i) {
+    if (!suspect_at(i, epoch)) continue;
+    out.views_[i].suspect = true;
+    out.suspects_.push_back(static_cast<std::uint32_t>(i));
   }
-  // Upgrades after `epoch` are a suffix of the journal.
-  const auto late = std::partition_point(
-      upgrades_.begin(), upgrades_.end(),
-      [epoch](const Upgrade& u) { return u.epoch <= epoch; });
-  for (auto it = late; it != upgrades_.end(); ++it) {
-    if (it->index >= len) continue;
-    out.views_[it->index].suspect = true;
-    out.suspects_.push_back(it->index);
+  for (const PeerIndex& p : peers_) {
+    PeerIndex kept{p.peer, {}};
+    for (const std::uint32_t i : p.by_seq) {
+      if (i < len) kept.by_seq.push_back(i);
+    }
+    if (!kept.by_seq.empty()) out.peers_.push_back(std::move(kept));
   }
-  std::sort(out.suspects_.begin(), out.suspects_.end());
   return out;
 }
 

@@ -41,10 +41,20 @@ struct MsgView {
 
 /// Append-only log of message views with bulk validation upgrades. An
 /// index of the still-suspect entries makes an upgrade O(suspect), not
-/// O(log), and every upgrade is journaled with the validation epoch that
-/// made it, so the log can be read as it stood at an earlier epoch.
+/// O(log), and each entry keeps the epoch of the validation that upgraded
+/// it, so reading an entry as it stood at an earlier epoch is O(1). Per
+/// peer, the log keeps its entries' positions in transport-seq order, which
+/// lets the oracles merge-walk two logs in place (analysis/checkers.cpp).
 class ViewLog {
  public:
+  /// One peer's entries: positions into entries(), ordered by
+  /// transport_seq. Equal seqs keep log order, so the first of a run is
+  /// the entry appended first.
+  struct PeerIndex {
+    ProcessId peer;
+    std::vector<std::uint32_t> by_seq;
+  };
+
   void add(MsgView view);
 
   /// A validation event (own AT pass, or accepted passed-AT notification)
@@ -56,9 +66,19 @@ class ViewLog {
   /// watermark is covered (contam_sn <= watermark) become valid.
   std::size_t validate_covered(MsgSeq watermark, std::uint64_t epoch);
 
-  /// The first `len` entries as they stood at validation epoch `epoch`:
-  /// entries upgraded by a later validation read as suspect again. The
-  /// copy's own upgrade journal starts empty.
+  /// Whether entry `i` read as suspect at validation epoch `epoch`: it is
+  /// still suspect, or a later validation upgraded it.
+  bool suspect_at(std::size_t i, std::uint64_t epoch) const {
+    return views_[i].suspect || upgraded_at_[i] > epoch;
+  }
+
+  /// Every peer's index, ascending by peer id.
+  const std::vector<PeerIndex>& peers() const { return peers_; }
+  /// `peer`'s index, or null when no entry names it.
+  const PeerIndex* peer(ProcessId peer) const;
+
+  /// A copy of the first `len` entries as they stood at validation epoch
+  /// `epoch`, upgrades after it undone (restore forks through this).
   ViewLog prefix_at(std::size_t len, std::uint64_t epoch) const;
 
   /// Inline-small storage: short logs (the steady state between
@@ -68,19 +88,15 @@ class ViewLog {
   std::size_t size() const { return views_.size(); }
 
  private:
-  struct Upgrade {
-    std::uint32_t index;
-    std::uint64_t epoch;
-  };
-
   template <typename Covered>
   std::size_t upgrade(std::uint64_t epoch, Covered covered);
 
   Entries views_;
+  /// Per entry, the epoch of the validation that upgraded it (0: none).
+  std::vector<std::uint64_t> upgraded_at_;
   /// Indices of the entries still suspect, ascending.
   std::vector<std::uint32_t> suspects_;
-  /// Every upgrade in the order made, hence in non-decreasing epoch.
-  std::vector<Upgrade> upgrades_;
+  std::vector<PeerIndex> peers_;
 };
 
 /// One process's view history — the ghost log: its sent and received
@@ -105,7 +121,8 @@ class ViewHistory {
   const ViewLog& sent() const { return sent_; }
   const ViewLog& recv() const { return recv_; }
 
-  /// The views as a checkpoint taken at `mark` saw them.
+  /// Copies of the views as a checkpoint taken at `mark` saw them. The
+  /// oracles read a mark in place instead (ViewLog::suspect_at).
   ViewLog sent_at(const ViewMark& mark) const;
   ViewLog recv_at(const ViewMark& mark) const;
 

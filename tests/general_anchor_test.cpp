@@ -71,7 +71,7 @@ TEST_F(AnchorFixture, PrefixValidationPromotesIntermediateAnchor) {
   // ... and it reflects the receipt of A's message with a VALID view
   // (normalization upgraded the frozen suspect flag).
   bool found = false;
-  for (const auto& v : facts.recv.entries()) {
+  for (const auto& v : facts.views.log->recv().entries()) {
     if (v.peer == ProcessId{0}) {
       found = true;
       EXPECT_FALSE(v.suspect);
@@ -118,7 +118,7 @@ TEST_F(AnchorFixture, ActiveAnchorsBeforeEverySend) {
   const ProcessFacts facts = general_facts_from_record(*anchor);
   // The anchor reflects send 1 (valid after normalization), not send 2.
   std::size_t sends_to_peer = 0;
-  for (const auto& v : facts.sent.entries()) {
+  for (const auto& v : facts.views.log->sent().entries()) {
     if (v.kind == MsgKind::kInternal && v.peer == ProcessId{1}) {
       ++sends_to_peer;
       EXPECT_FALSE(v.suspect);
@@ -159,7 +159,7 @@ TEST_F(AnchorFixture, AnchorRingBoundedUnderSustainedContamination) {
   const auto& anchor = high.latest_volatile();
   ASSERT_TRUE(anchor.has_value());
   const ProcessFacts facts = general_facts_from_record(*anchor);
-  EXPECT_TRUE(facts.recv.entries().empty())
+  EXPECT_TRUE(facts.views.log->recv().entries().empty())
       << "promoted anchor must predate all uncovered contamination";
 }
 

@@ -184,6 +184,60 @@ TEST_F(GeneralFixture, ShadowSuppressesAndMirrors) {
   EXPECT_EQ(system_->trace().count(TraceKind::kDeliverApp, ProcessId{2}), 1u);
 }
 
+TEST_F(GeneralFixture, ProtocolBlobDecodesToTheLiveState) {
+  // Records with sent and received views and a shadow suppression log:
+  // the one decoder reads back what the one encoder wrote, and the oracles'
+  // facts carry exactly the engine's live views.
+  build(Topology::canonical());
+  component_send(0, false);
+  component_send(0, false);
+  settle();
+  component_send(1, false);
+  settle();
+  ASSERT_EQ(system_->engine(ProcessId{2}).suppressed_log().size(), 2u);
+  std::size_t with_both_logs = 0;
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    GeneralEngine& engine = system_->engine(ProcessId{p});
+    const CheckpointRecord rec = engine.make_record(CkptKind::kType1);
+    const GeneralProtocolState s =
+        GeneralProtocolState::decode(rec.protocol_state);
+    EXPECT_EQ(s.msg_sn, engine.msg_sn());
+    EXPECT_EQ(s.absorbed, engine.absorbed());
+    EXPECT_EQ(s.validated, engine.validated());
+    ASSERT_EQ(s.msg_log.size(), engine.suppressed_log().size());
+    for (std::size_t i = 0; i < s.msg_log.size(); ++i) {
+      EXPECT_EQ(s.msg_log[i].sn, engine.suppressed_log()[i].sn);
+      EXPECT_EQ(s.msg_log[i].payload, engine.suppressed_log()[i].payload);
+    }
+    const ProcessFacts facts = general_facts_from_record(rec);
+    ASSERT_NE(facts.views.log, nullptr);
+    auto expect_views = [p](const SmallVec<GView, 8>& live,
+                            const SmallVec<GView, 8>& decoded,
+                            const ViewLog& oracle) {
+      ASSERT_EQ(decoded.size(), live.size()) << "P" << p;
+      ASSERT_EQ(oracle.size(), live.size()) << "P" << p;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const GView& v = live[i];
+        EXPECT_EQ(decoded[i].peer, v.peer);
+        EXPECT_EQ(decoded[i].transport_seq, v.transport_seq);
+        EXPECT_EQ(decoded[i].sn, v.sn);
+        EXPECT_EQ(decoded[i].kind, v.kind);
+        EXPECT_EQ(decoded[i].suspect, v.suspect);
+        EXPECT_EQ(decoded[i].contam, v.contam);
+        EXPECT_EQ(oracle.entries()[i],
+                  (MsgView{v.peer, v.transport_seq, v.sn, v.kind, v.suspect}));
+      }
+    };
+    expect_views(engine.sent_views(), s.sent_views, facts.views.log->sent());
+    expect_views(engine.recv_views(), s.recv_views, facts.views.log->recv());
+    if (!s.sent_views.empty() && !s.recv_views.empty()) ++with_both_logs;
+    // Restoring the blob and encoding again reproduces it byte for byte.
+    engine.restore_protocol_state(rec.protocol_state);
+    EXPECT_EQ(rec.protocol_state, engine.snapshot_protocol_state());
+  }
+  EXPECT_GT(with_both_logs, 0u);
+}
+
 TEST_F(GeneralFixture, SoftwareRecoveryFailsOverEveryGuardedComponent) {
   build(Topology::dual_guarded());
   component_send(0, false);

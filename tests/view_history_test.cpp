@@ -116,8 +116,11 @@ TEST(ViewHistoryMissionTest, RecordsReadTheViewsLiveAtEstablishment) {
         const auto it = established.find(key_of(rec.views));
         ASSERT_NE(it, established.end()) << "seed " << seed;
         const ProcessFacts facts = facts_from_record(rec);
-        EXPECT_EQ(copy_of(facts.sent), it->second.sent) << "seed " << seed;
-        EXPECT_EQ(copy_of(facts.recv), it->second.recv) << "seed " << seed;
+        const ViewRef& views = facts.views;
+        EXPECT_EQ(copy_of(views.log->sent_at(views.mark)), it->second.sent)
+            << "seed " << seed;
+        EXPECT_EQ(copy_of(views.log->recv_at(views.mark)), it->second.recv)
+            << "seed " << seed;
         ++retained_checked;
       }
     }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/checkers.hpp"
+#include "checker_cases.hpp"
 #include "common/rng.hpp"
 #include "mdcd/views.hpp"
 
@@ -63,6 +65,51 @@ TEST(ViewLogTest, SuspectIndexMatchesFullRescan) {
                                     : log.validate_covered(watermark, epoch);
     ASSERT_EQ(changed, expected) << "step " << step;
     ASSERT_EQ(copy_of(log), oracle) << "step " << step;
+  }
+}
+
+TEST(ViewLogTest, PeerIndexIsSeqOrderedWithLogOrderOnTies) {
+  // Random peers and seqs with many repeats: each peer's index must equal
+  // a stable sort of that peer's positions by seq, and suspect_at at an
+  // earlier epoch must read what a deep copy taken then holds.
+  Rng rng(23);
+  ViewLog log;
+  std::vector<std::pair<std::uint64_t, std::vector<MsgView>>> taken;
+  std::uint64_t epoch = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.bernoulli(0.1)) {
+      ++epoch;
+      log.validate_covered(static_cast<MsgSeq>(rng.uniform_int(0, 40)), epoch);
+      continue;
+    }
+    const ProcessId peer{static_cast<std::uint32_t>(rng.uniform_int(0, 4))};
+    const auto seq = static_cast<std::uint64_t>(rng.uniform_int(0, 400));
+    log.add(MsgView{peer, seq, seq, MsgKind::kInternal, rng.bernoulli(0.5),
+                    static_cast<MsgSeq>(rng.uniform_int(0, 50))});
+    if (rng.bernoulli(0.05)) taken.emplace_back(epoch, copy_of(log));
+  }
+  std::size_t indexed = 0;
+  for (const ViewLog::PeerIndex& index : log.peers()) {
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t i = 0; i < log.size(); ++i) {
+      if (log.entries()[i].peer == index.peer) want.push_back(i);
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [&log](std::uint32_t a, std::uint32_t b) {
+                       return log.entries()[a].transport_seq <
+                              log.entries()[b].transport_seq;
+                     });
+    EXPECT_EQ(index.by_seq, want);
+    EXPECT_EQ(log.peer(index.peer), &index);
+    indexed += index.by_seq.size();
+  }
+  EXPECT_EQ(indexed, log.size());
+  EXPECT_EQ(log.peer(ProcessId{99}), nullptr);
+  ASSERT_GT(taken.size(), 10u);
+  for (const auto& [at, copy] : taken) {
+    for (std::size_t i = 0; i < copy.size(); ++i) {
+      ASSERT_EQ(log.suspect_at(i, at), copy[i].suspect);
+    }
   }
 }
 
@@ -146,33 +193,41 @@ TEST(ViewHistoryTest, RestoreToOlderMarkLeavesOtherRecordsUnchanged) {
 
 class CheckerFixture : public ::testing::Test {
  protected:
-  CheckerFixture() { state_.processes.reserve(8); }
+  checker_cases::LineBuilder line_;
 
-  GlobalState state_;
+  checker_cases::Proc& add_process(ProcessId id) { return line_.add(id); }
+  GlobalState state() const { return line_.state(); }
 
-  ProcessFacts& add_process(ProcessId id) {
-    ProcessFacts f;
-    f.id = id;
-    state_.processes.push_back(f);
-    return state_.processes.back();
+  /// Each check, and check_all, returns exactly the case's violations.
+  static void expect_case(const checker_cases::Case& c) {
+    using checker_cases::render;
+    EXPECT_EQ(render(check_consistency(c.state)), render(c.consistency))
+        << c.name;
+    EXPECT_EQ(render(check_recoverability(c.state)), render(c.recoverability))
+        << c.name;
+    EXPECT_EQ(render(check_software_recoverability(c.state)),
+              render(c.software))
+        << c.name;
+    std::vector<Violation> all = c.consistency;
+    all.insert(all.end(), c.recoverability.begin(), c.recoverability.end());
+    all.insert(all.end(), c.software.begin(), c.software.end());
+    EXPECT_EQ(render(check_all(c.state)), render(all)) << c.name;
   }
 };
 
 TEST_F(CheckerFixture, CleanStatePasses) {
-  auto& sender = add_process(kP2);
-  auto& receiver = add_process(kP1Sdw);
-  sender.sent.add(view(kP1Sdw, 5, false));
-  receiver.recv.add(view(kP2, 5, false));
-  EXPECT_TRUE(check_consistency(state_).empty());
-  EXPECT_TRUE(check_recoverability(state_).empty());
-  EXPECT_TRUE(check_software_recoverability(state_).empty());
+  add_process(kP2).sent(kP1Sdw, 5, false);
+  add_process(kP1Sdw).recv(kP2, 5, false);
+  const GlobalState s = state();
+  EXPECT_TRUE(check_consistency(s).empty());
+  EXPECT_TRUE(check_recoverability(s).empty());
+  EXPECT_TRUE(check_software_recoverability(s).empty());
 }
 
 TEST_F(CheckerFixture, ReceivedNotSentFlagged) {
   add_process(kP2);
-  auto& receiver = add_process(kP1Sdw);
-  receiver.recv.add(view(kP2, 5, false));
-  const auto v = check_consistency(state_);
+  add_process(kP1Sdw).recv(kP2, 5, false);
+  const auto v = check_consistency(state());
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].kind, Violation::Kind::kReceivedNotSent);
   EXPECT_NE(v[0].describe().find("does not reflect sending"),
@@ -180,20 +235,17 @@ TEST_F(CheckerFixture, ReceivedNotSentFlagged) {
 }
 
 TEST_F(CheckerFixture, ValidityMismatchFlagged) {
-  auto& sender = add_process(kP2);
-  auto& receiver = add_process(kP1Sdw);
-  sender.sent.add(view(kP1Sdw, 5, false));
-  receiver.recv.add(view(kP2, 5, true));
-  const auto v = check_consistency(state_);
+  add_process(kP2).sent(kP1Sdw, 5, false);
+  add_process(kP1Sdw).recv(kP2, 5, true);
+  const auto v = check_consistency(state());
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].kind, Violation::Kind::kValidityMismatch);
 }
 
 TEST_F(CheckerFixture, LostMessageFlagged) {
-  auto& sender = add_process(kP2);
+  add_process(kP2).sent(kP1Sdw, 5, false);
   add_process(kP1Sdw);
-  sender.sent.add(view(kP1Sdw, 5, false));
-  const auto v = check_recoverability(state_);
+  const auto v = check_recoverability(state());
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].kind, Violation::Kind::kLostMessage);
 }
@@ -201,44 +253,65 @@ TEST_F(CheckerFixture, LostMessageFlagged) {
 TEST_F(CheckerFixture, UnackedMessageIsRestorable) {
   auto& sender = add_process(kP2);
   add_process(kP1Sdw);
-  sender.sent.add(view(kP1Sdw, 5, false));
-  Message m;
-  m.sender = kP2;
-  m.receiver = kP1Sdw;
-  m.transport_seq = 5;
-  sender.unacked.push_back(m);
-  EXPECT_TRUE(check_recoverability(state_).empty());
+  sender.sent(kP1Sdw, 5, false);
+  sender.unacked_seq(kP1Sdw, 5);
+  EXPECT_TRUE(check_recoverability(state()).empty());
 }
 
 TEST_F(CheckerFixture, ExternalMessagesIgnored) {
-  auto& sender = add_process(kP2);
+  add_process(kP2).sent(kDeviceId, 7, false, MsgKind::kExternal);
   add_process(kP1Sdw);
-  sender.sent.add(view(kDeviceId, 7, false, MsgKind::kExternal));
-  EXPECT_TRUE(check_recoverability(state_).empty());
+  EXPECT_TRUE(check_recoverability(state()).empty());
 }
 
 TEST_F(CheckerFixture, PeerOutsideStateIgnored) {
-  auto& receiver = add_process(kP1Sdw);
-  receiver.recv.add(view(kP1Act, 3, true));  // P1act not in the state
-  EXPECT_TRUE(check_consistency(state_).empty());
+  // P1act is not in the state.
+  add_process(kP1Sdw).recv(kP1Act, 3, true);
+  EXPECT_TRUE(check_consistency(state()).empty());
 }
 
 TEST_F(CheckerFixture, DirtyRestoredStateFlagged) {
-  auto& p = add_process(kP2);
-  p.dirty = true;
-  const auto v = check_software_recoverability(state_);
+  add_process(kP2).dirty = true;
+  const auto v = check_software_recoverability(state());
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].kind, Violation::Kind::kDirtyRestoredState);
 }
 
 TEST_F(CheckerFixture, CheckAllAggregates) {
-  auto& sender = add_process(kP2);
+  add_process(kP2).sent(kP1Sdw, 5, false);
   auto& receiver = add_process(kP1Sdw);
   receiver.dirty = true;
-  sender.sent.add(view(kP1Sdw, 5, false));
-  receiver.recv.add(view(kP2, 6, false));
-  const auto v = check_all(state_);
+  receiver.recv(kP2, 6, false);
+  const auto v = check_all(state());
   EXPECT_EQ(v.size(), 3u);  // lost + received-not-sent + dirty-restored
+}
+
+TEST_F(CheckerFixture, ReceiptsOutOfSeqOrder) {
+  expect_case(checker_cases::out_of_order_receipts());
+}
+
+TEST_F(CheckerFixture, DuplicateSeqsFirstEntryWins) {
+  expect_case(checker_cases::duplicate_entries_first_wins());
+}
+
+TEST_F(CheckerFixture, EntriesPastTheMarkAreNotInTheState) {
+  expect_case(checker_cases::entries_past_the_mark());
+}
+
+TEST_F(CheckerFixture, UpgradeAfterTheMarkEpochReadsSuspect) {
+  expect_case(checker_cases::upgrade_after_the_mark_epoch());
+}
+
+TEST_F(CheckerFixture, ExternalSeqCollidingWithInternalAnswersLookups) {
+  expect_case(checker_cases::external_seq_collides_with_internal());
+}
+
+TEST_F(CheckerFixture, PeersOutsideTheStateAndProcessesWithoutViews) {
+  expect_case(checker_cases::peers_outside_the_state());
+}
+
+TEST_F(CheckerFixture, ViolationOrderAcrossThreeProcesses) {
+  expect_case(checker_cases::violation_order_across_three_processes());
 }
 
 }  // namespace
