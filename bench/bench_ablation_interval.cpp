@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
     }
 
     std::printf("%10d | %12.1f %8.1f | %9llu/20ks | %13llu B\n", delta,
-                result.overall.mean(), result.overall.ci95_halfwidth(),
+                result.overall.mean, result.overall.ci95_halfwidth(),
                 static_cast<unsigned long long>(writes),
                 static_cast<unsigned long long>(bytes));
     deltas.push_back(delta);
-    dco.y.push_back(result.overall.mean());
+    dco.y.push_back(result.overall.mean);
   }
 
   // Shape: E[Dco] grows roughly linearly with Delta.

@@ -94,13 +94,13 @@ int main(int argc, char** argv) {
     const double dwt_model = expected_rollback_write_through(model);
 
     std::printf("%6.0f | %12.1f %8.1f %12.1f | %12.1f %8.1f %12.1f | %7.1f\n",
-                rate, co.overall.mean(), co.overall.ci95_halfwidth(),
-                dco_model, wt.overall.mean(), wt.overall.ci95_halfwidth(),
-                dwt_model, wt.overall.mean() / std::max(1e-9, co.overall.mean()));
+                rate, co.overall.mean, co.overall.ci95_halfwidth(),
+                dco_model, wt.overall.mean, wt.overall.ci95_halfwidth(),
+                dwt_model, wt.overall.mean / std::max(1e-9, co.overall.mean));
 
     rates.push_back(rate);
-    sim_co.y.push_back(co.overall.mean());
-    sim_wt.y.push_back(wt.overall.mean());
+    sim_co.y.push_back(co.overall.mean);
+    sim_wt.y.push_back(wt.overall.mean);
     model_co.y.push_back(dco_model);
     model_wt.y.push_back(dwt_model);
   }

@@ -2,9 +2,10 @@
 //
 // Times the protocol hot paths the regression gate watches (simulator event
 // dispatch, RNG, application state step/snapshot, the oracles' line audit,
-// a full short chaos mission) and emits BENCH_micro.json via the
-// synergy-bench-v1 emitter in bench_common.hpp — no google-benchmark JSON
-// post-processing involved.
+// a full short chaos mission) plus a few operation costs the baselines do
+// not pin (one message through a System, a TB cycle, a checkpoint record
+// round trip), and emits BENCH_micro.json via the synergy-bench-v1 emitter
+// in bench_common.hpp.
 //
 //   bench_micro_json [--quick|--full] [--json BENCH_micro.json]
 #include <chrono>
@@ -180,6 +181,61 @@ int run(int argc, char** argv) {
            scaled(effort, 50'000, 200'000, 1'000'000),
            [&] { system.p2().establish_volatile_checkpoint(CkptKind::kPseudo); });
     if (sink == 0) std::printf("(unreachable)\n");
+  }
+  {
+    // Checkpoint record round trip: serialize a record carrying a 64 KiB
+    // protocol blob into a fresh writer and decode it back. Throughput in
+    // GB/s is derived from ns_per_op at the record's encoded size.
+    CheckpointRecord rec;
+    rec.owner = kP2;
+    rec.app_state = Bytes(128, 0xAB);
+    rec.protocol_state = Bytes(64 * 1024, 0xCD);
+    std::uint64_t sink = 0;
+    const std::uint64_t iters = scaled(effort, 2'000, 10'000, 50'000);
+    const double ns = time_ns_per_op(iters, [&] {
+      ByteWriter w;
+      rec.serialize(w);
+      ByteReader r(w.data());
+      sink += CheckpointRecord::deserialize(r).app_state.size();
+    });
+    writer.add({"ckpt_roundtrip_64kib", iters, ns, 0});
+    std::printf("%-28s %12llu iters %14.1f ns/op %10.3f GB/s\n",
+                "ckpt_roundtrip_64kib", static_cast<unsigned long long>(iters),
+                ns, static_cast<double>(rec.encoded_size()) / ns);
+    if (sink == 0) std::printf("(unreachable)\n");
+  }
+  {
+    // Whole-system costs with the workload off and traffic driven by hand.
+    auto manual = [](Duration tb_interval) {
+      SystemConfig sc;
+      sc.scheme = Scheme::kCoordinated;
+      sc.workload = WorkloadParams{0, 0, 0, 0, 0};
+      sc.tb.interval = tb_interval;
+      sc.record_history = false;
+      sc.enable_trace = false;
+      return sc;
+    };
+    const TimePoint horizon =
+        TimePoint::origin() + Duration::seconds(2'000'000'000);
+
+    // One internal message end to end: P1act and P1sdw send (engine +
+    // pseudo checkpointing), the network delivers, P2 consumes it (Type-1
+    // checkpoint, dirty bookkeeping).
+    System msg(manual(Duration::seconds(1'000'000)));
+    msg.start(horizon);
+    std::uint64_t input = 0;
+    record("system_internal_msg", scaled(effort, 20'000, 100'000, 500'000),
+           [&] {
+             msg.p1act().on_app_send(false, ++input);
+             msg.p1sdw().on_app_send(false, input);
+             msg.run_until(msg.sim().now() + Duration::millis(50));
+           });
+
+    // One full TB cycle: a stable checkpoint on each of the three nodes.
+    System tb(manual(Duration::seconds(10)));
+    tb.start(horizon);
+    record("tb_cycle_3node", scaled(effort, 10'000, 50'000, 200'000),
+           [&] { tb.run_until(tb.sim().now() + Duration::seconds(10)); });
   }
   {
     // Hardware-dispatched CRC over a stable-record-sized blob (PCLMUL

@@ -22,13 +22,8 @@ status=0
 
 for bench in "$BUILD"/bench/bench_*; do
   name=$(basename "$bench")
-  if [ "$name" = "bench_micro_engines" ]; then
-    "$bench" --benchmark_min_time=0.05 > "$OUT/$name.txt" 2>&1
-    rc=$?
-  else
-    "$bench" $EFFORT > "$OUT/$name.txt" 2>&1
-    rc=$?
-  fi
+  "$bench" $EFFORT > "$OUT/$name.txt" 2>&1
+  rc=$?
   if [ $rc -eq 0 ]; then
     echo "PASS $name"
   else

@@ -1,7 +1,5 @@
 #include "app/fault.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace synergy {
@@ -11,49 +9,13 @@ SoftwareFaultModel::SoftwareFaultModel(const SoftwareFaultParams& params,
     : params_(params), rng_(rng) {
   SYNERGY_EXPECTS(params.activation_per_send >= 0.0 &&
                   params.activation_per_send <= 1.0);
-  SYNERGY_EXPECTS(params.activation_per_step >= 0.0 &&
-                  params.activation_per_step <= 1.0);
-}
-
-std::optional<std::uint64_t> SoftwareFaultModel::maybe(double p) {
-  if (p <= 0.0 || !rng_.bernoulli(p)) return std::nullopt;
-  ++activations_;
-  return rng_.next();
 }
 
 std::optional<std::uint64_t> SoftwareFaultModel::on_send() {
-  return maybe(params_.activation_per_send);
-}
-
-std::optional<std::uint64_t> SoftwareFaultModel::on_step() {
-  return maybe(params_.activation_per_step);
-}
-
-HardwareFaultPlan::HardwareFaultPlan(std::vector<HardwareFaultEvent> events)
-    : events_(std::move(events)) {
-  std::sort(events_.begin(), events_.end(),
-            [](const auto& a, const auto& b) { return a.at < b.at; });
-}
-
-HardwareFaultPlan HardwareFaultPlan::poisson(Duration mean_interarrival,
-                                             TimePoint until,
-                                             std::uint32_t nodes, Rng rng) {
-  SYNERGY_EXPECTS(mean_interarrival > Duration::zero());
-  SYNERGY_EXPECTS(nodes > 0);
-  std::vector<HardwareFaultEvent> events;
-  TimePoint t = TimePoint::origin();
-  for (;;) {
-    t += rng.exponential(mean_interarrival);
-    if (t >= until) break;
-    events.push_back(HardwareFaultEvent{
-        t, NodeId{static_cast<std::uint32_t>(
-               rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1))}});
-  }
-  return HardwareFaultPlan{std::move(events)};
-}
-
-HardwareFaultPlan HardwareFaultPlan::single(TimePoint at, NodeId node) {
-  return HardwareFaultPlan{{HardwareFaultEvent{at, node}}};
+  const double p = params_.activation_per_send;
+  if (p <= 0.0 || !rng_.bernoulli(p)) return std::nullopt;
+  ++activations_;
+  return rng_.next();
 }
 
 }  // namespace synergy

@@ -1,30 +1,25 @@
-// Fault models.
+// Software fault model.
 //
 // SoftwareFaultModel: the design fault latent in the low-confidence version
-// (P1act). It activates probabilistically per operation and, when active,
+// (P1act). It activates probabilistically per send and, when active,
 // corrupts the process's application state — the erroneous state then
 // propagates through outgoing messages per the paper's key assumption.
 //
-// HardwareFaultPlan: when (in true time) which node suffers a hardware
-// fault. Deterministic schedules for scenario tests, Poisson for
-// experiments.
+// Hardware faults are timed events: FaultSchedule::generate
+// (inject/fault_schedule.hpp) draws them and System::schedule_hw_fault
+// injects them.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "common/time.hpp"
-#include "common/types.hpp"
 
 namespace synergy {
 
 struct SoftwareFaultParams {
   /// P(design fault activates | one send operation by the faulty version).
   double activation_per_send = 0.0;
-  /// P(activation | one local computation step).
-  double activation_per_step = 0.0;
 };
 
 class SoftwareFaultModel {
@@ -33,42 +28,13 @@ class SoftwareFaultModel {
 
   /// Should the fault manifest on this send? (also yields corruption noise)
   std::optional<std::uint64_t> on_send();
-  /// Should the fault manifest on this computation step?
-  std::optional<std::uint64_t> on_step();
 
   std::uint64_t activations() const { return activations_; }
 
  private:
-  std::optional<std::uint64_t> maybe(double p);
-
   SoftwareFaultParams params_;
   Rng rng_;
   std::uint64_t activations_ = 0;
-};
-
-struct HardwareFaultEvent {
-  TimePoint at;
-  NodeId node;
-};
-
-/// A fixed schedule of hardware faults for a run.
-class HardwareFaultPlan {
- public:
-  HardwareFaultPlan() = default;
-  explicit HardwareFaultPlan(std::vector<HardwareFaultEvent> events);
-
-  /// Poisson arrivals with the given mean inter-fault time over [0, until),
-  /// targeting uniformly random nodes in [0, nodes).
-  static HardwareFaultPlan poisson(Duration mean_interarrival, TimePoint until,
-                                   std::uint32_t nodes, Rng rng);
-
-  /// A single fault at `at` on `node`.
-  static HardwareFaultPlan single(TimePoint at, NodeId node);
-
-  const std::vector<HardwareFaultEvent>& events() const { return events_; }
-
- private:
-  std::vector<HardwareFaultEvent> events_;
 };
 
 }  // namespace synergy

@@ -1,109 +1,71 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <sstream>
-
-#include "common/assert.hpp"
 
 namespace synergy {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
+void Moments::add(double x) {
+  if (n == 0) {
+    min = x;
+    max = x;
   } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+    min = std::min(min, x);
+    max = std::max(max, x);
   }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  ++n;
+  const double delta = x - mean;
+  mean += delta / static_cast<double>(n);
+  m2 += delta * (x - mean);
 }
 
-double RunningStats::mean() const { return n_ ? mean_ : 0.0; }
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
+double Moments::variance() const {
+  if (n < 2) return 0.0;
+  return m2 / static_cast<double>(n - 1);
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  SYNERGY_EXPECTS(n_ > 0);  // min of an empty sample is meaningless
-  return min_;
+double Moments::ci95_halfwidth() const {
+  if (n < 2) return 0.0;
+  return 1.96 * std::sqrt(variance() / static_cast<double>(n));
 }
 
-double RunningStats::max() const {
-  SYNERGY_EXPECTS(n_ > 0);  // max of an empty sample is meaningless
-  return max_;
+namespace {
+
+/// Total order over accumulator states by raw bit patterns (not values:
+/// -0.0 vs 0.0 and NaN payloads must not collapse). Used only to pick a
+/// canonical operand order inside merge().
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+bool state_less(const Moments& a, const Moments& b) {
+  if (a.n != b.n) return a.n < b.n;
+  if (bits(a.mean) != bits(b.mean)) return bits(a.mean) < bits(b.mean);
+  if (bits(a.m2) != bits(b.m2)) return bits(a.m2) < bits(b.m2);
+  if (bits(a.min) != bits(b.min)) return bits(a.min) < bits(b.min);
+  return bits(a.max) < bits(b.max);
 }
 
-double RunningStats::ci95_halfwidth() const {
-  if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
+}  // namespace
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SYNERGY_EXPECTS(hi > lo && bins > 0);
-}
+Moments merge(const Moments& a, const Moments& b) {
+  if (a.n == 0) return b;
+  if (b.n == 0) return a;
+  // Canonical operand order makes the combine commutative bit-for-bit:
+  // merge(a, b) and merge(b, a) execute the identical float sequence.
+  const Moments& lo = state_less(a, b) ? a : b;
+  const Moments& hi = state_less(a, b) ? b : a;
 
-void Histogram::add(double x) {
-  if (!std::isfinite(x)) {
-    // floor(NaN/inf) followed by an integer cast is UB; count and drop so
-    // a poisoned sample stream is visible instead of corrupting a bin.
-    ++rejected_;
-    return;
-  }
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / w));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::quantile(double q) const {
-  SYNERGY_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
-    }
-    cum = next;
-  }
-  // q == 1.0 (or rounding pushed target past the last count): clamp to the
-  // upper edge of the last non-empty bin, not hi_ — with a bottom-heavy
-  // histogram the top bins are empty and hi_ overstates the extreme.
-  for (std::size_t i = counts_.size(); i-- > 0;) {
-    if (counts_[i] > 0) return bin_hi(i);
-  }
-  return lo_;  // unreachable: total_ > 0 implies a non-empty bin
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    out << "[" << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    for (std::size_t j = 0; j < bar; ++j) out << '#';
-    out << ' ' << counts_[i] << '\n';
-  }
-  return out.str();
+  Moments out;
+  out.n = lo.n + hi.n;
+  const double na = static_cast<double>(lo.n);
+  const double nb = static_cast<double>(hi.n);
+  const double nn = static_cast<double>(out.n);
+  const double delta = hi.mean - lo.mean;
+  out.mean = lo.mean + delta * (nb / nn);
+  out.m2 = lo.m2 + hi.m2 + delta * delta * (na * nb / nn);
+  out.min = std::min(lo.min, hi.min);
+  out.max = std::max(lo.max, hi.max);
+  return out;
 }
 
 }  // namespace synergy

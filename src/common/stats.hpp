@@ -1,63 +1,37 @@
-// Streaming statistics for experiment harnesses: Welford mean/variance,
-// normal-approximation confidence intervals, and fixed-bin histograms.
+// Mergeable streaming moments: Welford mean/variance, min/max and a
+// normal-approximation confidence interval in O(1) state.
+//
+// Moments merge with Chan's parallel-variance update. The operands are
+// canonically ordered inside merge(), so merge(a, b) and merge(b, a) are
+// bit-for-bit identical: the sweep's per-shard fragments combine into
+// exactly the aggregate a single process would have produced, whatever
+// the shard order.
 #pragma once
 
-#include <cstddef>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 namespace synergy {
 
-/// Single-pass accumulator (Welford). Numerically stable; O(1) memory.
-class RunningStats {
- public:
+/// Welford/Chan mergeable moment accumulator.
+struct Moments {
+  std::uint64_t n = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
   void add(double x);
 
-  std::size_t count() const { return n_; }
-  double mean() const;
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
-  double min() const;  ///< Precondition: count() > 0.
-  double max() const;  ///< Precondition: count() > 0.
-  /// Half-width of the ~95% confidence interval on the mean
-  /// (normal approximation; returns 0 for n < 2).
+  double variance() const;  ///< Sample variance (n-1); 0 for n < 2.
+  /// Half-width of the ~95% normal-approximation CI on the mean.
   double ci95_halfwidth() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so totals always match the number of finite samples added.
-/// Non-finite samples (NaN/inf) are rejected and counted separately —
-/// binning them would be undefined behavior, not data.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  /// Number of non-finite samples dropped by add().
-  std::size_t rejected() const { return rejected_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  /// Approximate quantile (q in [0,1]) by linear interpolation within bins.
-  double quantile(double q) const;
-  /// Render a compact ASCII bar chart (for bench output).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t rejected_ = 0;
-};
+/// Chan parallel-variance combine. Commutative bit-for-bit: the operands
+/// are ordered canonically before the update, so fragment merge order is
+/// irrelevant. (Associativity holds mathematically; across different
+/// *groupings* the floating-point rounding may differ, which is why the
+/// sweep always folds cells in cell-index order — see sweep/fragment.cpp.)
+Moments merge(const Moments& a, const Moments& b);
 
 }  // namespace synergy

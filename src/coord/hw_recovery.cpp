@@ -236,16 +236,4 @@ HwRecoveryStats HardwareRecoveryManager::recover_all(TimePoint fault_time,
   return stats;
 }
 
-void HardwareRecoveryManager::install_plan(
-    const HardwareFaultPlan& plan, std::function<std::uint32_t()> next_epoch,
-    std::function<void(const HwRecoveryStats&)> on_recovered) {
-  for (const auto& ev : plan.events()) {
-    SYNERGY_EXPECTS(ev.at >= sim_.now());
-    sim_.schedule_at(ev.at, [this, ev, next_epoch, on_recovered] {
-      if (pending_) return;  // still repairing the previous fault: skip
-      inject_fault(ev.node, next_epoch(), on_recovered);
-    });
-  }
-}
-
 }  // namespace synergy

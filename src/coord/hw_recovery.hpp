@@ -13,7 +13,6 @@
 #include <functional>
 #include <vector>
 
-#include "app/fault.hpp"
 #include "coord/node.hpp"
 
 namespace synergy {
@@ -81,11 +80,6 @@ class HardwareRecoveryManager {
   /// `new_epoch` is the recovery incarnation for fencing and re-sends.
   /// `on_recovered` (optional) fires with the stats once restarted.
   void inject_fault(NodeId node, std::uint32_t new_epoch,
-                    std::function<void(const HwRecoveryStats&)> on_recovered);
-
-  /// Install a whole fault plan; epochs are drawn from `next_epoch`.
-  void install_plan(const HardwareFaultPlan& plan,
-                    std::function<std::uint32_t()> next_epoch,
                     std::function<void(const HwRecoveryStats&)> on_recovered);
 
   std::uint64_t faults_injected() const { return faults_; }

@@ -32,7 +32,6 @@ RollbackMeasurement measure_rollback(const RollbackExperimentConfig& config) {
       for (std::size_t i = 0; i < rec.rollback_distance.size(); ++i) {
         const double d = rec.rollback_distance[i].to_seconds();
         result.overall.add(d);
-        if (i < result.per_process.size()) result.per_process[i].add(d);
         if (rec.restored_dirty[i]) ++result.dirty_restores;
       }
     }

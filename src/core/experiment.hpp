@@ -7,7 +7,6 @@
 // when history recording is on) are accumulated.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/stats.hpp"
@@ -28,8 +27,7 @@ struct RollbackExperimentConfig {
 };
 
 struct RollbackMeasurement {
-  RunningStats overall;  ///< rollback distance in seconds, all processes
-  std::array<RunningStats, 3> per_process;
+  Moments overall;  ///< rollback distance in seconds, all processes
   std::uint64_t faults = 0;
   std::uint64_t consistency_violations = 0;
   std::uint64_t recoverability_violations = 0;

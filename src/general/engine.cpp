@@ -104,15 +104,6 @@ void GeneralEngine::on_local_step(std::uint64_t input) {
     deferred_.push_back(StepReq{input});
     return;
   }
-  do_step(input);
-}
-
-void GeneralEngine::do_step(std::uint64_t input) {
-  if (services_.sw_fault) {
-    if (auto noise = services_.sw_fault->on_step()) {
-      services_.app->corrupt(*noise);
-    }
-  }
   services_.app->local_step(input);
 }
 
@@ -500,7 +491,7 @@ void GeneralEngine::end_blocking() {
     if (auto* send = std::get_if<SendReq>(&op)) {
       do_app_send(send->external, send->input);
     } else if (auto* step = std::get_if<StepReq>(&op)) {
-      do_step(step->input);
+      services_.app->local_step(step->input);
     } else if (std::get_if<ConfLossReq>(&op)) {
       do_confidence_loss();
     } else {

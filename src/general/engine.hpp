@@ -169,7 +169,6 @@ class GeneralEngine final : public CheckpointableProcess {
   };
 
   void do_app_send(bool external, std::uint64_t input);
-  void do_step(std::uint64_t input);
   void do_confidence_loss();
   void process_message(const Message& m);
   void do_app_message(const Message& m);

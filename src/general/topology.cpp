@@ -6,7 +6,8 @@ namespace synergy {
 
 Topology::Topology(std::vector<ComponentSpec> components)
     : components_(std::move(components)) {
-  SYNERGY_EXPECTS(!components_.empty());
+  SYNERGY_EXPECTS(!components_.empty() &&
+                  components_.size() <= kMaxProcesses);
   shadow_index_.assign(components_.size(), -1);
   for (std::uint32_t c = 0; c < components_.size(); ++c) {
     for (const auto peer : components_[c].peers) {
@@ -19,6 +20,7 @@ Topology::Topology(std::vector<ComponentSpec> components)
       SYNERGY_EXPECTS(components_[c].fault_activation_per_send == 0.0);
     }
   }
+  SYNERGY_EXPECTS(components_.size() + shadow_count_ <= kMaxProcesses);
   // Flat process -> component map: actives are ids [0, C), shadows are
   // appended in shadow-slot order.
   component_of_.assign(components_.size() + shadow_count_, 0);
@@ -92,7 +94,7 @@ Topology Topology::canonical() {
 }
 
 Topology Topology::chain(std::size_t n) {
-  SYNERGY_EXPECTS(n >= 2);
+  SYNERGY_EXPECTS(n >= 2 && n <= kMaxChainLength);
   std::vector<ComponentSpec> specs;
   for (std::size_t i = 0; i < n; ++i) {
     ComponentSpec s;
@@ -106,7 +108,7 @@ Topology Topology::chain(std::size_t n) {
 }
 
 Topology Topology::star(std::size_t leaves) {
-  SYNERGY_EXPECTS(leaves >= 1);
+  SYNERGY_EXPECTS(leaves >= 1 && leaves <= kMaxStarLeaves);
   std::vector<ComponentSpec> specs;
   ComponentSpec hub;
   hub.name = "hub";

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "net/message.hpp"
 
 namespace synergy {
 
@@ -47,6 +48,14 @@ struct PeerRoute {
 
 class Topology {
  public:
+  /// Process ids run from 0 and must stay below kDeviceId, the id of the
+  /// external world, so a topology holds at most this many processes.
+  static constexpr std::size_t kMaxProcesses = kDeviceId.value();
+  /// The largest chain() length (n components plus one shadow) and star()
+  /// leaf count (hub, leaves and the hub's shadow) within kMaxProcesses.
+  static constexpr std::size_t kMaxChainLength = kMaxProcesses - 1;
+  static constexpr std::size_t kMaxStarLeaves = kMaxProcesses - 2;
+
   explicit Topology(std::vector<ComponentSpec> components);
 
   const std::vector<ComponentSpec>& components() const { return components_; }
@@ -79,9 +88,11 @@ class Topology {
   /// The paper's canonical system: one low (guarded) + one high component,
   /// bidirectional traffic.
   static Topology canonical();
-  /// A chain: low -> high -> high -> ... -> high (length n >= 2).
+  /// A chain: low -> high -> high -> ... -> high
+  /// (2 <= n <= kMaxChainLength).
   static Topology chain(std::size_t n);
-  /// A star: one low hub multicasting to n high leaves that reply.
+  /// A star: one low hub multicasting to n high leaves that reply
+  /// (1 <= n <= kMaxStarLeaves).
   static Topology star(std::size_t leaves);
   /// Two independent low components sharing one high peer: exercises
   /// multi-source contamination vectors.

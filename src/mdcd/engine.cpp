@@ -136,11 +136,6 @@ void MdcdEngine::on_local_step(std::uint64_t input) {
     ++deferred_ops_;
     return;
   }
-  if (services_.sw_fault) {
-    if (auto noise = services_.sw_fault->on_step()) {
-      app_corrupt(*noise);
-    }
-  }
   app_local_step(input);
 }
 

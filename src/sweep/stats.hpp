@@ -1,15 +1,13 @@
 // Mergeable streaming statistics for the sweep driver.
 //
 // A sweep cell folds 10^4+ mission reports into O(1) state: Welford
-// moments for mean/variance/CI and a fixed-capacity reservoir for
-// distribution quantiles. Both are *mergeable* so per-shard fragments can
-// be combined into exactly the aggregate a single process would have
-// produced:
+// moments for mean/variance/CI (common/stats.hpp) and a fixed-capacity
+// reservoir for distribution quantiles. Both are *mergeable* so per-shard
+// fragments can be combined into exactly the aggregate a single process
+// would have produced:
 //
-//   - Moments merge with Chan's parallel-variance update. The operands
-//     are canonically ordered inside merge(), so merge(a, b) and
-//     merge(b, a) are bit-for-bit identical — shard order cannot perturb
-//     the result.
+//   - Moments merge with Chan's parallel-variance update, commutative
+//     bit-for-bit — shard order cannot perturb the result.
 //   - The reservoir keeps the capacity samples with the highest seeded
 //     64-bit priority (a hash of the cell seed and the sample ordinal,
 //     assigned at fold time). "Top-K by a total order over per-item
@@ -26,34 +24,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats.hpp"
+
 namespace synergy::sweep {
 
 /// SplitMix64 finalizer: the seed-stable hash behind cell seeds, shard
 /// assignment, and reservoir priorities.
 std::uint64_t mix64(std::uint64_t x);
-
-/// Welford/Chan mergeable moment accumulator.
-struct Moments {
-  std::uint64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  void add(double x);
-
-  double variance() const;  ///< Sample variance (n-1); 0 for n < 2.
-  double stddev() const;
-  /// Half-width of the ~95% normal-approximation CI on the mean.
-  double ci95_halfwidth() const;
-};
-
-/// Chan parallel-variance combine. Commutative bit-for-bit: the operands
-/// are ordered canonically before the update, so fragment merge order is
-/// irrelevant. (Associativity holds mathematically; across different
-/// *groupings* the floating-point rounding may differ, which is why the
-/// sweep always folds cells in cell-index order — see fragment.cpp.)
-Moments merge(const Moments& a, const Moments& b);
 
 /// One retained distribution sample. `priority` decides survival;
 /// (cell, ordinal) break the (astronomically unlikely) priority ties and

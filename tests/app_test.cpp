@@ -97,7 +97,6 @@ TEST(SoftwareFaultModelTest, ZeroRateNeverActivates) {
   SoftwareFaultModel model(SoftwareFaultParams{}, Rng(1));
   for (int i = 0; i < 1'000; ++i) {
     EXPECT_FALSE(model.on_send().has_value());
-    EXPECT_FALSE(model.on_step().has_value());
   }
 }
 
@@ -109,20 +108,6 @@ TEST(SoftwareFaultModelTest, ActivationRateApproximatelyCorrect) {
   for (int i = 0; i < 10'000; ++i) hits += model.on_send().has_value();
   EXPECT_NEAR(hits / 10'000.0, 0.2, 0.02);
   EXPECT_EQ(model.activations(), static_cast<std::uint64_t>(hits));
-}
-
-TEST(HardwareFaultPlanTest, PoissonPlanSortedAndBounded) {
-  const auto plan = HardwareFaultPlan::poisson(
-      Duration::seconds(10), TimePoint::origin() + Duration::seconds(1000), 3,
-      Rng(5));
-  EXPECT_GT(plan.events().size(), 50u);
-  TimePoint prev = TimePoint::origin();
-  for (const auto& ev : plan.events()) {
-    EXPECT_GE(ev.at, prev);
-    EXPECT_LT(ev.at, TimePoint::origin() + Duration::seconds(1000));
-    EXPECT_LT(ev.node.value(), 3u);
-    prev = ev.at;
-  }
 }
 
 TEST(WorkloadDriverTest, GeneratesApproximatePoissonRates) {

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <set>
 
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
-#include "common/stats.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -230,66 +228,6 @@ TEST(Crc32Test, DetectsTruncation) {
   for (std::size_t keep : {0u, 1u, 256u, 511u}) {
     EXPECT_NE(crc32(buf.data(), keep), clean) << "keep=" << keep;
   }
-}
-
-TEST(StatsTest, RunningStatsMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_GT(s.ci95_halfwidth(), 0.0);
-}
-
-TEST(StatsTest, HistogramQuantiles) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 10.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 10.0);
-}
-
-TEST(StatsTest, HistogramClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-}
-
-TEST(StatsTest, RunningStatsEmptyMinMaxAborts) {
-  RunningStats s;
-  EXPECT_DEATH(static_cast<void>(s.min()), "precondition");
-  EXPECT_DEATH(static_cast<void>(s.max()), "precondition");
-  s.add(1.0);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 1.0);
-}
-
-TEST(StatsTest, HistogramRejectsNonFiniteSamples) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.rejected(), 3u);
-  h.add(5.0);
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.rejected(), 3u);
-  EXPECT_EQ(h.bin_count(2), 1u);  // finite samples still bin normally
-}
-
-TEST(StatsTest, HistogramQuantileClampsToLastNonEmptyBin) {
-  // Bottom-heavy: all mass in the first bin of [0, 100). The extreme
-  // quantile must report the top of that bin, never hi_ = 100.
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 50; ++i) h.add(3.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-  EXPECT_LE(h.quantile(0.999), 10.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
 }
 
 TEST(TypesTest, RolesAndCanonicalIds) {

@@ -26,14 +26,14 @@ RollbackExperimentConfig tiny_config(Scheme scheme) {
 TEST(ExperimentTest, EveryReplicationProducesOneFault) {
   const auto result = measure_rollback(tiny_config(Scheme::kCoordinated));
   EXPECT_EQ(result.faults, 6u);
-  EXPECT_EQ(result.overall.count(), 18u);  // 3 processes per fault
+  EXPECT_EQ(result.overall.n, 18u);  // 3 processes per fault
 }
 
 TEST(ExperimentTest, DeterministicForFixedSeed) {
   const auto a = measure_rollback(tiny_config(Scheme::kCoordinated));
   const auto b = measure_rollback(tiny_config(Scheme::kCoordinated));
-  EXPECT_EQ(a.overall.mean(), b.overall.mean());
-  EXPECT_EQ(a.overall.max(), b.overall.max());
+  EXPECT_EQ(a.overall.mean, b.overall.mean);
+  EXPECT_EQ(a.overall.max, b.overall.max);
 }
 
 TEST(ExperimentTest, CoordinatedBeatsWriteThroughInRareContaminationRegime) {
@@ -42,7 +42,7 @@ TEST(ExperimentTest, CoordinatedBeatsWriteThroughInRareContaminationRegime) {
   co.replications = wt.replications = 10;
   const auto rco = measure_rollback(co);
   const auto rwt = measure_rollback(wt);
-  EXPECT_LT(rco.overall.mean(), rwt.overall.mean());
+  EXPECT_LT(rco.overall.mean, rwt.overall.mean);
 }
 
 TEST(ExperimentTest, OraclesCleanWhenRequested) {
@@ -57,8 +57,8 @@ TEST(ExperimentTest, OraclesCleanWhenRequested) {
 
 TEST(ExperimentTest, RollbackBoundedByHorizon) {
   const auto result = measure_rollback(tiny_config(Scheme::kCoordinated));
-  EXPECT_GE(result.overall.min(), 0.0);
-  EXPECT_LE(result.overall.max(), 4'000.0);
+  EXPECT_GE(result.overall.min, 0.0);
+  EXPECT_LE(result.overall.max, 4'000.0);
 }
 
 }  // namespace

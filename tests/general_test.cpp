@@ -88,6 +88,22 @@ TEST(TopologyTest, StarAndChainShapes) {
   EXPECT_EQ(chain.components()[3].peers.size(), 1u);
 }
 
+TEST(TopologyTest, ProcessIdsStayBelowDeviceId) {
+  // The largest shapes fill every id below kDeviceId exactly.
+  const Topology star = Topology::star(Topology::kMaxStarLeaves);
+  EXPECT_EQ(star.process_count(), Topology::kMaxProcesses);
+  EXPECT_LT(star.shadow_of(0).value(), kDeviceId.value());
+  const Topology chain = Topology::chain(Topology::kMaxChainLength);
+  EXPECT_EQ(chain.process_count(), Topology::kMaxProcesses);
+  EXPECT_LT(chain.shadow_of(0).value(), kDeviceId.value());
+  // One more would hand a process the device's id.
+  EXPECT_DEATH(Topology::star(Topology::kMaxStarLeaves + 1), "precondition");
+  EXPECT_DEATH(Topology::chain(Topology::kMaxChainLength + 1), "precondition");
+  std::vector<ComponentSpec> specs(Topology::kMaxProcesses);
+  specs[0].confidence = Confidence::kLow;
+  EXPECT_DEATH(Topology{specs}, "precondition");
+}
+
 // ---- Engine behaviour ---------------------------------------------------------
 
 class GeneralFixture : public ::testing::Test {

@@ -166,6 +166,23 @@ TEST(FaultScheduleTest, ExcursionsAndBlackoutsComeInPairs) {
   EXPECT_EQ(on, off);
 }
 
+TEST(FaultScheduleTest, HwFaultsSortedAndBounded) {
+  // Hardware-only rates: the default InjectorRates arm nothing else.
+  InjectorRates rates;
+  rates.timed.hw_fault_mean_gap = Duration::seconds(10);
+  const FaultSchedule s = FaultSchedule::generate(
+      5, rates, TimePoint::origin(), Duration::seconds(1000), 1e-5, 3);
+  EXPECT_GT(s.events().size(), 50u);
+  TimePoint prev = TimePoint::origin();
+  for (const FaultEvent& e : s.events()) {
+    EXPECT_EQ(e.kind, FaultEvent::Kind::kHwFault);
+    EXPECT_GE(e.at, prev);
+    EXPECT_LT(e.at, TimePoint::origin() + Duration::seconds(1000));
+    EXPECT_LT(e.target, 3u);
+    prev = e.at;
+  }
+}
+
 TEST(CampaignTest, MissionReplayIsExact) {
   // The acceptance property behind `chaos --replay`: re-running a mission
   // seed reproduces the mission bit-for-bit, adversity counters included.

@@ -5,6 +5,7 @@
 
 #include "analysis/checkers.hpp"
 #include "core/system.hpp"
+#include "inject/fault_schedule.hpp"
 
 namespace synergy {
 namespace {
@@ -80,16 +81,18 @@ TEST(MultiFaultTest, FaultDuringRepairOfAnotherIsSkipped) {
 TEST(MultiFaultTest, PoissonFaultPlanThroughManager) {
   System system(long_config(Scheme::kCoordinated, 21));
   system.start(TimePoint::origin() + Duration::seconds(1'000));
-  const auto plan = HardwareFaultPlan::poisson(
-      Duration::seconds(200),
-      TimePoint::origin() + Duration::seconds(900), 3, Rng(5));
-  std::uint32_t epoch = 100;
-  std::size_t recovered = 0;
-  system.hw_manager().install_plan(
-      plan, [&epoch] { return ++epoch; },
-      [&recovered](const HwRecoveryStats&) { ++recovered; });
+  // Hardware-only rates: the default InjectorRates arm nothing else.
+  InjectorRates rates;
+  rates.timed.hw_fault_mean_gap = Duration::seconds(200);
+  const FaultSchedule plan = FaultSchedule::generate(
+      5, rates, TimePoint::origin(), Duration::seconds(900), 1e-5, 3);
+  for (const FaultEvent& e : plan.events()) {
+    ASSERT_EQ(e.kind, FaultEvent::Kind::kHwFault);
+    system.schedule_hw_fault(e.at, NodeId{e.target});
+  }
   system.run();
-  EXPECT_EQ(recovered, system.hw_manager().faults_injected());
+  EXPECT_EQ(system.hw_recoveries().size(),
+            system.hw_manager().faults_injected());
   EXPECT_GT(plan.events().size(), 0u);
 }
 

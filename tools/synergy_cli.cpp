@@ -40,6 +40,7 @@
 #include "core/experiment.hpp"
 #include "core/system.hpp"
 #include "general/campaign.hpp"
+#include "general/topology.hpp"
 #include "sweep/fragment.hpp"
 #include "sweep/runner.hpp"
 #include "trace/export.hpp"
@@ -48,6 +49,15 @@
 using namespace synergy;
 
 namespace {
+
+/// The most worker threads `--jobs` may ask for (the usage text quotes
+/// it): above the hardware threads of common hosts, far below what would
+/// exhaust the process table.
+constexpr std::uint64_t kMaxJobs = 1024;
+
+// The usage text quotes the largest star and chain sizes.
+static_assert(Topology::kMaxStarLeaves == 65533 &&
+              Topology::kMaxChainLength == 65534);
 
 [[noreturn]] void usage(int code) {
   std::printf(R"(synergy — MDCD + TB fault-tolerance simulator
@@ -69,7 +79,7 @@ RUN OPTIONS
   --seed N            RNG seed (default 1)
   --duration SECS     mission length (default 3600)
   --internal-rate R   component internal msgs/s (default 2.0)
-  --external-rate R   external (validated) msgs/s (default 0.1)
+  --external-rate R   external (validated) msgs/s (default 0.05)
   --interval SECS     TB checkpoint interval Delta (default 60)
   --sw-fault-prob P   design-fault activation per send (default 0)
   --hw-fault T:NODE   crash NODE at T seconds (repeatable)
@@ -101,7 +111,8 @@ SWEEP OPTIONS (run mode)
   --sig-gap SECS      arm CFCSS signature faults at this mean gap
   --mobile            arm the mobile disconnect/handoff family
   --jobs N            per-cell mission fan-out; 0 = all hardware threads
-                      (default 1); never affects the output bytes
+                      (default 1, at most 1024); never affects the output
+                      bytes
   --shard I/N         run only the cells the seed-stable hash assigns to
                       shard I of N (default 1/1); emit a mergeable fragment
   --out FILE          write the JSON here instead of stdout
@@ -135,8 +146,9 @@ CHAOS OPTIONS
   --duration SECS     mission length (default 600)
   --scheme S          as for run (default coordinated)
   --jobs N            worker threads for the mission fan-out; 0 = all
-                      hardware threads (default 1). Reports and per-mission
-                      output are bit-identical for every value.
+                      hardware threads (default 1, at most 1024). Reports
+                      and per-mission output are bit-identical for every
+                      value.
   --json FILE         write campaign throughput and counter totals as
                       synergy-bench-v1 JSON (the BENCH_campaign.json
                       regression baseline)
@@ -175,7 +187,8 @@ CHAOS OPTIONS
 
 GENERAL OPTIONS
   --topology T        star | chain (default star)
-  --size N            star: leaf count; chain: length (default 64)
+  --size N            star: leaf count, 1..65533; chain: length, 2..65534
+                      (default 64)
   --reps N            missions to run (default 8)
   --seed N            campaign seed; mission seeds derive from it (default 1)
   --duration SECS     mission length (default 60)
@@ -184,9 +197,9 @@ GENERAL OPTIONS
   --interval SECS     TB checkpoint interval (default 10)
   --no-hw             skip the seeded per-mission node crash
   --no-sw             skip the seeded per-mission design-fault activation
-  --jobs N            worker threads; 0 = all hardware threads (default 1).
-                      Reports and per-mission output are bit-identical for
-                      every value.
+  --jobs N            worker threads; 0 = all hardware threads (default 1,
+                      at most 1024). Reports and per-mission output are
+                      bit-identical for every value.
   --json FILE         write campaign throughput as synergy-bench-v1 JSON
   --verbose           one summary line per mission
   Every mission ends with a recovery-line audit (consistency +
@@ -519,7 +532,7 @@ int cmd_rollback(int argc, char** argv) {
       config.seed0 = seed + static_cast<std::uint64_t>(rate);
       const auto result = measure_rollback(config);
       std::printf("%g,%s,%.2f,%.2f,%llu\n", rate, to_string(scheme),
-                  result.overall.mean(), result.overall.ci95_halfwidth(),
+                  result.overall.mean, result.overall.ci95_halfwidth(),
                   static_cast<unsigned long long>(result.faults));
     }
   }
@@ -576,7 +589,7 @@ int cmd_sweep(int argc, char** argv) {
     else if (a == "--lane-gap") config.lane_flip_gap = parse_seconds("--lane-gap", arg_value(argc, argv, i));
     else if (a == "--sig-gap") config.sig_fault_gap = parse_seconds("--sig-gap", arg_value(argc, argv, i));
     else if (a == "--mobile") config.mobile = true;
-    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
+    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i), 0, kMaxJobs);
     else if (a == "--shard") parse_shard(arg_value(argc, argv, i), config.shard_index, config.shard_count);
     else if (a == "--out") out_path = arg_value(argc, argv, i);
     else if (a == "--csv") csv_path = arg_value(argc, argv, i);
@@ -687,7 +700,7 @@ int cmd_chaos(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
     else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
-    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
+    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i), 0, kMaxJobs);
     else if (a == "--json") json_path = arg_value(argc, argv, i);
     else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
     else if (a == "--scheme") config.scheme = parse_scheme(arg_value(argc, argv, i));
@@ -774,13 +787,20 @@ int cmd_general(int argc, char** argv) {
     else if (a == "--interval") config.tb_interval = parse_seconds("--interval", arg_value(argc, argv, i));
     else if (a == "--no-hw") config.inject_hw = false;
     else if (a == "--no-sw") config.inject_sw = false;
-    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i));
+    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i), 0, kMaxJobs);
     else if (a == "--json") json_path = arg_value(argc, argv, i);
     else if (a == "--verbose") config.verbose = true;
     else unknown_option(a);
   }
-  if (config.size < (config.shape == GeneralShape::kChain ? 2u : 1u)) {
-    std::fprintf(stderr, "--size too small for the chosen topology\n");
+  const bool chain = config.shape == GeneralShape::kChain;
+  const std::size_t min_size = chain ? 2 : 1;
+  const std::size_t max_size =
+      chain ? Topology::kMaxChainLength : Topology::kMaxStarLeaves;
+  if (config.size < min_size || config.size > max_size) {
+    std::fprintf(stderr,
+                 "--size expects a whole number >= %zu and <= %zu for a %s, "
+                 "got \"%zu\"\n",
+                 min_size, max_size, to_string(config.shape), config.size);
     usage(2);
   }
   require_positive_interval(config.tb_interval);
