@@ -17,11 +17,14 @@ struct PeerViews {
   std::span<const std::uint32_t> by_seq;
   std::uint32_t len = 0;
   std::uint64_t epoch = 0;
+  bool settled = false;
 
   std::uint64_t seq(std::uint32_t i) const {
     return log->entries()[i].transport_seq;
   }
-  bool suspect(std::uint32_t i) const { return log->suspect_at(i, epoch); }
+  bool suspect(std::uint32_t i) const {
+    return log->suspect_at(i, epoch, settled);
+  }
 };
 
 PeerViews peer_views(const ProcessFacts& p, bool sent, ProcessId peer) {
@@ -32,7 +35,7 @@ PeerViews peer_views(const ProcessFacts& p, bool sent, ProcessId peer) {
   if (index == nullptr) return {};
   return PeerViews{&log, index->by_seq,
                    sent ? p.views.mark.sent_len : p.views.mark.recv_len,
-                   p.views.mark.epoch};
+                   p.views.mark.epoch, p.views.mark.settled};
 }
 
 // A finding and the log position of the entry that raised it: violations

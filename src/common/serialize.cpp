@@ -48,14 +48,6 @@ void ByteWriter::bytes(const Bytes& b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-void ByteWriter::bytes_raw(const Bytes& b) {
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
-void ByteWriter::bytes_raw(ByteView b) {
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
 bool ByteReader::require(std::size_t n) {
   if (failed_ || n > data_.size() - pos_) {
     failed_ = true;
@@ -125,13 +117,6 @@ std::string_view ByteReader::str_view() {
 void ByteReader::skip(std::size_t n) {
   if (!require(n)) return;
   pos_ += n;
-}
-
-Bytes ByteReader::rest() {
-  if (failed_) return {};
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_), data_.end());
-  pos_ = data_.size();
-  return out;
 }
 
 ByteView ByteReader::rest_view() {

@@ -88,9 +88,6 @@ class ByteWriter {
   void f64(double v);
   void str(const std::string& s);
   void bytes(const Bytes& b);
-  /// Append raw bytes without a length prefix.
-  void bytes_raw(const Bytes& b);
-  void bytes_raw(ByteView b);
 
   /// Drop contents, keep capacity (scratch-buffer reuse on hot paths).
   void clear() { buf_.clear(); }
@@ -146,8 +143,6 @@ class ByteReader {
   std::size_t position() const { return pos_; }
   const Bytes& underlying() const { return data_; }
 
-  /// All remaining bytes (copy-through of trailing extension fields).
-  Bytes rest();
   /// All remaining bytes as a borrowed view (no copy).
   ByteView rest_view();
 

@@ -211,6 +211,9 @@ void GeneralEngine::send_internal_multicast(std::uint64_t payload,
   const ContamVector cv = outgoing_contam(msg_sn_);
   const bool suspect =
       kind_ == GProcessKind::kActive ? true : dirty();
+  // A suspect send whose vector the validations already cover (a dirty
+  // flag set by covered traffic): the next validation upgrades its view.
+  const bool covered = suspect && contam_covered(cv, validated_);
   // One shared aux buffer for the whole multicast: every copy bumps a
   // refcount instead of re-encoding the vector per receiver.
   const SharedBytes aux = suspect ? SharedBytes(encode_aux(cv)) : SharedBytes{};
@@ -230,13 +233,9 @@ void GeneralEngine::send_internal_multicast(std::uint64_t payload,
     if (!peer_failed_over) {
       m.receiver = route.active;
       const std::uint64_t seq = services_.transport->send(m);
-      sent_views_.push_back(GView{m.receiver, seq, msg_sn_,
-                                  MsgKind::kInternal, suspect, cv});
-      if (suspect) {
-        ++suspect_views_;
-        suspect_sent_.push_back(
-            static_cast<std::uint32_t>(sent_views_.size() - 1));
-      }
+      views_->add_sent(
+          MsgView{m.receiver, seq, msg_sn_, MsgKind::kInternal, suspect}, cv,
+          covered);
       if (tracing()) {
         trace(TraceKind::kSend,
               "internal->" + topology_.process_name(m.receiver), msg_sn_, seq);
@@ -246,13 +245,9 @@ void GeneralEngine::send_internal_multicast(std::uint64_t payload,
     if (route.has_shadow) {
       m.receiver = route.shadow;
       const std::uint64_t tseq = services_.transport->send(m);
-      sent_views_.push_back(GView{m.receiver, tseq, msg_sn_,
-                                  MsgKind::kInternal, suspect, cv});
-      if (suspect) {
-        ++suspect_views_;
-        suspect_sent_.push_back(
-            static_cast<std::uint32_t>(sent_views_.size() - 1));
-      }
+      views_->add_sent(
+          MsgView{m.receiver, tseq, msg_sn_, MsgKind::kInternal, suspect}, cv,
+          covered);
     }
   }
 }
@@ -377,13 +372,9 @@ void GeneralEngine::do_app_message(const Message& m) {
     }
     contam_merge(absorbed_, cv);
   }
-  recv_views_.push_back(
-      GView{m.sender, m.transport_seq, m.sn, m.kind, view_suspect, cv});
-  if (view_suspect) {
-    ++suspect_views_;
-    suspect_recv_.push_back(
-        static_cast<std::uint32_t>(recv_views_.size() - 1));
-  }
+  views_->add_recv(
+      MsgView{m.sender, m.transport_seq, m.sn, m.kind, view_suspect}, cv,
+      /*covered=*/false);
   services_.app->apply_message(m.payload, m.tainted);
   trace(TraceKind::kDeliverApp, std::string(to_string(m.kind)), m.sn);
 }
@@ -421,28 +412,9 @@ void GeneralEngine::apply_validation(const ContamVector& coverage) {
     }
   }
 
-  // View upgrades: every suspect entry whose vector is covered. Only the
-  // indexed suspect window is visited — upgraded entries never relapse, so
-  // the logs themselves are never rescanned.
-  if (suspect_views_ > 0) {
-    const auto upgrade = [this](SmallVec<GView, 8>& views,
-                                SmallVec<std::uint32_t, 8>& index) {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < index.size(); ++i) {
-        GView& v = views[index[i]];
-        if (contam_covered(v.contam, validated_)) {
-          v.suspect = false;
-          --suspect_views_;
-        } else {
-          index[kept++] = index[i];
-        }
-      }
-      index.erase(index.begin() + static_cast<std::ptrdiff_t>(kept),
-                  index.end());
-    };
-    upgrade(sent_views_, suspect_sent_);
-    upgrade(recv_views_, suspect_recv_);
-  }
+  // View upgrades, in a new validation epoch: every suspect entry whose
+  // vector is covered. The history visits only its suspect window.
+  views_->validate_covered(validated_);
 
   if (was_flagged && !contamination_flag()) {
     if (kind_ == GProcessKind::kActive) trace(TraceKind::kPseudoDirtyClear);
@@ -524,10 +496,12 @@ CheckpointRecord GeneralEngine::make_record(CkptKind kind) const {
   rec.dirty_bit = contamination_flag();
   rec.ndc = ndc_provider_();
   rec.app_state = SharedBytes(services_.app->snapshot());
-  rec.protocol_state = snapshot_protocol_state();
+  const ViewMark views = views_->mark();
+  rec.protocol_state = encode_protocol_state(nullptr, views);
   rec.transport_state = SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
+  rec.views = make_view_ref(views_, views);
   return rec;
 }
 
@@ -546,11 +520,9 @@ void GeneralEngine::capture_anchor(CkptKind kind) {
   candidate.msg_sn = msg_sn_;
   candidate.takeover_done = takeover_done_;
   candidate.serial = ++candidate_serial_;
-  candidate.sent_len = static_cast<std::uint32_t>(sent_views_.size());
-  candidate.recv_len = static_cast<std::uint32_t>(recv_views_.size());
+  candidate.views = views_->mark();
+  candidate.transport_mark = services_.transport->mark();
   candidate.app_state = SharedBytes(services_.app->snapshot());
-  candidate.transport_state =
-      SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   candidate.unacked.assign(unacked.begin(), unacked.end());
   anchor_candidates_.push_back(std::move(candidate));
@@ -558,20 +530,31 @@ void GeneralEngine::capture_anchor(CkptKind kind) {
     // Never drop below one covered candidate: the front is (or dominates)
     // the current best, so drop the second-oldest instead when the front
     // is the promoted anchor.
-    anchor_candidates_.erase(anchor_candidates_.begin() + 1);
+    drop_candidates(1, 2);
   }
   refresh_best_anchor();
+}
+
+void GeneralEngine::drop_candidates(std::size_t first, std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
+    services_.transport->release_mark(anchor_candidates_[i].transport_mark);
+  }
+  anchor_candidates_.erase(
+      anchor_candidates_.begin() + static_cast<std::ptrdiff_t>(first),
+      anchor_candidates_.begin() + static_cast<std::ptrdiff_t>(last));
 }
 
 CheckpointRecord GeneralEngine::build_promoted_record(
     const AnchorCandidate& cand) const {
   // Re-interpret the captured anchor under today's validation knowledge.
-  // The frozen pieces are the scalars and the view-log prefix; suspect
-  // flags and the validated vector are rebuilt from current state:
-  // validations are monotone stable knowledge between restores (restores
-  // clear the ring), so for any view
+  // The frozen pieces are the scalars, the transport mark and the view
+  // prefixes; suspect flags and the validated vector are read from current
+  // state: validations are monotone stable knowledge between restores
+  // (restores clear the ring), so for any view
   //   promoted_suspect == live_suspect && !covered(contam, validated_now)
-  // matches what normalizing a capture-time snapshot would produce.
+  // matches what normalizing a capture-time snapshot would produce. A live
+  // suspect view is covered only if it was appended covered in the current
+  // epoch, which is exactly what a settled mark reads as valid.
   CheckpointRecord rec;
   rec.kind = cand.kind;
   rec.owner = self();
@@ -580,10 +563,12 @@ CheckpointRecord GeneralEngine::build_promoted_record(
   rec.dirty_bit = false;  // promoted anchors are clean states
   rec.ndc = cand.ndc;
   rec.app_state = cand.app_state;
-  rec.transport_state = cand.transport_state;
+  rec.transport_state =
+      SharedBytes(services_.transport->state_at(cand.transport_mark));
   rec.unacked.assign(cand.unacked.begin(), cand.unacked.end());
-
-  rec.protocol_state = encode_protocol_state(&cand);
+  const ViewMark views = views_->settled(cand.views);
+  rec.protocol_state = encode_protocol_state(&cand, views);
+  rec.views = make_view_ref(views_, views);
   return rec;
 }
 
@@ -600,11 +585,7 @@ void GeneralEngine::refresh_best_anchor() {
   for (std::size_t i = anchor_candidates_.size(); i-- > 0;) {
     const AnchorCandidate& cand = anchor_candidates_[i];
     if (!contam_covered(cand.absorbed_at, validated_)) continue;
-    if (i > 0) {
-      anchor_candidates_.erase(anchor_candidates_.begin(),
-                               anchor_candidates_.begin() +
-                                   static_cast<std::ptrdiff_t>(i));
-    }
+    drop_candidates(0, i);
     return;
   }
 }
@@ -623,13 +604,13 @@ void GeneralEngine::materialize_anchor() const {
 }
 
 void GeneralEngine::restore_from_record(const CheckpointRecord& record) {
+  drop_candidates(0, anchor_candidates_.size());
   services_.app->restore(record.app_state);
-  restore_protocol_state(record.protocol_state);
+  restore_protocol_state(record.protocol_state, record.views.log.get());
   services_.transport->restore_state(record.transport_state);
   services_.transport->restore_unacked(record.unacked);
   deferred_.clear();
   deferred_acks_.clear();
-  anchor_candidates_.clear();
   promoted_serial_ = ~std::uint64_t{0};
   blocking_ = false;
 }
@@ -666,47 +647,11 @@ std::size_t GeneralEngine::takeover() {
 }
 
 Bytes GeneralEngine::snapshot_protocol_state() const {
-  return encode_protocol_state(nullptr);
+  return encode_protocol_state(nullptr, views_->mark());
 }
 
-namespace {
-
-void write_views(ByteWriter& w, const SmallVec<GView, 8>& views,
-                 std::uint32_t len, const ContamVector* revalidate) {
-  w.u32(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    const GView& v = views[i];
-    w.u32(v.peer.value());
-    w.u64(v.transport_seq);
-    w.u64(v.sn);
-    w.u8(static_cast<std::uint8_t>(v.kind));
-    const bool suspect =
-        v.suspect && (revalidate == nullptr ||
-                      !contam_covered(v.contam, *revalidate));
-    w.u8(suspect ? 1 : 0);
-    contam_serialize(v.contam, w);
-  }
-}
-
-void read_views(ByteReader& r, SmallVec<GView, 8>& views) {
-  const std::uint32_t n = r.u32();
-  views.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    GView v;
-    v.peer = ProcessId{r.u32()};
-    v.transport_seq = r.u64();
-    v.sn = r.u64();
-    v.kind = static_cast<MsgKind>(r.u8());
-    v.suspect = r.u8() != 0;
-    v.contam = contam_deserialize(r);
-    views.push_back(std::move(v));
-  }
-}
-
-}  // namespace
-
-Bytes GeneralEngine::encode_protocol_state(
-    const AnchorCandidate* promoted) const {
+Bytes GeneralEngine::encode_protocol_state(const AnchorCandidate* promoted,
+                                           const ViewMark& views) const {
   ByteWriter w;
   if (promoted == nullptr) {
     w.u64(msg_sn_);
@@ -714,8 +659,8 @@ Bytes GeneralEngine::encode_protocol_state(
     w.u8(dirty_bit_ ? 1 : 0);
     contam_serialize(absorbed_, w);
   } else {
-    // See build_promoted_record: the captured scalars and view prefixes,
-    // with dirt and suspicion re-read under today's validations.
+    // See build_promoted_record: the captured scalars, with dirt re-read
+    // under today's validations.
     w.u64(promoted->msg_sn);
     w.u8(promoted->takeover_done ? 1 : 0);
     const bool still_dirty = !contam_covered(promoted->absorbed, validated_);
@@ -736,15 +681,7 @@ Bytes GeneralEngine::encode_protocol_state(
   for (const Message& m : msg_log_) {
     if (m.sn <= log_sn) m.serialize(w);
   }
-  const ContamVector* revalidate = promoted ? &validated_ : nullptr;
-  write_views(w, sent_views_,
-              promoted ? promoted->sent_len
-                       : static_cast<std::uint32_t>(sent_views_.size()),
-              revalidate);
-  write_views(w, recv_views_,
-              promoted ? promoted->recv_len
-                       : static_cast<std::uint32_t>(recv_views_.size()),
-              revalidate);
+  views.serialize(w);
   w.u32(static_cast<std::uint32_t>(failed_over_.size()));
   for (auto c : failed_over_) w.u32(c);
   return w.take();
@@ -763,8 +700,7 @@ GeneralProtocolState GeneralProtocolState::decode(const Bytes& blob) {
   for (std::uint32_t i = 0; i < logs; ++i) {
     s.msg_log.push_back(Message::deserialize(r));
   }
-  read_views(r, s.sent_views);
-  read_views(r, s.recv_views);
+  s.views = ViewMark::deserialize(r);
   const std::uint32_t fo = r.u32();
   s.failed_over.reserve(fo);
   for (std::uint32_t i = 0; i < fo; ++i) s.failed_over.push_back(r.u32());
@@ -772,6 +708,11 @@ GeneralProtocolState GeneralProtocolState::decode(const Bytes& blob) {
 }
 
 void GeneralEngine::restore_protocol_state(const Bytes& state) {
+  restore_protocol_state(state, views_.get());
+}
+
+void GeneralEngine::restore_protocol_state(const Bytes& state,
+                                           const ViewHistory* views) {
   GeneralProtocolState s = GeneralProtocolState::decode(state);
   msg_sn_ = s.msg_sn;
   takeover_done_ = s.takeover_done;
@@ -780,20 +721,9 @@ void GeneralEngine::restore_protocol_state(const Bytes& state) {
   validated_ = std::move(s.validated);
   ++validated_version_;  // restored knowledge invalidates promotion cache
   msg_log_ = std::move(s.msg_log);
-  sent_views_ = std::move(s.sent_views);
-  recv_views_ = std::move(s.recv_views);
-  suspect_views_ = 0;
-  auto index_suspects = [this](const SmallVec<GView, 8>& views,
-                               SmallVec<std::uint32_t, 8>& index) {
-    index.clear();
-    for (std::uint32_t i = 0; i < views.size(); ++i) {
-      if (!views[i].suspect) continue;
-      ++suspect_views_;
-      index.push_back(i);
-    }
-  };
-  index_suspects(sent_views_, suspect_sent_);
-  index_suspects(recv_views_, suspect_recv_);
+  // Copy-on-restore (DESIGN.md §19): the records sharing the old history
+  // keep reading it.
+  views_ = views ? views->fork(s.views) : std::make_shared<ViewHistory>();
   failed_over_.clear();
   for (const std::uint32_t c : s.failed_over) mark_component_failed_over(c);
 }

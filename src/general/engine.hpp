@@ -21,21 +21,25 @@
 //
 // Hot-path layout (DESIGN.md §17): every per-step container is inline
 // small-vector storage — contamination vectors, the deferred queue, the
-// fail-over set, the anchor ring — and anchor candidates are *lazy*: a
-// capture records scalars, view-log prefix lengths and refcounted
-// app/transport snapshots; the full protocol state serializes once, at
-// promotion, instead of on every absorption.
+// fail-over set. The anchor ring is a deque that drops dominated
+// candidates from its front, and anchor candidates are *lazy*: a capture
+// records scalars, a ViewMark, a transport mark and the app snapshot; the
+// transport and protocol state encode once, at promotion, instead of on
+// every absorption. The oracles' message views live in the shared
+// ViewHistory (DESIGN.md §19), never in the protocol blob.
 #pragma once
 
+#include <deque>
 #include <optional>
 #include <variant>
 
 #include "common/small_vec.hpp"
-#include "general/contam.hpp"
 #include "general/topology.hpp"
 #include "mdcd/checkpointable.hpp"
 #include "mdcd/config.hpp"
+#include "mdcd/contam.hpp"
 #include "mdcd/services.hpp"
+#include "mdcd/views.hpp"
 
 namespace synergy {
 
@@ -43,25 +47,12 @@ enum class GProcessKind : std::uint8_t { kActive, kShadow, kRegular };
 
 const char* to_string(GProcessKind kind);
 
-/// View entry with a full contamination vector (general-protocol analogue
-/// of MsgView).
-struct GView {
-  ProcessId peer;
-  std::uint64_t transport_seq;
-  MsgSeq sn;
-  MsgKind kind;
-  bool suspect;
-  ContamVector contam;
-};
-
 /// The general engine's protocol blob, decoded. The engine writes it in
-/// one place (GeneralEngine::encode_protocol_state), and restore and the
-/// oracles (general_facts_from_record) read it through decode(), so the
-/// layout is spelled out once each way: msg_sn u64, takeover u8, dirty u8,
-/// the absorbed and validated vectors, the shadow suppression log (u32
-/// count, messages), the sent then received views (u32 count; per view
-/// peer u32, transport_seq u64, sn u64, kind u8, suspect u8, contamination
-/// vector) and the failed-over components (u32 count, u32 each).
+/// one place (GeneralEngine::encode_protocol_state) and restore reads it
+/// through decode(), so the layout is spelled out once each way: msg_sn
+/// u64, takeover u8, dirty u8, the absorbed and validated vectors, the
+/// shadow suppression log (u32 count, messages), the ViewMark of the
+/// record's views and the failed-over components (u32 count, u32 each).
 struct GeneralProtocolState {
   MsgSeq msg_sn = 0;
   bool takeover_done = false;
@@ -69,8 +60,7 @@ struct GeneralProtocolState {
   ContamVector absorbed;
   ContamVector validated;
   SmallVec<Message, 4> msg_log;
-  SmallVec<GView, 8> sent_views;
-  SmallVec<GView, 8> recv_views;
+  ViewMark views;
   SmallVec<std::uint32_t, 8> failed_over;
 
   static GeneralProtocolState decode(const Bytes& blob);
@@ -141,8 +131,8 @@ class GeneralEngine final : public CheckpointableProcess {
   // ---- Oracle / diagnostics -------------------------------------------------
   const ContamVector& absorbed() const { return absorbed_; }
   const ContamVector& validated() const { return validated_; }
-  const SmallVec<GView, 8>& sent_views() const { return sent_views_; }
-  const SmallVec<GView, 8>& recv_views() const { return recv_views_; }
+  const ViewLog& sent_views() const { return views_->sent(); }
+  const ViewLog& recv_views() const { return views_->recv(); }
   const SmallVec<Message, 4>& suppressed_log() const { return msg_log_; }
   MsgSeq msg_sn() const { return msg_sn_; }
   bool app_tainted() const { return services_.app->tainted(); }
@@ -197,15 +187,15 @@ class GeneralEngine final : public CheckpointableProcess {
   // whose captured dependency vector is fully covered. The promoted
   // record is what latest_volatile() / the TB copy path sees.
   //
-  // A candidate does NOT hold a serialized record. The engine's live view
-  // logs are append-only between restores and validations are monotone, so
-  // a candidate is fully determined by scalars, the capture-time absorbed
-  // vector, the view-log prefix lengths, and the (refcounted) app and
-  // transport snapshots: the promoted protocol state is rebuilt at
-  // promotion time with view suspect flags recomputed under *today's*
-  // validation knowledge — identical to normalizing a frozen snapshot,
-  // because suspect == initial_dirty && !covered(contam, validated_now)
-  // regardless of when the flag was frozen.
+  // A candidate does NOT hold a serialized record. The view history is
+  // append-only between restores and validations are monotone, so a
+  // candidate is fully determined by scalars, the capture-time absorbed
+  // vector, its ViewMark, a transport mark and the app snapshot: the
+  // promoted record reads the views at the capture-time prefixes, settled
+  // under *today's* validation knowledge — identical to normalizing a
+  // frozen snapshot, because suspect == initial_suspect &&
+  // !covered(contam, validated_now) regardless of when the flag was
+  // frozen — and encodes the transport state as it stood at the mark.
   struct AnchorCandidate {
     ContamVector absorbed_at;  ///< dependencies of the captured state
     ContamVector absorbed;     ///< absorbed_ at capture (record contents)
@@ -214,20 +204,23 @@ class GeneralEngine final : public CheckpointableProcess {
     StableSeq ndc;
     MsgSeq msg_sn;
     bool takeover_done;
-    std::uint64_t serial;       ///< promotion identity (skip re-serializing)
-    std::uint32_t sent_len;     ///< sent_views_ prefix at capture
-    std::uint32_t recv_len;     ///< recv_views_ prefix at capture
+    std::uint64_t serial;          ///< promotion identity (skip re-serializing)
+    ViewMark views;                ///< the view history at capture
+    std::uint64_t transport_mark;  ///< Transport::mark() at capture
     SharedBytes app_state;
-    SharedBytes transport_state;
     SmallVec<Message, 4> unacked;
   };
   void capture_anchor(CkptKind kind);
+  /// Erase candidates [first, last) and release their transport marks.
+  void drop_candidates(std::size_t first, std::size_t last);
   void refresh_best_anchor();
   void materialize_anchor() const;
   CheckpointRecord build_promoted_record(const AnchorCandidate& cand) const;
   /// The one writer of the protocol blob: the live state, or the promoted
-  /// anchor `promoted` stands for.
-  Bytes encode_protocol_state(const AnchorCandidate* promoted) const;
+  /// anchor `promoted` stands for, with its views at `views`.
+  Bytes encode_protocol_state(const AnchorCandidate* promoted,
+                              const ViewMark& views) const;
+  void restore_protocol_state(const Bytes& state, const ViewHistory* views);
 
   void send_internal_multicast(std::uint64_t payload, bool tainted);
   void trace(TraceKind kind, std::string_view detail = {}, std::uint64_t a = 0,
@@ -252,17 +245,10 @@ class GeneralEngine final : public CheckpointableProcess {
   std::uint32_t fence_dirty_ = 0;
   SmallVec<Deferred, 4> deferred_;
   SmallVec<AckKey, 8> deferred_acks_;
-  SmallVec<AnchorCandidate, 4> anchor_candidates_;
+  std::deque<AnchorCandidate> anchor_candidates_;  // dropped from the front
   SmallVec<Message, 4> msg_log_;  // shadow suppression log
   SmallVec<std::uint32_t, 8> failed_over_;  // sorted component indices
-  SmallVec<GView, 8> sent_views_;
-  SmallVec<GView, 8> recv_views_;
-  std::uint32_t suspect_views_ = 0;  ///< suspect entries across both logs
-  // Positions of the suspect entries, so a validation upgrades by walking
-  // the (small) uncovered window instead of the whole append-only logs.
-  // Indices stay valid between restores because the logs only append.
-  SmallVec<std::uint32_t, 8> suspect_sent_;
-  SmallVec<std::uint32_t, 8> suspect_recv_;
+  std::shared_ptr<ViewHistory> views_ = std::make_shared<ViewHistory>();
   // Promotion is lazy twice over: refresh_best_anchor() only reorders the
   // ring (the newest covered candidate settles at the front), and the
   // promoted record itself serializes when latest_volatile() is *read* —

@@ -302,32 +302,6 @@ void GeneralSystem::recover_hw(TimePoint fault_time, ProcessId victim) {
   hw_recoveries_.push_back(std::move(result));
 }
 
-ProcessFacts general_facts_from_record(const CheckpointRecord& record) {
-  ProcessFacts facts;
-  facts.id = record.owner;
-  facts.state_time = record.state_time;
-  facts.unacked = record.unacked;
-  facts.dirty = record.dirty_bit;
-
-  // The oracles read MsgViews: the contamination vector has no scalar
-  // watermark to keep, and nothing upgrades a decoded history.
-  const GeneralProtocolState blob =
-      GeneralProtocolState::decode(record.protocol_state);
-  auto views = std::make_shared<ViewHistory>();
-  for (const GView& v : blob.sent_views) {
-    views->add_sent(MsgView{v.peer, v.transport_seq, v.sn, v.kind, v.suspect});
-  }
-  for (const GView& v : blob.recv_views) {
-    views->add_recv(MsgView{v.peer, v.transport_seq, v.sn, v.kind, v.suspect});
-  }
-  facts.views = ViewRef{views, views->mark()};
-
-  ApplicationState app;
-  app.restore(record.app_state);
-  facts.app_tainted = app.tainted();
-  return facts;
-}
-
 GlobalState GeneralSystem::stable_line_state() const {
   StableSeq line = ~StableSeq{0};
   bool any = false;
@@ -341,7 +315,7 @@ GlobalState GeneralSystem::stable_line_state() const {
   for (const auto& node : nodes_) {
     if (node->retired) continue;
     auto rec = node->sstore->committed_for(line);
-    if (rec) state.processes.push_back(general_facts_from_record(*rec));
+    if (rec) state.processes.push_back(facts_from_record(*rec));
   }
   return state;
 }
@@ -350,7 +324,7 @@ GlobalState GeneralSystem::live_state() const {
   GlobalState state;
   for (const auto& node : nodes_) {
     if (!node->engine->alive()) continue;
-    state.processes.push_back(general_facts_from_record(
+    state.processes.push_back(facts_from_record(
         node->engine->make_record(CkptKind::kType1)));
   }
   return state;

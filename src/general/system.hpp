@@ -89,8 +89,8 @@ class GeneralSystem {
     return hw_recoveries_;
   }
 
-  /// Recovery-line audit surface (the same oracles as the canonical
-  /// system; general views are converted to plain ViewLogs).
+  /// Recovery-line audit surface: the same oracles as the canonical
+  /// system, reading each record's views in place (facts_from_record).
   GlobalState stable_line_state() const;
   GlobalState live_state() const;
 
@@ -121,8 +121,6 @@ class GeneralSystem {
   void arm_workload(std::uint32_t component, TimePoint until);
   void on_at_failure(ProcessId detector);
   void recover_hw(TimePoint fault_time, ProcessId victim);
-  ProcessFacts facts_for(const GNode& node,
-                         const CheckpointRecord& record) const;
 
   Topology topology_;
   GeneralConfig config_;
@@ -141,9 +139,5 @@ class GeneralSystem {
   std::optional<GeneralSwRecovery> sw_recovery_;
   std::vector<GeneralHwRecovery> hw_recoveries_;
 };
-
-/// Decode ProcessFacts from a generalized checkpoint record (the general
-/// engine's protocol-state layout differs from the canonical one).
-ProcessFacts general_facts_from_record(const CheckpointRecord& record);
 
 }  // namespace synergy

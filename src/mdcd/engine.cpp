@@ -404,7 +404,7 @@ CheckpointRecord MdcdEngine::make_record(CkptKind kind) const {
   rec.transport_state = SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
-  rec.views = ViewRef{views_, views_->mark()};
+  rec.views = make_view_ref(views_, views_->mark());
   if (record_observer_) record_observer_(rec);
   return rec;
 }

@@ -10,8 +10,31 @@ void ViewLog::add(MsgView view) {
   const auto pos = static_cast<std::uint32_t>(views_.size());
   if (view.suspect) suspects_.push_back(pos);
   views_.push_back(view);
-  upgraded_at_.push_back(0);
+  stamp_.push_back(0);
+  index(pos);
+}
 
+void ViewLog::add(MsgView view, const ContamVector& contam, bool covered,
+                  std::uint64_t epoch) {
+  const auto pos = static_cast<std::uint32_t>(views_.size());
+  if (runs_.empty() || !(runs_.back().contam == contam)) {
+    runs_.push_back(ContamRun{pos, modelled_bytes(pos), contam});
+  }
+  if (covered) {
+    // Valid from the next epoch on, and to a settled read of this one.
+    view.suspect = false;
+    views_.push_back(view);
+    stamp_.push_back(2 * epoch + 1);
+  } else {
+    if (view.suspect) suspects_.push_back(pos);
+    views_.push_back(view);
+    stamp_.push_back(0);
+  }
+  index(pos);
+}
+
+void ViewLog::index(std::uint32_t pos) {
+  const MsgView& view = views_[pos];
   auto it = std::lower_bound(
       peers_.begin(), peers_.end(), view.peer,
       [](const PeerIndex& p, ProcessId peer) { return p.peer < peer; });
@@ -42,10 +65,9 @@ template <typename Covered>
 std::size_t ViewLog::upgrade(std::uint64_t epoch, Covered covered) {
   std::size_t kept = 0;
   for (const std::uint32_t i : suspects_) {
-    MsgView& v = views_[i];
-    if (covered(v)) {
-      v.suspect = false;
-      upgraded_at_[i] = epoch;
+    if (covered(i)) {
+      views_[i].suspect = false;
+      stamp_[i] = 2 * epoch;
     } else {
       suspects_[kept++] = i;
     }
@@ -56,24 +78,37 @@ std::size_t ViewLog::upgrade(std::uint64_t epoch, Covered covered) {
 }
 
 std::size_t ViewLog::validate_all(std::uint64_t epoch) {
-  return upgrade(epoch, [](const MsgView&) { return true; });
+  return upgrade(epoch, [](std::uint32_t) { return true; });
 }
 
 std::size_t ViewLog::validate_covered(MsgSeq watermark, std::uint64_t epoch) {
-  return upgrade(epoch, [watermark](const MsgView& v) {
-    return v.contam_sn <= watermark;
+  return upgrade(epoch, [this, watermark](std::uint32_t i) {
+    return views_[i].contam_sn <= watermark;
   });
 }
 
-ViewLog ViewLog::prefix_at(std::size_t len, std::uint64_t epoch) const {
+std::size_t ViewLog::validate_covered(const ContamVector& validated,
+                                      std::uint64_t epoch) {
+  return upgrade(epoch, [this, &validated](std::uint32_t i) {
+    return contam_covered(contam(i), validated);
+  });
+}
+
+ViewLog ViewLog::prefix_at(std::size_t len, std::uint64_t epoch,
+                           bool settled) const {
   SYNERGY_EXPECTS(len <= views_.size());
   ViewLog out;
   out.views_.assign(views_.begin(), views_.begin() + len);
-  out.upgraded_at_.assign(len, 0);  // upgrades up to `epoch` baked in
+  out.stamp_.assign(len, 0);  // upgrades up to `epoch` baked in
   for (std::size_t i = 0; i < len; ++i) {
-    if (!suspect_at(i, epoch)) continue;
-    out.views_[i].suspect = true;
-    out.suspects_.push_back(static_cast<std::uint32_t>(i));
+    if (!suspect_at(i, epoch, settled)) {
+      out.views_[i].suspect = false;
+    } else if (!settled && stamp_[i] == 2 * epoch + 1) {
+      out.stamp_[i] = stamp_[i];  // still appended covered in `epoch`
+    } else {
+      out.views_[i].suspect = true;
+      out.suspects_.push_back(static_cast<std::uint32_t>(i));
+    }
   }
   for (const PeerIndex& p : peers_) {
     PeerIndex kept{p.peer, {}};
@@ -82,7 +117,26 @@ ViewLog ViewLog::prefix_at(std::size_t len, std::uint64_t epoch) const {
     }
     if (!kept.by_seq.empty()) out.peers_.push_back(std::move(kept));
   }
+  for (const ContamRun& run : runs_) {
+    if (run.first >= len) break;
+    out.runs_.push_back(run);
+  }
   return out;
+}
+
+std::size_t ViewLog::modelled_bytes(std::size_t len) const {
+  if (len == 0) return 0;
+  if (runs_.empty()) return 30 * len;
+  const ContamRun& run = run_of(len - 1);
+  return run.bytes_before +
+         (len - run.first) * (22 + contam_encoded_size(run.contam));
+}
+
+const ViewLog::ContamRun& ViewLog::run_of(std::size_t i) const {
+  const auto it = std::upper_bound(
+      runs_.begin(), runs_.end(), i,
+      [](std::size_t pos, const ContamRun& run) { return pos < run.first; });
+  return *(it - 1);
 }
 
 void ViewHistory::validate_all() {
@@ -97,17 +151,32 @@ void ViewHistory::validate_covered(MsgSeq watermark) {
   recv_.validate_covered(watermark, epoch_);
 }
 
+void ViewHistory::validate_covered(const ContamVector& validated) {
+  ++epoch_;
+  sent_.validate_covered(validated, epoch_);
+  recv_.validate_covered(validated, epoch_);
+}
+
 ViewMark ViewHistory::mark() const {
   return ViewMark{static_cast<std::uint32_t>(sent_.size()),
                   static_cast<std::uint32_t>(recv_.size()), epoch_};
 }
 
+ViewMark ViewHistory::settled(const ViewMark& at) const {
+  return ViewMark{at.sent_len, at.recv_len, epoch_, true};
+}
+
 ViewLog ViewHistory::sent_at(const ViewMark& mark) const {
-  return sent_.prefix_at(mark.sent_len, mark.epoch);
+  return sent_.prefix_at(mark.sent_len, mark.epoch, mark.settled);
 }
 
 ViewLog ViewHistory::recv_at(const ViewMark& mark) const {
-  return recv_.prefix_at(mark.recv_len, mark.epoch);
+  return recv_.prefix_at(mark.recv_len, mark.epoch, mark.settled);
+}
+
+std::size_t ViewHistory::modelled_bytes(const ViewMark& mark) const {
+  return 2 * 4 + sent_.modelled_bytes(mark.sent_len) +
+         recv_.modelled_bytes(mark.recv_len);
 }
 
 std::shared_ptr<ViewHistory> ViewHistory::fork(const ViewMark& mark) const {
@@ -116,6 +185,13 @@ std::shared_ptr<ViewHistory> ViewHistory::fork(const ViewMark& mark) const {
   copy->recv_ = recv_at(mark);
   copy->epoch_ = mark.epoch;
   return copy;
+}
+
+ViewRef make_view_ref(std::shared_ptr<const ViewHistory> history,
+                      const ViewMark& mark) {
+  const std::size_t extra =
+      history->modelled_bytes(mark) - ViewMark::kEncodedBytes;
+  return ViewRef{std::move(history), mark, extra};
 }
 
 }  // namespace synergy

@@ -123,16 +123,17 @@ void Network::inject(Message m, Duration delay, bool respect_fifo) {
   const std::size_t rslot = slot_of(m.receiver);
   Receiver& r = receiver(m.receiver);
   if (respect_fifo) {
+    // Sorted by sender: a hub hears from hundreds of peers.
     const std::uint32_t sender = m.sender.value();
-    bool known = false;
-    for (auto& [s, t] : r.fifo) {
-      if (s != sender) continue;
-      deliver_at = std::max(deliver_at, t);
-      t = deliver_at;
-      known = true;
-      break;
+    const auto it = std::lower_bound(
+        r.fifo.begin(), r.fifo.end(), sender,
+        [](const auto& w, std::uint32_t s) { return w.first < s; });
+    if (it != r.fifo.end() && it->first == sender) {
+      deliver_at = std::max(deliver_at, it->second);
+      it->second = deliver_at;
+    } else {
+      r.fifo.insert(it, {sender, deliver_at});
     }
-    if (!known) r.fifo.push_back({sender, deliver_at});
   }
 
   const std::uint32_t idx = acquire_frame();

@@ -25,7 +25,8 @@
 //     scheduled), so campaign output stays bit-identical to the
 //     one-event-per-message schedule.
 //   * Per-pair FIFO watermarks are small inline vectors on the receiver
-//     slot, pruned when in-transit traffic to that receiver is dropped —
+//     slot, sorted by sender for a binary search, and pruned when
+//     in-transit traffic to that receiver is dropped —
 //     a detached process no longer leaves stale (possibly future)
 //     watermarks behind to delay its post-restart traffic.
 #pragma once
@@ -142,7 +143,8 @@ class Network {
   /// process p = slot p + 1.
   struct Receiver {
     Handler handler;  ///< null while detached
-    /// FIFO watermarks: last scheduled delivery time per sender.
+    /// FIFO watermarks: last scheduled delivery time per sender, sorted
+    /// by sender id.
     SmallVec<std::pair<std::uint32_t, TimePoint>, 4> fifo;
     /// Open same-tick batch. Appending to it is legal only while `mark`
     /// still equals the simulator's schedule counter — i.e. nothing else

@@ -31,9 +31,9 @@ void ReliableEndpoint::reattach_network() {
 }
 
 std::uint64_t ReliableEndpoint::send(Message m) {
-  const Message stamped = core_.prepare_send(std::move(m));
+  Message stamped = core_.prepare_send(std::move(m));
   const std::uint64_t seq = stamped.transport_seq;
-  net_.send(stamped);
+  net_.send(std::move(stamped));
   return seq;
 }
 

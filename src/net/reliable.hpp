@@ -80,6 +80,14 @@ class Transport {
   /// Serialize / restore dedup state + send counter for checkpoints.
   virtual Bytes snapshot_state() const = 0;
   virtual void restore_state(const Bytes& state) = 0;
+
+  /// Capture the dedup state by mark instead of by value: mark() is
+  /// O(1), and state_at(mark) later encodes exactly what snapshot_state()
+  /// returned when the mark was taken (TransportCore). Release a mark
+  /// once it will not be read again.
+  virtual std::uint64_t mark() = 0;
+  virtual Bytes state_at(std::uint64_t mark) const = 0;
+  virtual void release_mark(std::uint64_t mark) = 0;
 };
 
 class ReliableEndpoint final : public Transport {
@@ -106,6 +114,11 @@ class ReliableEndpoint final : public Transport {
   std::size_t resend_unacked(std::uint32_t epoch) override;
   Bytes snapshot_state() const override;
   void restore_state(const Bytes& state) override;
+  std::uint64_t mark() override { return core_.mark(); }
+  Bytes state_at(std::uint64_t mark) const override {
+    return core_.state_at(mark);
+  }
+  void release_mark(std::uint64_t mark) override { core_.release_mark(mark); }
 
   /// TransportCore's encode counters.
   std::uint64_t snapshot_cache_hits() const {

@@ -16,9 +16,9 @@ class ThreadTransport final : public Transport {
   ThreadTransport(ThreadBus& bus, ProcessId self) : bus_(bus), core_(self) {}
 
   std::uint64_t send(Message m) override {
-    const Message stamped = core_.prepare_send(std::move(m));
+    Message stamped = core_.prepare_send(std::move(m));
     const std::uint64_t seq = stamped.transport_seq;
-    bus_.post(stamped);
+    bus_.post(std::move(stamped));
     return seq;
   }
 
@@ -47,6 +47,11 @@ class ThreadTransport final : public Transport {
   void restore_state(const Bytes& state) override {
     core_.restore_state(state);
   }
+  std::uint64_t mark() override { return core_.mark(); }
+  Bytes state_at(std::uint64_t mark) const override {
+    return core_.state_at(mark);
+  }
+  void release_mark(std::uint64_t mark) override { core_.release_mark(mark); }
 
   /// Ack routing from the mailbox loop.
   void on_ack(const Message& m) { core_.on_ack(m.sender, m.ack_of); }

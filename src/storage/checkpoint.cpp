@@ -14,17 +14,23 @@ const char* to_string(CkptKind kind) {
   return "?";
 }
 
+namespace {
+constexpr std::uint64_t kSettledBit = std::uint64_t{1} << 63;
+}  // namespace
+
 void ViewMark::serialize(ByteWriter& w) const {
   w.u32(sent_len);
   w.u32(recv_len);
-  w.u64(epoch);
+  w.u64(epoch | (settled ? kSettledBit : 0));
 }
 
 ViewMark ViewMark::deserialize(ByteReader& r) {
   ViewMark m;
   m.sent_len = r.u32();
   m.recv_len = r.u32();
-  m.epoch = r.u64();
+  const std::uint64_t word = r.u64();
+  m.epoch = word & ~kSettledBit;
+  m.settled = (word & kSettledBit) != 0;
   return m;
 }
 
@@ -95,7 +101,7 @@ std::optional<CheckpointRecord> CheckpointRecord::try_deserialize(
 }
 
 std::size_t CheckpointRecord::encoded_size() const {
-  return serialized_size() + views.modelled_extra();
+  return serialized_size() + views.modelled_extra;
 }
 
 std::size_t CheckpointRecord::serialized_size() const {

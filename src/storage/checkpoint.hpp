@@ -16,9 +16,9 @@
 // (dirty bits, SN counters, message logs, VR), and — for stable
 // checkpoints — the unacked-send log used for re-send on recovery.
 //
-// The oracles' per-message validity views are not in the bytes: an MDCD
-// record references its process's view history (the ghost log, DESIGN.md
-// §19) through a ViewRef, and its protocol blob holds only the ViewMark.
+// The oracles' per-message validity views are not in the bytes: a record
+// references its process's view history (the ghost log, DESIGN.md §19)
+// through a ViewRef, and its protocol blob holds only the ViewMark.
 #pragma once
 
 #include <cstdint>
@@ -38,21 +38,18 @@ enum class CkptKind : std::uint8_t { kType1, kType2, kPseudo, kStable };
 const char* to_string(CkptKind kind);
 
 /// Where a checkpoint's view history ends: the sent and received prefix
-/// lengths and the validation epoch at capture (mdcd/views.hpp).
+/// lengths and the validation epoch at capture (mdcd/views.hpp). A
+/// settled mark — the general engine's promoted anchors — also reads the
+/// views appended covered in its epoch as valid (ViewLog::suspect_at).
 struct ViewMark {
   std::uint32_t sent_len = 0;
   std::uint32_t recv_len = 0;
   std::uint64_t epoch = 0;
+  bool settled = false;
 
-  /// What the mark occupies inside a protocol blob.
+  /// What the mark occupies inside a protocol blob: the two lengths, then
+  /// the epoch with `settled` in its top bit.
   static constexpr std::size_t kEncodedBytes = 4 + 4 + 8;
-  /// What the views it covers would occupy if serialized in the record:
-  /// two u32 counts plus 30 bytes per view (peer u32, transport_seq u64,
-  /// sn u64, kind u8, suspect u8, contam_sn u64). Stable-store timing
-  /// and the storage fault draws are charged at this size.
-  std::size_t modelled_view_bytes() const {
-    return 2 * 4 + 30 * (std::size_t{sent_len} + recv_len);
-  }
 
   void serialize(ByteWriter& w) const;
   static ViewMark deserialize(ByteReader& r);
@@ -64,16 +61,15 @@ class ViewHistory;
 
 /// A record's handle on its process's view history plus the mark it reads
 /// it at. Never serialized: the stable store keeps it beside each
-/// committed record's bytes and re-attaches it on decode.
+/// committed record's bytes and re-attaches it on decode. Built by
+/// make_view_ref (mdcd/views.hpp).
 struct ViewRef {
   std::shared_ptr<const ViewHistory> log;
   ViewMark mark;
-
-  /// What the model charges beyond the serialized record: the views as
-  /// if serialized, less the mark that stands in for them.
-  std::size_t modelled_extra() const {
-    return log ? mark.modelled_view_bytes() - ViewMark::kEncodedBytes : 0;
-  }
+  /// What the model charges beyond the serialized record: the views the
+  /// mark covers as if serialized (ViewHistory::modelled_bytes), less the
+  /// mark that stands in for them. 0 without a history.
+  std::size_t modelled_extra = 0;
 };
 
 struct CheckpointRecord {
@@ -113,7 +109,7 @@ struct CheckpointRecord {
   /// recovery (stable checkpoints only; empty for volatile records).
   std::vector<Message> unacked;
 
-  /// The oracles' view of this state (MDCD records; empty otherwise).
+  /// The oracles' view of this state (empty for hand-built records).
   ViewRef views;
 
   /// Encoding ends with a CRC-32 over the record's own bytes, so storage
@@ -130,7 +126,7 @@ struct CheckpointRecord {
 
   /// Modelled size in bytes: what a stable write persists in the model,
   /// which charges the referenced views as if they were serialized in the
-  /// record (serialized_size() + views.modelled_extra()). Write latency,
+  /// record (serialized_size() + views.modelled_extra). Write latency,
   /// bytes written and the storage fault draws use it. Computed
   /// arithmetically — no serialization happens.
   std::size_t encoded_size() const;

@@ -41,7 +41,7 @@ std::optional<TimePoint> StableStore::write_deadline() const {
 StableStore::Committed StableStore::encode(const CheckpointRecord& record) {
   ByteWriter w;
   record.serialize(w);
-  const std::size_t modelled = w.size() + record.views.modelled_extra();
+  const std::size_t modelled = w.size() + record.views.modelled_extra;
   bytes_written_ += modelled;
   return Committed{record.ndc, w.take(), record.views, modelled};
 }

@@ -66,12 +66,13 @@ TEST_F(AnchorFixture, PrefixValidationPromotesIntermediateAnchor) {
       << "anchor should have advanced past A's absorption";
   // The promoted anchor is a clean state (its dependencies are covered).
   EXPECT_FALSE(anchor->dirty_bit);
-  const ProcessFacts facts = general_facts_from_record(*anchor);
+  const ProcessFacts facts = facts_from_record(*anchor);
   EXPECT_FALSE(facts.dirty);
   // ... and it reflects the receipt of A's message with a VALID view
   // (normalization upgraded the frozen suspect flag).
   bool found = false;
-  for (const auto& v : facts.views.log->recv().entries()) {
+  const ViewLog recv = facts.views.log->recv_at(facts.views.mark);
+  for (const auto& v : recv.entries()) {
     if (v.peer == ProcessId{0}) {
       found = true;
       EXPECT_FALSE(v.suspect);
@@ -115,10 +116,11 @@ TEST_F(AnchorFixture, ActiveAnchorsBeforeEverySend) {
   ASSERT_TRUE(active.pseudo_dirty());  // sn 2 uncovered
   const auto& anchor = active.latest_volatile();
   ASSERT_TRUE(anchor.has_value());
-  const ProcessFacts facts = general_facts_from_record(*anchor);
+  const ProcessFacts facts = facts_from_record(*anchor);
   // The anchor reflects send 1 (valid after normalization), not send 2.
   std::size_t sends_to_peer = 0;
-  for (const auto& v : facts.views.log->sent().entries()) {
+  const ViewLog sent = facts.views.log->sent_at(facts.views.mark);
+  for (const auto& v : sent.entries()) {
     if (v.kind == MsgKind::kInternal && v.peer == ProcessId{1}) {
       ++sends_to_peer;
       EXPECT_FALSE(v.suspect);
@@ -142,7 +144,8 @@ TEST_F(AnchorFixture, FailOverKnowledgeStopsTrafficToRetiredActives) {
   const auto& views = system_->engine(ProcessId{1}).sent_views();
   ASSERT_GT(views.size(), sent_before);
   for (std::size_t i = sent_before; i < views.size(); ++i) {
-    EXPECT_NE(views[i].peer, ProcessId{0}) << "sent to a retired active";
+    EXPECT_NE(views.entries()[i].peer, ProcessId{0})
+        << "sent to a retired active";
   }
   // The new active consumed it.
   EXPECT_GT(system_->engine(ProcessId{2}).recv_views().size(), 0u);
@@ -158,8 +161,8 @@ TEST_F(AnchorFixture, AnchorRingBoundedUnderSustainedContamination) {
   ASSERT_TRUE(high.dirty());
   const auto& anchor = high.latest_volatile();
   ASSERT_TRUE(anchor.has_value());
-  const ProcessFacts facts = general_facts_from_record(*anchor);
-  EXPECT_TRUE(facts.views.log->recv().entries().empty())
+  const ProcessFacts facts = facts_from_record(*anchor);
+  EXPECT_EQ(facts.views.mark.recv_len, 0u)
       << "promoted anchor must predate all uncovered contamination";
 }
 

@@ -204,9 +204,10 @@ TEST_F(RingFixture, RingBoundedAndNewestCoveredCandidatePromotable) {
 
   const auto& anchor = active.latest_volatile();
   ASSERT_TRUE(anchor.has_value());
-  const ProcessFacts facts = general_facts_from_record(*anchor);
+  const ProcessFacts facts = facts_from_record(*anchor);
   std::size_t sends_in_anchor = 0;
-  for (const auto& v : facts.views.log->sent().entries()) {
+  const ViewLog sent = facts.views.log->sent_at(facts.views.mark);
+  for (const auto& v : sent.entries()) {
     if (v.kind == MsgKind::kInternal) {
       ++sends_in_anchor;
       EXPECT_FALSE(v.suspect) << "covered prefix must normalize to VALID";
@@ -236,9 +237,10 @@ TEST_F(RingFixture, FullCoverageAfterEvictionPromotesNewestCandidate) {
   // The newest candidate (before send 100) is now covered and promoted.
   const auto& anchor = active.latest_volatile();
   ASSERT_TRUE(anchor.has_value());
-  const ProcessFacts facts = general_facts_from_record(*anchor);
+  const ProcessFacts facts = facts_from_record(*anchor);
   std::size_t sends_in_anchor = 0;
-  for (const auto& v : facts.views.log->sent().entries()) {
+  const ViewLog sent = facts.views.log->sent_at(facts.views.mark);
+  for (const auto& v : sent.entries()) {
     if (v.kind == MsgKind::kInternal) ++sends_in_anchor;
   }
   EXPECT_EQ(sends_in_anchor, 99u);

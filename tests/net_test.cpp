@@ -57,6 +57,42 @@ TEST(NetworkTest, FifoPerPair) {
   for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(payloads[i], i);
 }
 
+TEST(NetworkTest, FifoPerPairWithManySendersIntoOneReceiver) {
+  // A receiver's watermarks are kept sorted by sender: senders first seen
+  // in descending, ascending and interleaved id order must each keep
+  // their own order, interleaved with the sends and the deliveries.
+  Simulator sim;
+  Network net(sim, fast_net(), Rng(3));
+  std::vector<std::vector<std::uint64_t>> got(40);
+  net.attach(ProcessId{0}, [&](const Message& m) {
+    got[m.sender.value()].push_back(m.payload);
+  });
+  const std::vector<std::uint32_t> senders = {37, 5, 22, 39, 1, 12, 30, 2,
+                                              18, 9, 25, 33, 14, 7, 28};
+  Rng pick(4);
+  std::vector<std::uint64_t> next(40, 0);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint32_t s = senders[static_cast<std::size_t>(
+        pick.uniform_int(0, static_cast<std::int64_t>(senders.size()) - 1))];
+    Message m;
+    m.sender = ProcessId{s};
+    m.receiver = ProcessId{0};
+    m.payload = next[s]++;
+    net.send(m);
+    if (i % 7 == 0) sim.step();
+  }
+  sim.run();
+  std::size_t total = 0;
+  for (const std::uint32_t s : senders) {
+    ASSERT_EQ(got[s].size(), next[s]) << "sender " << s;
+    for (std::uint64_t k = 0; k < next[s]; ++k) {
+      ASSERT_EQ(got[s][k], k) << "sender " << s;
+    }
+    total += got[s].size();
+  }
+  EXPECT_EQ(total, 3000u);
+}
+
 TEST(NetworkTest, DetachedReceiverDropsMessages) {
   Simulator sim;
   Network net(sim, fast_net(), Rng(3));

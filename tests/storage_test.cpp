@@ -39,7 +39,7 @@ CheckpointRecord record_with_views(std::uint64_t ndc, std::uint32_t sent,
     history->add_recv(MsgView{kP1Act, i, i, MsgKind::kInternal, false, 0});
   }
   CheckpointRecord rec = sample_record(ndc);
-  rec.views = ViewRef{history, history->mark()};
+  rec.views = make_view_ref(history, history->mark());
   ByteWriter w;
   w.u8(1);
   rec.views.mark.serialize(w);
