@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   for (int delta : {10, 30, 60, 120, 300}) {
     RollbackExperimentConfig config;
     config.base.scheme = Scheme::kCoordinated;
-    config.base.record_history = false;
     config.base.workload.p1_internal_rate = 0.002;
     config.base.workload.p2_internal_rate = 0.002;
     config.base.workload.p1_external_rate = 0.02;

@@ -36,7 +36,6 @@ RollbackExperimentConfig experiment_for(Scheme scheme, double rate,
                                         std::size_t replications) {
   RollbackExperimentConfig config;
   config.base.scheme = scheme;
-  config.base.record_history = false;  // pure performance measurement
   config.base.workload.p1_internal_rate = rate / kTimeBase;
   config.base.workload.p2_internal_rate = rate / kTimeBase;
   config.base.workload.p1_external_rate = 0.0;  // upgraded component: no

@@ -211,7 +211,6 @@ int run(int argc, char** argv) {
       sc.scheme = Scheme::kCoordinated;
       sc.workload = WorkloadParams{0, 0, 0, 0, 0};
       sc.tb.interval = tb_interval;
-      sc.record_history = false;
       sc.enable_trace = false;
       return sc;
     };

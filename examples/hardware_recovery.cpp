@@ -27,7 +27,6 @@ void run_scheme(Scheme scheme) {
   config.workload.p2_external_rate = 0.05;
   config.tb.interval = Duration::seconds(60);
   config.repair_latency = Duration::seconds(10);
-  config.record_history = false;
 
   System system(config);
   system.start(TimePoint::origin() + Duration::seconds(20'000));

@@ -22,7 +22,7 @@ struct RollbackExperimentConfig {
   std::size_t replications = 30;
   std::uint64_t seed0 = 42;
   /// Run the consistency/recoverability oracles on the live state after
-  /// each recovery (requires base.record_history).
+  /// each recovery.
   bool check_oracles = false;
 };
 

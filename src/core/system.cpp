@@ -30,7 +30,6 @@ System::System(const SystemConfig& config) : config_(config) {
   NodeConfig nc;
   nc.mdcd.gate_mode = config.gate_mode;
   nc.mdcd.tracking = config.tracking;
-  nc.mdcd.record_history = config.record_history;
   nc.at = config.at;
   nc.workload = config.workload.kind;
   nc.sw_fault = config.sw_fault;

@@ -45,10 +45,6 @@ struct SystemConfig {
   /// paper-faithful algorithms (see the gate/tracking ablation benches).
   NdcGateMode gate_mode = NdcGateMode::kBlockingAware;
   ContaminationTracking tracking = ContaminationTracking::kWatermark;
-  /// Keep per-message validity views (required by the oracles; disable for
-  /// long performance sweeps).
-  bool record_history = true;
-
   ClockParams clock;
   NetworkParams net;
   StableStoreParams sstore;

@@ -31,15 +31,6 @@ bool sorted_contains(const SmallVec<std::uint32_t, 8>& set,
 
 }  // namespace
 
-const char* to_string(GProcessKind kind) {
-  switch (kind) {
-    case GProcessKind::kActive: return "active";
-    case GProcessKind::kShadow: return "shadow";
-    case GProcessKind::kRegular: return "regular";
-  }
-  return "?";
-}
-
 GeneralEngine::GeneralEngine(const Topology& topology, ProcessId self,
                              const MdcdConfig& config,
                              ProcessServices services)
@@ -501,7 +492,7 @@ CheckpointRecord GeneralEngine::make_record(CkptKind kind) const {
   rec.transport_state = SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
-  rec.views = make_view_ref(views_, views);
+  rec.views = ViewRef{views_, views};
   return rec;
 }
 
@@ -568,7 +559,7 @@ CheckpointRecord GeneralEngine::build_promoted_record(
   rec.unacked.assign(cand.unacked.begin(), cand.unacked.end());
   const ViewMark views = views_->settled(cand.views);
   rec.protocol_state = encode_protocol_state(&cand, views);
-  rec.views = make_view_ref(views_, views);
+  rec.views = ViewRef{views_, views};
   return rec;
 }
 

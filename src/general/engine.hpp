@@ -45,8 +45,6 @@ namespace synergy {
 
 enum class GProcessKind : std::uint8_t { kActive, kShadow, kRegular };
 
-const char* to_string(GProcessKind kind);
-
 /// The general engine's protocol blob, decoded. The engine writes it in
 /// one place (GeneralEngine::encode_protocol_state) and restore reads it
 /// through decode(), so the layout is spelled out once each way: msg_sn

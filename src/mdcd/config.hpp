@@ -69,10 +69,6 @@ struct MdcdConfig {
   MdcdVariant variant = MdcdVariant::kModified;
   NdcGateMode gate_mode = NdcGateMode::kBlockingAware;
   ContaminationTracking tracking = ContaminationTracking::kWatermark;
-  /// Record per-message sent/received validity views inside the protocol
-  /// state. Required by the global-state consistency/recoverability
-  /// oracles; can be disabled for long-running performance sweeps.
-  bool record_history = true;
 };
 
 }  // namespace synergy

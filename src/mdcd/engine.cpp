@@ -368,7 +368,7 @@ void MdcdEngine::send_recorded(Message m, bool suspect) {
   const MsgSeq contam = m.contam_sn;
   const MsgKind kind = m.kind;
   const std::uint64_t seq = services_.transport->send(std::move(m));
-  if (config_.record_history && kind != MsgKind::kPassedAt) {
+  if (kind != MsgKind::kPassedAt) {
     views_->add_sent(MsgView{to, seq, sn, kind, suspect, contam});
   }
   if (tracing()) {
@@ -378,7 +378,7 @@ void MdcdEngine::send_recorded(Message m, bool suspect) {
 }
 
 void MdcdEngine::record_recv(const Message& m, bool suspect) {
-  if (config_.record_history && m.kind != MsgKind::kPassedAt) {
+  if (m.kind != MsgKind::kPassedAt) {
     views_->add_recv(MsgView{m.sender, m.transport_seq, m.sn, m.kind,
                              suspect, m.contam_sn});
   }
@@ -404,7 +404,7 @@ CheckpointRecord MdcdEngine::make_record(CkptKind kind) const {
   rec.transport_state = SharedBytes(services_.transport->snapshot_state());
   const std::span<const Message> unacked = services_.transport->unacked();
   rec.unacked.assign(unacked.begin(), unacked.end());
-  rec.views = make_view_ref(views_, views_->mark());
+  rec.views = ViewRef{views_, views_->mark()};
   if (record_observer_) record_observer_(rec);
   return rec;
 }

@@ -18,7 +18,7 @@ void ViewLog::add(MsgView view, const ContamVector& contam, bool covered,
                   std::uint64_t epoch) {
   const auto pos = static_cast<std::uint32_t>(views_.size());
   if (runs_.empty() || !(runs_.back().contam == contam)) {
-    runs_.push_back(ContamRun{pos, modelled_bytes(pos), contam});
+    runs_.push_back(ContamRun{pos, contam});
   }
   if (covered) {
     // Valid from the next epoch on, and to a settled read of this one.
@@ -124,14 +124,6 @@ ViewLog ViewLog::prefix_at(std::size_t len, std::uint64_t epoch,
   return out;
 }
 
-std::size_t ViewLog::modelled_bytes(std::size_t len) const {
-  if (len == 0) return 0;
-  if (runs_.empty()) return 30 * len;
-  const ContamRun& run = run_of(len - 1);
-  return run.bytes_before +
-         (len - run.first) * (22 + contam_encoded_size(run.contam));
-}
-
 const ViewLog::ContamRun& ViewLog::run_of(std::size_t i) const {
   const auto it = std::upper_bound(
       runs_.begin(), runs_.end(), i,
@@ -174,24 +166,12 @@ ViewLog ViewHistory::recv_at(const ViewMark& mark) const {
   return recv_.prefix_at(mark.recv_len, mark.epoch, mark.settled);
 }
 
-std::size_t ViewHistory::modelled_bytes(const ViewMark& mark) const {
-  return 2 * 4 + sent_.modelled_bytes(mark.sent_len) +
-         recv_.modelled_bytes(mark.recv_len);
-}
-
 std::shared_ptr<ViewHistory> ViewHistory::fork(const ViewMark& mark) const {
   auto copy = std::make_shared<ViewHistory>();
   copy->sent_ = sent_at(mark);
   copy->recv_ = recv_at(mark);
   copy->epoch_ = mark.epoch;
   return copy;
-}
-
-ViewRef make_view_ref(std::shared_ptr<const ViewHistory> history,
-                      const ViewMark& mark) {
-  const std::size_t extra =
-      history->modelled_bytes(mark) - ViewMark::kEncodedBytes;
-  return ViewRef{std::move(history), mark, extra};
 }
 
 }  // namespace synergy

@@ -103,12 +103,6 @@ class ViewLog {
   ViewLog prefix_at(std::size_t len, std::uint64_t epoch,
                     bool settled = false) const;
 
-  /// What the first `len` entries would occupy serialized: 30 bytes per
-  /// canonical view (peer u32, transport_seq u64, sn u64, kind u8,
-  /// suspect u8, contam_sn u64); a general view has its encoded vector
-  /// (u32 count, 12 bytes per source) in place of contam_sn.
-  std::size_t modelled_bytes(std::size_t len) const;
-
   /// Inline-small storage: short logs (the steady state between
   /// checkpoints) never touch the heap.
   using Entries = SmallVec<MsgView, 8>;
@@ -132,10 +126,9 @@ class ViewLog {
   std::vector<PeerIndex> peers_;
   /// General logs only: consecutive entries with equal vectors (a
   /// multicast's copies) form a run that stores the vector once, with the
-  /// position of its first entry and the modelled bytes before it.
+  /// position of its first entry.
   struct ContamRun {
     std::uint32_t first;
-    std::size_t bytes_before;
     ContamVector contam;
   };
   const ContamRun& run_of(std::size_t i) const;
@@ -182,10 +175,6 @@ class ViewHistory {
   ViewLog sent_at(const ViewMark& mark) const;
   ViewLog recv_at(const ViewMark& mark) const;
 
-  /// What the views `mark` covers would occupy serialized in a record:
-  /// two u32 counts plus ViewLog::modelled_bytes of each prefix.
-  std::size_t modelled_bytes(const ViewMark& mark) const;
-
   /// Copy-on-restore: a fresh history holding exactly what `mark` sees.
   /// The engine continues in the copy; this history (and every record
   /// that references it) is never touched again by the restored engine.
@@ -196,10 +185,5 @@ class ViewHistory {
   ViewLog recv_;
   std::uint64_t epoch_ = 0;
 };
-
-/// A record's ViewRef on `history` at `mark`, charged what the views
-/// would occupy serialized (ViewRef::modelled_extra).
-ViewRef make_view_ref(std::shared_ptr<const ViewHistory> history,
-                      const ViewMark& mark);
 
 }  // namespace synergy

@@ -36,7 +36,7 @@ ViewMark ViewMark::deserialize(ByteReader& r) {
 
 void CheckpointRecord::serialize(ByteWriter& w) const {
   const std::size_t start = w.data().size();
-  w.reserve(start + serialized_size());  // one exact-size allocation
+  w.reserve(start + encoded_size());  // one exact-size allocation
   w.u8(static_cast<std::uint8_t>(kind));
   w.u32(owner.value());
   w.i64(established_at.count());
@@ -101,10 +101,6 @@ std::optional<CheckpointRecord> CheckpointRecord::try_deserialize(
 }
 
 std::size_t CheckpointRecord::encoded_size() const {
-  return serialized_size() + views.modelled_extra;
-}
-
-std::size_t CheckpointRecord::serialized_size() const {
   // Mirrors serialize() field for field; the round-trip test in
   // storage_test asserts the two never drift apart.
   std::size_t n = 1 + 4 + 8 + 8 + 1 + 8;                    // header fields

@@ -60,16 +60,12 @@ struct ViewMark {
 class ViewHistory;
 
 /// A record's handle on its process's view history plus the mark it reads
-/// it at. Never serialized: the stable store keeps it beside each
-/// committed record's bytes and re-attaches it on decode. Built by
-/// make_view_ref (mdcd/views.hpp).
+/// it at. Never serialized and never charged as disk bytes: the stable
+/// store keeps it beside each committed record's bytes and re-attaches it
+/// on decode.
 struct ViewRef {
   std::shared_ptr<const ViewHistory> log;
   ViewMark mark;
-  /// What the model charges beyond the serialized record: the views the
-  /// mark covers as if serialized (ViewHistory::modelled_bytes), less the
-  /// mark that stands in for them. 0 without a history.
-  std::size_t modelled_extra = 0;
 };
 
 struct CheckpointRecord {
@@ -124,14 +120,10 @@ struct CheckpointRecord {
   /// so recovery can fall back to an older retained record.
   static std::optional<CheckpointRecord> try_deserialize(ByteReader& r);
 
-  /// Modelled size in bytes: what a stable write persists in the model,
-  /// which charges the referenced views as if they were serialized in the
-  /// record (serialized_size() + views.modelled_extra). Write latency,
-  /// bytes written and the storage fault draws use it. Computed
+  /// Exact length of serialize()'s output: what a stable write persists.
+  /// Write latency and bytes written are charged by it. Computed
   /// arithmetically — no serialization happens.
   std::size_t encoded_size() const;
-  /// Exact length of serialize()'s output.
-  std::size_t serialized_size() const;
 };
 
 }  // namespace synergy

@@ -1,6 +1,5 @@
 #include "storage/stable_store.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -33,17 +32,11 @@ void StableStore::replace_in_progress(CheckpointRecord record) {
   in_progress_->handle = sim_.schedule_after(latency, [this] { commit(); });
 }
 
-std::optional<TimePoint> StableStore::write_deadline() const {
-  if (!in_progress_) return std::nullopt;
-  return in_progress_->expected_commit;
-}
-
 StableStore::Committed StableStore::encode(const CheckpointRecord& record) {
   ByteWriter w;
   record.serialize(w);
-  const std::size_t modelled = w.size() + record.views.modelled_extra;
-  bytes_written_ += modelled;
-  return Committed{record.ndc, w.take(), record.views, modelled};
+  bytes_written_ += w.size();
+  return Committed{record.ndc, w.take(), record.views};
 }
 
 void StableStore::retain(Committed entry) {
@@ -61,19 +54,8 @@ void StableStore::retain(Committed entry) {
   }
 }
 
-void StableStore::tear(Committed& c, std::size_t keep) {
-  // A cut inside the modelled view region still loses real bytes: every
-  // modelled prefix shorter than the record is undecodable, and so must be
-  // the real one.
-  if (!c.encoded.empty()) {
-    c.encoded.resize(std::min(keep, c.encoded.size() - 1));
-  }
-  c.modelled = keep;
-}
-
 void StableStore::flip(Committed& c, std::size_t offset, int bit) {
-  if (c.encoded.empty()) return;
-  c.encoded[offset % c.encoded.size()] ^= static_cast<std::uint8_t>(1u << bit);
+  c.encoded[offset] ^= static_cast<std::uint8_t>(1u << bit);
 }
 
 void StableStore::commit() {
@@ -109,9 +91,9 @@ void StableStore::commit() {
   // the damage detectable at the next read.
   if (params_.faults.torn_write_probability > 0.0 &&
       fault_rng_.bernoulli(params_.faults.torn_write_probability) &&
-      entry.modelled > 1) {
-    tear(entry, static_cast<std::size_t>(fault_rng_.uniform_int(
-                    1, static_cast<std::int64_t>(entry.modelled) - 1)));
+      entry.encoded.size() > 1) {
+    entry.encoded.resize(static_cast<std::size_t>(fault_rng_.uniform_int(
+        1, static_cast<std::int64_t>(entry.encoded.size()) - 1)));
     ++torn_writes_;
   }
 
@@ -132,9 +114,9 @@ void StableStore::apply_post_commit_faults() {
   }
   auto& victim = history_[static_cast<std::size_t>(fault_rng_.uniform_int(
       0, static_cast<std::int64_t>(history_.size()) - 1))];
-  if (victim.modelled == 0) return;
+  if (victim.encoded.empty()) return;
   const auto byte = static_cast<std::size_t>(fault_rng_.uniform_int(
-      0, static_cast<std::int64_t>(victim.modelled) - 1));
+      0, static_cast<std::int64_t>(victim.encoded.size()) - 1));
   const auto bit = static_cast<int>(fault_rng_.uniform_int(0, 7));
   flip(victim, byte, bit);
   ++latent_corruptions_;
@@ -268,14 +250,14 @@ void StableStore::crash_abort_in_progress() {
 
 bool StableStore::corrupt_retained(StableSeq ndc) {
   for (const auto& c : history_) {
-    if (c.ndc == ndc) return corrupt_retained(ndc, c.modelled / 2);
+    if (c.ndc == ndc) return corrupt_retained(ndc, c.encoded.size() / 2);
   }
   return false;
 }
 
 bool StableStore::corrupt_retained(StableSeq ndc, std::size_t offset) {
   for (auto& c : history_) {
-    if (c.ndc == ndc && offset < c.modelled && !c.encoded.empty()) {
+    if (c.ndc == ndc && offset < c.encoded.size()) {
       flip(c, offset, 4);
       ++latent_corruptions_;
       ++generation_;
@@ -289,7 +271,6 @@ bool StableStore::pad_retained(StableSeq ndc, std::size_t extra) {
   for (auto& c : history_) {
     if (c.ndc == ndc) {
       c.encoded.insert(c.encoded.end(), extra, std::uint8_t{0xA5});
-      c.modelled += extra;
       ++latent_corruptions_;
       ++generation_;
       return true;
@@ -300,8 +281,8 @@ bool StableStore::pad_retained(StableSeq ndc, std::size_t extra) {
 
 bool StableStore::truncate_retained(StableSeq ndc, std::size_t keep) {
   for (auto& c : history_) {
-    if (c.ndc == ndc && keep < c.modelled) {
-      tear(c, keep);
+    if (c.ndc == ndc && keep < c.encoded.size()) {
+      c.encoded.resize(keep);
       ++torn_writes_;
       ++generation_;
       return true;

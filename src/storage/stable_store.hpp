@@ -22,9 +22,7 @@
 // checksum, so a damaged record is *detected* (counted in corrupt_reads)
 // and skipped in favour of the previous retained record, never returned
 // as data and never allowed to crash the process. Fault draws are made
-// over the record's modelled size (CheckpointRecord::encoded_size) and
-// land in its real bytes: a tear past the real end is clamped to cut the
-// last real byte, and a flip offset past it wraps into the real bytes.
+// over the record's encoded bytes (CheckpointRecord::encoded_size).
 #pragma once
 
 #include <cstdint>
@@ -91,11 +89,6 @@ class StableStore {
   void replace_in_progress(CheckpointRecord record);
 
   bool write_in_progress() const { return in_progress_.has_value(); }
-
-  /// When a write is in progress: the instant it is expected to commit
-  /// (includes pending retry backoffs). The stable-write watchdog compares
-  /// this against now + slack.
-  std::optional<TimePoint> write_deadline() const;
 
   /// Commit `record` immediately, aborting any in-progress write. Used at
   /// deployment time (initial checkpoint before the mission starts) and by
@@ -181,10 +174,9 @@ class StableStore {
   }
 
   // ---- Deterministic damage (tests / targeted injection) -----------------
-  // Offsets and lengths are in the record's modelled bytes.
   /// Flip one bit near the middle of the retained record with index `ndc`.
   bool corrupt_retained(StableSeq ndc);
-  /// Flip one bit at modelled byte `offset` of the retained record.
+  /// Flip one bit at byte `offset` of the retained record.
   bool corrupt_retained(StableSeq ndc, std::size_t offset);
   /// Truncate the retained record with index `ndc` to `keep` bytes.
   bool truncate_retained(StableSeq ndc, std::size_t keep);
@@ -222,17 +214,12 @@ class StableStore {
     StableSeq ndc;
     Bytes encoded;
     ViewRef views;
-    /// Modelled length of what is stored (encoded_size(), or the kept
-    /// prefix of a torn write): the range the fault draws cover.
-    std::size_t modelled;
   };
 
   void commit();
   void retain(Committed entry);
   Committed encode(const CheckpointRecord& record);
-  /// Keep `keep` modelled bytes (torn write / truncation).
-  static void tear(Committed& c, std::size_t keep);
-  /// Flip `bit` of modelled byte `offset` (latent corruption).
+  /// Flip `bit` of byte `offset` (latent corruption).
   static void flip(Committed& c, std::size_t offset, int bit);
   void apply_post_commit_faults();
   std::optional<CheckpointRecord> decode(const Committed& c) const;

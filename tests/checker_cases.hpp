@@ -69,7 +69,7 @@ class LineBuilder {
       rec.app_state = SharedBytes(ApplicationState().snapshot());
       rec.unacked = p.unacked;
       if (!p.no_views) {
-        rec.views = make_view_ref(p.views, p.mark.value_or(p.views->mark()));
+        rec.views = ViewRef{p.views, p.mark.value_or(p.views->mark())};
       }
       records.push_back(std::move(rec));
     }

@@ -8,7 +8,6 @@ namespace {
 RollbackExperimentConfig tiny_config(Scheme scheme) {
   RollbackExperimentConfig config;
   config.base.scheme = scheme;
-  config.base.record_history = false;
   config.base.workload.p1_internal_rate = 0.01;
   config.base.workload.p2_internal_rate = 0.01;
   config.base.workload.p1_external_rate = 0.0;
@@ -47,7 +46,6 @@ TEST(ExperimentTest, CoordinatedBeatsWriteThroughInRareContaminationRegime) {
 
 TEST(ExperimentTest, OraclesCleanWhenRequested) {
   auto config = tiny_config(Scheme::kCoordinated);
-  config.base.record_history = true;
   config.check_oracles = true;
   const auto result = measure_rollback(config);
   EXPECT_EQ(result.consistency_violations, 0u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/checkers.hpp"
+#include "general/campaign.hpp"
 #include "general/system.hpp"
 
 namespace synergy {
@@ -233,16 +234,11 @@ TEST_F(GeneralFixture, ProtocolBlobDecodesToTheLiveState) {
     EXPECT_EQ(s.views.sent_len, engine.sent_views().size());
     EXPECT_EQ(s.views.recv_len, engine.recv_views().size());
     if (s.views.sent_len > 0 && s.views.recv_len > 0) ++with_both_logs;
-    // The record is charged its views as the old blob serialized them:
-    // two counts and 26 bytes plus the vector per view, less the mark.
-    std::size_t view_bytes = 8;
-    for (const ViewLog* log : {&engine.sent_views(), &engine.recv_views()}) {
-      for (std::size_t i = 0; i < log->size(); ++i) {
-        view_bytes += 22 + contam_encoded_size(log->contam(i));
-      }
-    }
-    EXPECT_EQ(rec.views.modelled_extra,
-              view_bytes - ViewMark::kEncodedBytes);
+    // The record is charged exactly its serialized bytes, whatever views
+    // its mark covers.
+    ByteWriter w;
+    rec.serialize(w);
+    EXPECT_EQ(rec.encoded_size(), w.size());
     // Restoring the blob and encoding again reproduces it byte for byte.
     engine.restore_protocol_state(rec.protocol_state);
     EXPECT_EQ(rec.protocol_state, engine.snapshot_protocol_state());
@@ -326,6 +322,41 @@ TEST(GeneralSystemTest, HardwareRecoveryRestoresEveryProcess) {
   EXPECT_TRUE(check_recoverability(line).empty());
   EXPECT_TRUE(check_software_recoverability(line).empty() ||
               !line.processes.empty());
+}
+
+// A software error detected while a crashed node waits for its hardware
+// recovery, in star-4 missions with the campaign's seeded crash and error.
+// The crashed node is dirty and its volatile checkpoint went with its RAM;
+// each of these missions used to abort the process in on_at_failure.
+TEST(GeneralSystemTest, SoftwareRecoveryLeavesACrashedNodeToHardwareRecovery) {
+  struct Case {
+    Duration mission;
+    Duration interval;
+    std::uint64_t seed;
+    bool clean;
+  };
+  const Case cases[] = {
+      // `synergy general --topology star --size 4 --reps 200 --seed 3
+      // --duration 30`, mission 153.
+      {Duration::seconds(30), Duration::seconds(10), 16526233403567444896ULL,
+       true},
+      {Duration::seconds(30), Duration::seconds(2), 7285265299121834259ULL,
+       true},
+      // Runs to its audit, which still finds an inconsistent line: the
+      // crashed node's crash-time state joins the fresh recovery line.
+      {Duration::seconds(20), Duration::seconds(10), 16752084287252387564ULL,
+       false},
+  };
+  for (const Case& c : cases) {
+    GeneralCampaignConfig config;
+    config.size = 4;
+    config.mission = c.mission;
+    config.tb_interval = c.interval;
+    const GeneralMissionReport r = run_general_mission(config, c.seed);
+    EXPECT_EQ(r.hw_recoveries, 1u) << c.seed;
+    EXPECT_EQ(r.sw_recoveries, 1u) << c.seed;
+    EXPECT_EQ(r.ok, c.clean) << c.seed;
+  }
 }
 
 struct GeneralPropertyCase {

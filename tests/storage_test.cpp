@@ -39,7 +39,7 @@ CheckpointRecord record_with_views(std::uint64_t ndc, std::uint32_t sent,
     history->add_recv(MsgView{kP1Act, i, i, MsgKind::kInternal, false, 0});
   }
   CheckpointRecord rec = sample_record(ndc);
-  rec.views = make_view_ref(history, history->mark());
+  rec.views = ViewRef{history, history->mark()};
   ByteWriter w;
   w.u8(1);
   rec.views.mark.serialize(w);
@@ -91,16 +91,16 @@ TEST(CheckpointTest, EncodedSizeMatchesSerializedSize) {
   const std::size_t before = w.data().size();
   rec.serialize(w);
   EXPECT_EQ(w.data().size() - before, rec.encoded_size());
-  EXPECT_EQ(rec.serialized_size(), rec.encoded_size());
 
-  // A record with views is charged as if they were serialized in it: the
-  // mark is replaced by two counts and 30 bytes per view.
+  // A record with views is charged exactly its bytes: the views stay in
+  // the history, so 65 of them cost what none do — the mark in the blob.
   const CheckpointRecord viewed = record_with_views(1, 40, 25);
   ByteWriter wv;
   viewed.serialize(wv);
-  EXPECT_EQ(wv.data().size(), viewed.serialized_size());
+  EXPECT_EQ(wv.data().size(), viewed.encoded_size());
+  EXPECT_EQ(viewed.encoded_size(), record_with_views(1, 0, 0).encoded_size());
   EXPECT_EQ(viewed.encoded_size(),
-            wv.data().size() - ViewMark::kEncodedBytes + 8 + 30 * (40 + 25));
+            sample_record(1).encoded_size() - 2 + 1 + ViewMark::kEncodedBytes);
 }
 
 TEST(VolatileStoreTest, KeepsOnlyLatest) {
@@ -209,16 +209,17 @@ TEST_F(StableStoreFixture, CommittedSurvivesAsBytes) {
   EXPECT_EQ(store_.latest_committed()->ndc, 3u);
 }
 
-TEST_F(StableStoreFixture, TornWritePastRealBytesIsUndecodable) {
-  // The modelled size exceeds the real bytes by the views it charges; a
-  // tear that keeps every real byte must still lose the record.
+TEST_F(StableStoreFixture, TornWriteOfTheLastByteIsUndecodable) {
+  // Tears are bounded by the record's encoded size: keeping all of it is
+  // no tear, and losing only the last byte loses the record.
   const CheckpointRecord rec = record_with_views(2, 200, 0);
-  const std::size_t real = rec.serialized_size();
-  ASSERT_GT(rec.encoded_size(), real + 100);
+  const std::size_t size = rec.encoded_size();
   store_.commit_now(record_with_views(1, 0, 0));
   store_.commit_now(rec);
   ASSERT_TRUE(store_.has_valid(2));
-  ASSERT_TRUE(store_.truncate_retained(2, real + 50));
+  EXPECT_FALSE(store_.truncate_retained(2, size));
+  ASSERT_TRUE(store_.has_valid(2));
+  ASSERT_TRUE(store_.truncate_retained(2, size - 1));
   EXPECT_FALSE(store_.has_valid(2));
   const std::uint64_t reads = store_.corrupt_reads();
   EXPECT_FALSE(store_.committed_for(2).has_value());
@@ -226,17 +227,19 @@ TEST_F(StableStoreFixture, TornWritePastRealBytesIsUndecodable) {
   EXPECT_EQ(store_.latest_committed()->ndc, 1u);
 }
 
-TEST_F(StableStoreFixture, LatentFlipPastRealBytesIsUndecodable) {
+TEST_F(StableStoreFixture, LatentFlipOfTheLastByteIsUndecodable) {
+  // Flip offsets are bounded by the record's encoded size; a flip in its
+  // last byte (the CRC) loses the record.
   const CheckpointRecord rec = record_with_views(2, 0, 200);
-  const std::size_t real = rec.serialized_size();
+  const std::size_t size = rec.encoded_size();
   store_.commit_now(rec);
-  ASSERT_TRUE(store_.corrupt_retained(2, real + 1000));
+  EXPECT_FALSE(store_.corrupt_retained(2, size));
+  ASSERT_TRUE(store_.has_valid(2));
+  ASSERT_TRUE(store_.corrupt_retained(2, size - 1));
   EXPECT_FALSE(store_.has_valid(2));
   const std::uint64_t reads = store_.corrupt_reads();
   EXPECT_FALSE(store_.committed_for(2).has_value());
   EXPECT_EQ(store_.corrupt_reads(), reads + 1);
-  // Offsets are bounded by the modelled size, not the real one.
-  EXPECT_FALSE(store_.corrupt_retained(2, rec.encoded_size()));
 }
 
 TEST_F(StableStoreFixture, DecodeReattachesViewHandle) {
@@ -249,23 +252,26 @@ TEST_F(StableStoreFixture, DecodeReattachesViewHandle) {
   EXPECT_EQ(back->encoded_size(), rec.encoded_size());
 }
 
-TEST(StableStoreLatencyTest, WritesAreChargedTheModelledSize) {
+TEST(StableStoreLatencyTest, WritesAreChargedTheEncodedSize) {
   Simulator sim;
   StableStoreParams p;
   p.write_base_latency = Duration::zero();
   p.write_per_kib = Duration::millis(1);
   StableStore store(sim, p);
-  const CheckpointRecord rec = record_with_views(1, 300, 100);
-  const std::size_t modelled = rec.encoded_size();
-  ASSERT_GT(modelled, rec.serialized_size() + 10'000);
+  // 400 views in the history, none of them on disk: one KiB-rounded unit.
+  CheckpointRecord rec = record_with_views(1, 300, 100);
+  const std::size_t size = rec.encoded_size();
+  ASSERT_LT(size, 1024u);
   store.begin_write(rec);
   sim.run();
   EXPECT_EQ(store.commits(), 1u);
-  EXPECT_EQ(store.bytes_written(), modelled);
-  const auto kib = static_cast<std::int64_t>((modelled + 1023) / 1024);
-  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(kib));
+  EXPECT_EQ(store.bytes_written(), size);
+  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::millis(1));
+  // Real bytes do count: a 2,900-byte app state makes three KiB.
+  rec.app_state = Bytes(2'900, 7);
   store.commit_now(rec);
-  EXPECT_EQ(store.bytes_written(), 2 * modelled);
+  EXPECT_EQ(store.bytes_written(), size + rec.encoded_size());
+  EXPECT_EQ(store.write_latency_for(rec), Duration::millis(3));
 }
 
 TEST(StableStoreLatencyTest, PerKibLatencyScalesWithSize) {

@@ -124,9 +124,9 @@ TEST(TbEdgeTest, BlockingNoneNeverBlocks) {
 }
 
 TEST(TbEdgeTest, CheckpointContentsSurviveSerializationSizes) {
-  // A record with a large view history round-trips through the stable
-  // store (bytes plus the re-attached view handle), and the per-KiB
-  // latency model scales accordingly.
+  // A large record round-trips through the stable store (bytes plus the
+  // re-attached view handle), and the per-KiB latency model scales
+  // accordingly.
   SystemConfig c = tb_config(9);
   c.workload.p1_internal_rate = 50.0;
   c.workload.p2_internal_rate = 50.0;
@@ -134,14 +134,14 @@ TEST(TbEdgeTest, CheckpointContentsSurviveSerializationSizes) {
   System system(c);
   system.start(TimePoint::origin() + Duration::seconds(45));
   system.run();
-  // The live engine's record holds thousands of view entries by now.
+  // The live engine's record holds thousands of unacked messages by now.
   const CheckpointRecord rec = system.p2().make_record(CkptKind::kStable);
   EXPECT_GT(rec.encoded_size(), 10'000u);
   ByteWriter w;
   rec.serialize(w);
   ByteReader r(w.data());
   const CheckpointRecord back = CheckpointRecord::deserialize(r);
-  EXPECT_EQ(back.serialized_size(), rec.serialized_size());
+  EXPECT_EQ(back.encoded_size(), rec.encoded_size());
   StableStore& store = system.node(kP2).sstore();
   CheckpointRecord stored = rec;
   stored.ndc = 1000;

@@ -131,35 +131,33 @@ TEST(ViewHistoryMissionTest, RecordsReadTheViewsLiveAtEstablishment) {
   EXPECT_GT(retained_checked, 24u * 3u);
 }
 
-TEST(ViewHistoryMissionTest, RealProtocolBytesStayFlatWhileModelledSizeGrows) {
+TEST(ViewHistoryMissionTest, StableRecordSizeStaysFlatInMissionLength) {
   System system(chaos_system(7, Scheme::kCoordinated));
   const TimePoint start = TimePoint::origin();
   system.start(start + Duration::seconds(600));
-  struct Sizes {
-    std::size_t real;
-    std::size_t modelled;
-  };
+  // A record's bytes apart from the transport's dedup state, whose
+  // consumed tails grow after every rollback (EXPERIMENTS, Known
+  // limitations).
   auto sizes = [&] {
-    std::vector<Sizes> out;
+    std::vector<std::size_t> out;
     for (ProcessId p : {kP1Act, kP1Sdw, kP2}) {
       const CheckpointRecord rec =
           system.node(p).engine().make_record(CkptKind::kStable);
-      out.push_back(Sizes{rec.protocol_state.size(), rec.encoded_size()});
+      out.push_back(rec.encoded_size() - rec.transport_state.size());
     }
     return out;
   };
   system.run_until(start + Duration::seconds(60));
-  const std::vector<Sizes> at60 = sizes();
+  const std::vector<std::size_t> at60 = sizes();
   system.run_until(start + Duration::seconds(600));
-  const std::vector<Sizes> at600 = sizes();
-  // The protocol blob holds scalars, the view mark and role state (the
-  // shadow's suppressed-message log varies with unvalidated traffic); the
-  // views it used to carry grow with mission time.
+  const std::vector<std::size_t> at600 = sizes();
+  // The state, the view mark, role state (the shadow's suppressed-message
+  // log varies with unvalidated traffic) and the unacked log: the views
+  // stay in the history, so ten times the mission costs no more bytes.
   constexpr std::size_t kSlack = 512;
   for (std::size_t i = 0; i < at60.size(); ++i) {
-    EXPECT_LE(at600[i].real, at60[i].real + kSlack) << "process " << i;
-    EXPECT_LE(at600[i].real, 1024u) << "process " << i;
-    EXPECT_GT(at600[i].modelled, at60[i].modelled + 10'000) << "process " << i;
+    EXPECT_LE(at600[i], at60[i] + kSlack) << "process " << i;
+    EXPECT_LE(at600[i], 2048u) << "process " << i;
   }
 }
 

@@ -55,6 +55,13 @@ namespace {
 /// exhaust the process table.
 constexpr std::uint64_t kMaxJobs = 1024;
 
+/// The fastest rate a flag may name: its mean gap 1/R is one tick of the
+/// simulated clock (1 µs); a faster one would round its gap to zero.
+constexpr double kMaxRate = 1e6;
+
+/// `rollback --rates` counts messages per this many seconds.
+constexpr double kRollbackTimeBase = 100'000.0;
+
 // The usage text quotes the largest star and chain sizes.
 static_assert(Topology::kMaxStarLeaves == 65533 &&
               Topology::kMaxChainLength == 65534);
@@ -78,8 +85,9 @@ RUN OPTIONS
                       coordinated)
   --seed N            RNG seed (default 1)
   --duration SECS     mission length (default 3600)
-  --internal-rate R   component internal msgs/s (default 2.0)
-  --external-rate R   external (validated) msgs/s (default 0.05)
+  --internal-rate R   component internal msgs/s, at most 1e6 (default 2.0)
+  --external-rate R   external (validated) msgs/s, at most 1e6 (default
+                      0.05)
   --interval SECS     TB checkpoint interval Delta (default 60)
   --sw-fault-prob P   design-fault activation per send (default 0)
   --hw-fault T:NODE   crash NODE at T seconds (repeatable)
@@ -105,7 +113,8 @@ SWEEP OPTIONS (run mode)
   --fault-scales A,.. multiplier on every chaos injector rate; 0 = fault
                       free (default 1)
   --coverages A,B,... AT coverage axis (default 1)
-  --intervals A,B,... TB checkpoint interval axis, seconds (default 10)
+  --intervals A,B,... TB checkpoint interval axis, seconds, each positive
+                      (default 10)
   --workload W        registers | abft (default registers)
   --lane-gap SECS     arm per-lane bit-flips at this mean gap (default off)
   --sig-gap SECS      arm CFCSS signature faults at this mean gap
@@ -129,15 +138,16 @@ SWEEP OPTIONS (merge mode)
                       shard can be re-run). --out/--csv as above.
 
 ROLLBACK OPTIONS
-  --scheme, --seed, --interval as above (scheme measured against
-  write_through automatically when omitted)
-  --rates A,B,...     internal message rates per 100000 s (default
-                      60,80,...,200)
+  Every rate runs coordinated and write_through, one CSV row each.
+  --seed N            RNG seed (default 42)
+  --interval SECS     TB checkpoint interval Delta (default 60)
+  --rates A,B,...     internal message rates per 100000 s, each at most
+                      1e11 (default 60,80,...,200)
   --reps N            replications per point (default 30)
 
 MODEL OPTIONS
-  --lambda-dirty R    contamination rate [1/s]
-  --lambda-valid R    validation rate [1/s]
+  --lambda-dirty R    contamination rate [1/s], positive
+  --lambda-valid R    validation rate [1/s], positive
   --interval SECS     Delta
 
 CHAOS OPTIONS
@@ -175,7 +185,7 @@ CHAOS OPTIONS
                       reports assumed-vs-computed coverage
   --disconnect-gap S  mean gap between disconnection epochs, 0=off
                       (default 0; arms the mobile mission family)
-  --disconnect-len S  mean disconnection epoch length (default 15)
+  --disconnect-len S  mean disconnection epoch length, positive (default 15)
   --disconnect-loss P stationary burst-loss fraction of a degraded epoch
                       (default 0.9)
   --disconnect-full P probability an epoch is a full blackout (default 0.5)
@@ -192,8 +202,10 @@ GENERAL OPTIONS
   --reps N            missions to run (default 8)
   --seed N            campaign seed; mission seeds derive from it (default 1)
   --duration SECS     mission length (default 60)
-  --internal-rate R   per-component internal msgs/s (default 2.0)
-  --external-rate R   per-component external msgs/s (default 0.3)
+  --internal-rate R   per-component internal msgs/s, at most 1e6 (default
+                      2.0)
+  --external-rate R   per-component external msgs/s, at most 1e6 (default
+                      0.3)
   --interval SECS     TB checkpoint interval (default 10)
   --no-hw             skip the seeded per-mission node crash
   --no-sw             skip the seeded per-mission design-fault activation
@@ -260,15 +272,19 @@ Duration parse_seconds(const char* flag, const char* value) {
                    Duration::kMaxInputSeconds));
 }
 
-void require_positive_interval(Duration interval) {
-  if (interval <= Duration::zero()) {
-    std::fprintf(stderr, "--interval must be positive\n");
+/// Reject a value parsed as non-negative that must be positive; a
+/// duration counts as zero when it rounds below the clock's 1 µs tick.
+void require_positive(const char* flag, bool positive) {
+  if (!positive) {
+    std::fprintf(stderr, "%s must be positive\n", flag);
     usage(2);
   }
 }
 
 double parse_rate(const char* flag, const char* value) {
-  return parse_number(flag, value, "a non-negative rate per second", 0.0);
+  return parse_number(flag, value,
+                      "a non-negative rate per second, at most 1e6", 0.0,
+                      kMaxRate);
 }
 
 /// Parse `value` as a whole number in [min, max] (decimal digits only: no
@@ -421,7 +437,7 @@ int cmd_run(int argc, char** argv) {
     else if (a == "--trace-jsonl") trace_jsonl = arg_value(argc, argv, i);
     else unknown_option(a);
   }
-  require_positive_interval(config.tb.interval);
+  require_positive("--interval", config.tb.interval > Duration::zero());
   if (!hw_faults.empty() && config.scheme == Scheme::kMdcdOnly) {
     std::fprintf(stderr,
                  "--hw-fault needs stable storage; mdcd_only has none\n");
@@ -499,7 +515,8 @@ int cmd_rollback(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--rates") {
-      rates = parse_double_list("--rates", arg_value(argc, argv, i), 0.0);
+      rates = parse_double_list("--rates", arg_value(argc, argv, i), 0.0,
+                                kMaxRate * kRollbackTimeBase);
     } else if (a == "--reps") {
       reps = parse_count("--reps", arg_value(argc, argv, i), 1);
     } else if (a == "--seed") {
@@ -511,16 +528,15 @@ int cmd_rollback(int argc, char** argv) {
     }
   }
 
-  require_positive_interval(interval);
+  require_positive("--interval", interval > Duration::zero());
 
   std::printf("rate,scheme,mean_rollback_s,ci95_s,faults\n");
   for (double rate : rates) {
     for (Scheme scheme : {Scheme::kCoordinated, Scheme::kWriteThrough}) {
       RollbackExperimentConfig config;
       config.base.scheme = scheme;
-      config.base.record_history = false;
-      config.base.workload.p1_internal_rate = rate / 100'000.0;
-      config.base.workload.p2_internal_rate = rate / 100'000.0;
+      config.base.workload.p1_internal_rate = rate / kRollbackTimeBase;
+      config.base.workload.p2_internal_rate = rate / kRollbackTimeBase;
       config.base.workload.p1_external_rate = 0.0;
       config.base.workload.p2_external_rate = 0.05;
       config.base.workload.step_rate = 0.0;
@@ -597,6 +613,10 @@ int cmd_sweep(int argc, char** argv) {
     else if (a == "--quiet") quiet = true;
     else if (merge_mode && !a.empty() && a[0] != '-') fragment_paths.push_back(a);
     else unknown_option(a);
+  }
+  for (const double interval : config.axes.intervals_s) {
+    require_positive("--intervals",
+                     Duration::from_seconds(interval) > Duration::zero());
   }
   if (merge_mode && fragment_paths.empty()) {
     std::fprintf(stderr, "--merge expects fragment paths\n");
@@ -678,7 +698,9 @@ int cmd_model(int argc, char** argv) {
     else if (a == "--interval") params.interval = parse_seconds("--interval", arg_value(argc, argv, i));
     else unknown_option(a);
   }
-  require_positive_interval(params.interval);
+  require_positive("--interval", params.interval > Duration::zero());
+  require_positive("--lambda-dirty", params.lambda_dirty > 0.0);
+  require_positive("--lambda-valid", params.lambda_valid > 0.0);
   std::printf("lambda_dirty=%g /s  lambda_valid=%g /s  Delta=%g s\n",
               params.lambda_dirty, params.lambda_valid,
               params.interval.to_seconds());
@@ -731,6 +753,9 @@ int cmd_chaos(int argc, char** argv) {
     else if (a == "--verbose") config.verbose = true;
     else unknown_option(a);
   }
+
+  require_positive("--disconnect-len",
+                   config.rates.mobile.disconnect_mean_len > Duration::zero());
 
   if (replay) {
     const MissionReport r = run_mission(config, replay_seed);
@@ -803,7 +828,7 @@ int cmd_general(int argc, char** argv) {
                  min_size, max_size, to_string(config.shape), config.size);
     usage(2);
   }
-  require_positive_interval(config.tb_interval);
+  require_positive("--interval", config.tb_interval > Duration::zero());
 
   const GeneralCampaignResult result =
       run_general_campaign(config, &std::cout);
