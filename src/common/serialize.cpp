@@ -1,5 +1,6 @@
 #include "common/serialize.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -12,84 +13,8 @@ const Bytes& SharedBytes::empty_bytes() {
   return empty;
 }
 
-std::uint8_t* ByteWriter::grow(std::size_t n) {
-  const std::size_t old = buf_.size();
-  buf_.resize(old + n);
-  return buf_.data() + old;
-}
-
-void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::u32(std::uint32_t v) {
-  std::uint8_t* p = grow(4);
-  for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xFF;
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  std::uint8_t* p = grow(8);
-  for (int i = 0; i < 8; ++i) p[i] = (v >> (8 * i)) & 0xFF;
-}
-
-void ByteWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-void ByteWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void ByteWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::bytes(const Bytes& b) {
-  u32(static_cast<std::uint32_t>(b.size()));
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
-bool ByteReader::require(std::size_t n) {
-  if (failed_ || n > data_.size() - pos_) {
-    failed_ = true;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::u8() {
-  if (!require(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint32_t ByteReader::u32() {
-  if (!require(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{data_[pos_++]} << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  if (!require(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{data_[pos_++]} << (8 * i);
-  return v;
-}
-
-std::int64_t ByteReader::i64() { return static_cast<std::int64_t>(u64()); }
-
-double ByteReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string ByteReader::str() {
-  const std::uint32_t n = u32();
-  if (!require(n)) return {};
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return s;
+void ByteWriter::grow(std::size_t n) {
+  buf_.resize(std::max(2 * buf_.size(), len_ + n));
 }
 
 Bytes ByteReader::bytes() {
@@ -99,31 +24,6 @@ Bytes ByteReader::bytes() {
           data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return b;
-}
-
-ByteView ByteReader::bytes_view() {
-  const std::uint32_t n = u32();
-  if (!require(n)) return {};
-  ByteView v{data_.data() + pos_, n};
-  pos_ += n;
-  return v;
-}
-
-std::string_view ByteReader::str_view() {
-  const ByteView v = bytes_view();
-  return {reinterpret_cast<const char*>(v.data()), v.size()};
-}
-
-void ByteReader::skip(std::size_t n) {
-  if (!require(n)) return;
-  pos_ += n;
-}
-
-ByteView ByteReader::rest_view() {
-  if (failed_) return {};
-  ByteView out{data_.data() + pos_, data_.size() - pos_};
-  pos_ = data_.size();
-  return out;
 }
 
 std::uint64_t fingerprint(const Bytes& data) {
@@ -220,8 +120,6 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
   }
   return crc32_update_portable(c, data, n) ^ 0xFFFFFFFFu;
 }
-
-std::uint32_t crc32(const Bytes& data) { return crc32(data.data(), data.size()); }
 
 std::uint32_t crc32_reference(const std::uint8_t* data, std::size_t n) {
   const auto& table = crc32_tables().t[0];

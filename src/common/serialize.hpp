@@ -7,17 +7,18 @@
 // the caller.
 //
 // Every Type-1/pseudo/stable checkpoint encodes its process's state afresh
-// (the app blob is 73 bytes, the protocol and transport blobs are small and
-// bounded), into SharedBytes: a refcounted immutable blob, so a record
-// copied between the stores and the oracles shares one buffer instead of
-// deep-copying it.
+// into SharedBytes: a refcounted immutable blob, so a record copied between
+// the stores and the oracles shares one buffer instead of deep-copying it.
+// The app blob is 73 bytes; the transport blob grows with its consumed
+// tails (EXPERIMENTS, Known limitations), which is why the writer costs one
+// memcpy per field and copies a tail in bulk (u64s).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace synergy {
@@ -75,61 +76,105 @@ class SharedBytes {
   std::shared_ptr<const Bytes> data_;
 };
 
-/// Appends primitive values to a growing byte buffer. Reusable: clear()
-/// keeps the allocated capacity, so a long-lived scratch writer encodes
-/// record after record without reallocating; reserve() plus the record's
-/// encoded_size() turns an encode into a single exact-size allocation.
+namespace detail {
+
+/// `v` in little-endian byte order: the identity on little-endian hosts,
+/// a byte swap elsewhere, so the encoded format is the same on any host.
+template <typename T>
+inline T to_le(T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else {
+    T out = 0;
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      out = static_cast<T>((out << 8) | ((v >> (8 * i)) & 0xFF));
+    }
+    return out;
+  }
+}
+
+}  // namespace detail
+
+/// Appends primitive values to a growing byte buffer. Each field is one
+/// capacity check and one memcpy: the buffer's size is its capacity, it
+/// grows by doubling, and `len_` counts the bytes written, so no field pays
+/// a resize and its zero-fill. Reusable: clear() keeps the buffer, so a
+/// long-lived scratch writer encodes record after record without
+/// reallocating; reserve() plus the record's encoded_size() turns an encode
+/// into a single exact-size allocation.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);
-  void str(const std::string& s);
-  void bytes(const Bytes& b);
+  void u8(std::uint8_t v) { put(v); }
+  void u32(std::uint32_t v) { put(detail::to_le(v)); }
+  void u64(std::uint64_t v) { put(detail::to_le(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  /// Length-prefixed (u32) blob.
+  void bytes(const Bytes& b) {
+    u32(static_cast<std::uint32_t>(b.size()));
+    raw(b.data(), b.size());
+  }
+  /// Each value as u64(), in one copy on little-endian hosts.
+  void u64s(std::span<const std::uint64_t> vs) {
+    if constexpr (std::endian::native == std::endian::little) {
+      raw(reinterpret_cast<const std::uint8_t*>(vs.data()), vs.size_bytes());
+    } else {
+      for (const std::uint64_t v : vs) u64(v);
+    }
+  }
 
   /// Drop contents, keep capacity (scratch-buffer reuse on hot paths).
-  void clear() { buf_.clear(); }
-  /// Pre-reserve for a known encoded size (see encoded_size() providers).
-  void reserve(std::size_t n) { buf_.reserve(n); }
-  std::size_t size() const { return buf_.size(); }
+  void clear() { len_ = 0; }
+  /// Make room for `n` bytes in total (see encoded_size() providers).
+  void reserve(std::size_t n) {
+    if (n > buf_.size()) buf_.resize(n);
+  }
+  std::size_t size() const { return len_; }
 
-  const Bytes& data() const { return buf_; }
-  Bytes take() { return std::move(buf_); }
+  /// The bytes written so far; valid until the next write.
+  ByteView data() const { return {buf_.data(), len_}; }
+  /// The bytes written, trimmed to their length; the writer is left empty.
+  Bytes take() {
+    buf_.resize(len_);
+    len_ = 0;
+    return std::move(buf_);
+  }
 
  private:
-  std::uint8_t* grow(std::size_t n);
+  template <typename T>
+  void put(T v) {
+    if (buf_.size() - len_ < sizeof v) grow(sizeof v);
+    std::memcpy(buf_.data() + len_, &v, sizeof v);
+    len_ += sizeof v;
+  }
+  void raw(const std::uint8_t* p, std::size_t n) {
+    if (n == 0) return;
+    if (buf_.size() - len_ < n) grow(n);
+    std::memcpy(buf_.data() + len_, p, n);
+    len_ += n;
+  }
+  /// Double the buffer (at least), so `n` more bytes fit.
+  void grow(std::size_t n);
 
-  std::vector<std::uint8_t> buf_;
+  Bytes buf_;
+  std::size_t len_ = 0;
 };
 
 /// Reads primitive values back. Corruption-safe: a read past the end of the
 /// input does not abort — it sets a sticky failure flag and returns a
 /// zero/empty value, so a corrupted stable blob is *detected* (check ok()
 /// after decoding, or use the record-level try_deserialize paths, which
-/// do) rather than killing the process.
+/// do) rather than killing the process. The reader borrows its input,
+/// which must outlive it.
 class ByteReader {
  public:
+  explicit ByteReader(ByteView data) : data_(data) {}
   explicit ByteReader(const Bytes& data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64();
-  double f64();
-  std::string str();
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint32_t u32() { return detail::to_le(get<std::uint32_t>()); }
+  std::uint64_t u64() { return detail::to_le(get<std::uint64_t>()); }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   Bytes bytes();
-
-  /// View-based reads for the trusted in-memory decode path: no copy, the
-  /// returned span/view borrows from the reader's underlying buffer and is
-  /// valid only while that buffer lives. Callers that merely inspect
-  /// (trace rendering, oracle checks, re-encode passes) use these.
-  ByteView bytes_view();
-  std::string_view str_view();
-
-  /// Skip `n` bytes (inspection paths that ignore a field's content).
-  void skip(std::size_t n);
 
   bool exhausted() const { return pos_ == data_.size(); }
 
@@ -141,15 +186,26 @@ class ByteReader {
 
   /// Current read offset (used to delimit checksummed spans).
   std::size_t position() const { return pos_; }
-  const Bytes& underlying() const { return data_; }
-
-  /// All remaining bytes as a borrowed view (no copy).
-  ByteView rest_view();
+  ByteView underlying() const { return data_; }
 
  private:
-  bool require(std::size_t n);
+  bool require(std::size_t n) {
+    if (failed_ || n > data_.size() - pos_) {
+      failed_ = true;
+      return false;
+    }
+    return true;
+  }
+  template <typename T>
+  T get() {
+    if (!require(sizeof(T))) return 0;
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
+    return v;
+  }
 
-  const Bytes& data_;
+  ByteView data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
@@ -167,7 +223,9 @@ std::uint64_t fingerprint(const Bytes& data);
 /// reference below, so existing stable blobs and torn-write detection are
 /// unaffected.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
-std::uint32_t crc32(const Bytes& data);
+inline std::uint32_t crc32(ByteView data) {
+  return crc32(data.data(), data.size());
+}
 
 /// Test hook: force the portable slicing-by-8 path even where the PCLMUL
 /// kernel is available, so CI keeps the fallback covered on hardware that

@@ -38,7 +38,7 @@ std::optional<StableSeq> common_valid_line(
 }
 
 std::optional<StableSeq> common_restorable_line(
-    const std::vector<ProcessNode*>& nodes) {
+    const std::vector<ProcessNode*>& nodes, LineVerdicts& verdicts) {
   StableSeq hi = ~StableSeq{0};
   StableSeq lo = 0;
   bool any = false;
@@ -51,20 +51,8 @@ std::optional<StableSeq> common_restorable_line(
   }
   if (!any) return std::nullopt;
   for (StableSeq cand = hi; cand + 1 > lo; --cand) {
-    std::vector<CheckpointRecord> records;
-    bool ok = true;
-    for (ProcessNode* n : nodes) {
-      if (n->retired() || !n->has_stable_storage()) continue;
-      auto rec = n->sstore().committed_for(cand);
-      if (!rec || !n->sstore().has_valid(cand)) {
-        ok = false;
-        break;
-      }
-      records.push_back(std::move(*rec));
-    }
-    if (ok && check_all(global_state_from_records(records)).empty()) {
-      return cand;
-    }
+    const auto line = stable_line_at(nodes, cand);
+    if (line && verdicts.all(*line).empty()) return cand;
     if (cand == 0) break;  // unsigned: don't wrap below zero
   }
   return std::nullopt;
@@ -123,9 +111,9 @@ std::vector<std::optional<StableSeq>> consistent_write_through_cut(
 
 HardwareRecoveryManager::HardwareRecoveryManager(
     Simulator& sim, std::vector<ProcessNode*> nodes, Duration repair_latency,
-    TraceLog* trace, bool oracle_filter)
+    TraceLog* trace, LineVerdicts& verdicts, bool oracle_filter)
     : sim_(sim), nodes_(std::move(nodes)), repair_latency_(repair_latency),
-      trace_(trace), oracle_filter_(oracle_filter) {
+      trace_(trace), verdicts_(verdicts), oracle_filter_(oracle_filter) {
   SYNERGY_EXPECTS(repair_latency >= Duration::zero());
 }
 
@@ -193,7 +181,7 @@ HwRecoveryStats HardwareRecoveryManager::recover_all(TimePoint fault_time,
     // the paper's oracles outright: hardened mode prefers the newest index
     // that is intact everywhere AND restores a clean global state, then
     // degrades to merely intact, then to per-node fallbacks.
-    if (oracle_filter_) line_ndc = common_restorable_line(nodes_);
+    if (oracle_filter_) line_ndc = common_restorable_line(nodes_, verdicts_);
     if (!line_ndc) line_ndc = common_valid_line(nodes_);
     if (!line_ndc) {
       StableSeq min_ndc = ~StableSeq{0};

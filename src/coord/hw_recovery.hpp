@@ -13,6 +13,7 @@
 #include <functional>
 #include <vector>
 
+#include "coord/line_verdicts.hpp"
 #include "coord/node.hpp"
 
 namespace synergy {
@@ -46,9 +47,10 @@ std::optional<StableSeq> common_valid_line(
 /// live states, where no later repair can reach it. Empty when no retained
 /// index is clean everywhere — callers fall back to common_valid_line, so
 /// schemes whose lines are *expected* to violate the oracles (ablations,
-/// the naive combination) behave exactly as before.
+/// the naive combination) behave exactly as before. Each candidate line's
+/// verdict comes from `verdicts`, so an audited line is not audited again.
 std::optional<StableSeq> common_restorable_line(
-    const std::vector<ProcessNode*>& nodes);
+    const std::vector<ProcessNode*>& nodes, LineVerdicts& verdicts);
 
 /// Per-node record selection for the index-less (write-through) schemes.
 /// Write-through commits are per-node validation events, so a fault inside
@@ -71,10 +73,11 @@ class HardwareRecoveryManager {
   /// `repair_latency`: downtime between the fault and the coordinated
   /// restart of the system. With `oracle_filter`, line selection prefers
   /// common_restorable_line (hardened mode); otherwise the paper's naive
-  /// common_valid_line selection is used unchanged.
+  /// common_valid_line selection is used unchanged. `verdicts` is the
+  /// mission's line-verdict memo; it must outlive the manager.
   HardwareRecoveryManager(Simulator& sim, std::vector<ProcessNode*> nodes,
                           Duration repair_latency, TraceLog* trace,
-                          bool oracle_filter = false);
+                          LineVerdicts& verdicts, bool oracle_filter = false);
 
   /// Crash the process on `node` now and schedule the global recovery.
   /// `new_epoch` is the recovery incarnation for fencing and re-sends.
@@ -93,6 +96,7 @@ class HardwareRecoveryManager {
   std::vector<ProcessNode*> nodes_;
   Duration repair_latency_;
   TraceLog* trace_;
+  LineVerdicts& verdicts_;
   bool oracle_filter_;
   std::uint64_t faults_ = 0;
   bool pending_ = false;

@@ -5,8 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "analysis/checkers.hpp"
-#include "analysis/global_state.hpp"
 #include "common/assert.hpp"
 #include "coord/hw_recovery.hpp"
 #include "coord/reline.hpp"
@@ -17,9 +15,9 @@ AssumptionMonitor::AssumptionMonitor(Simulator& sim, Network& net,
                                      ClockEnsemble& clocks,
                                      std::vector<ProcessNode*> nodes,
                                      const MonitorParams& params,
-                                     TraceLog* trace)
+                                     TraceLog* trace, LineVerdicts& verdicts)
     : sim_(sim), net_(net), clocks_(clocks), nodes_(std::move(nodes)),
-      params_(params), trace_(trace) {
+      params_(params), trace_(trace), verdicts_(verdicts) {
   SYNERGY_EXPECTS(params_.sweep_interval > Duration::zero());
 }
 
@@ -333,26 +331,11 @@ std::size_t AssumptionMonitor::line_violations() {
     participants.push_back(n);
   }
   if (participants.empty()) return 0;
-  const auto line = common_valid_line(participants);
-  if (!line) return 0;
-  std::vector<LineRecord> key;
-  key.reserve(participants.size());
-  for (ProcessNode* n : participants) {
-    key.push_back(LineRecord{n->id(), *line, n->sstore().generation()});
-  }
-  // Same records, same verdict: a record's views are frozen at its mark.
-  // Only clean decodes are memoized, so a hit skips no corrupt read.
-  if (key == audited_line_) return audited_violations_;
-  std::vector<CheckpointRecord> records;
-  for (ProcessNode* n : participants) {
-    auto rec = n->sstore().committed_for(*line);
-    if (!rec) return 0;  // mid-commit: skip this audit
-    records.push_back(std::move(*rec));
-  }
-  audited_violations_ =
-      check_consistency(global_state_from_records(records)).size();
-  audited_line_ = std::move(key);
-  return audited_violations_;
+  const auto ndc = common_valid_line(participants);
+  if (!ndc) return 0;
+  const auto line = stable_line_at(participants, *ndc);
+  if (!line) return 0;  // mid-commit: skip this audit
+  return verdicts_.consistency(*line);
 }
 
 void AssumptionMonitor::start_line_repair() {

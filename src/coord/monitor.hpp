@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "clock/ensemble.hpp"
+#include "coord/line_verdicts.hpp"
 #include "coord/node.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -137,9 +138,12 @@ inline std::uint64_t MonitorStats::total(MonitorKind kind) const {
 
 class AssumptionMonitor {
  public:
+  /// `verdicts` is the mission's line-verdict memo; it must outlive the
+  /// monitor.
   AssumptionMonitor(Simulator& sim, Network& net, ClockEnsemble& clocks,
                     std::vector<ProcessNode*> nodes,
-                    const MonitorParams& params, TraceLog* trace);
+                    const MonitorParams& params, TraceLog* trace,
+                    LineVerdicts& verdicts);
 
   /// Hook the network / TB observers and arm the periodic storage sweep.
   void install();
@@ -170,8 +174,8 @@ class AssumptionMonitor {
   void start_line_repair();
   void finish_line_repair();
   /// Consistency violations in the currently committed recovery line, or 0
-  /// when the line cannot be audited (no common index space). Memoized on
-  /// the identities of the line's records.
+  /// when the line cannot be audited (no common index space). Memoized in
+  /// `verdicts_` on the identities of the line's records.
   std::size_t line_violations();
   void reestablish_line();
   bool quiescent() const;  ///< No node crashed / recovery in flight.
@@ -182,6 +186,7 @@ class AssumptionMonitor {
   std::vector<ProcessNode*> nodes_;
   MonitorParams params_;
   TraceLog* trace_;
+  LineVerdicts& verdicts_;
   MonitorStats stats_;
   LinkOracle link_oracle_;
   bool installed_ = false;
@@ -198,17 +203,6 @@ class AssumptionMonitor {
   std::vector<char> unacked_over_;
   /// Latch per node: a damaged ABFT encoding is counted once per episode.
   std::vector<char> abft_flagged_;
-  /// Identity of one record on an audited line: a store's record at `ndc`
-  /// is the same record for as long as the store's generation stands.
-  struct LineRecord {
-    ProcessId owner;
-    StableSeq ndc;
-    std::uint64_t generation;
-    bool operator==(const LineRecord&) const = default;
-  };
-  /// The last line audit whose records all decoded, and its verdict.
-  std::vector<LineRecord> audited_line_;
-  std::size_t audited_violations_ = 0;
 };
 
 }  // namespace synergy

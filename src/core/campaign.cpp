@@ -128,8 +128,7 @@ MissionReport run_mission(const CampaignConfig& config,
   // Periodic recovery-line audits: the paper's theorems as standing
   // invariants, checked while the adversary is mid-swing.
   auto audit = [&report, &system](const char* when) {
-    const GlobalState line = system.stable_line_state();
-    for (const Violation& v : check_all(line)) {
+    for (const Violation& v : system.audit_stable_line()) {
       report.failures.push_back(std::string(when) + " at " +
                                 std::to_string(system.sim().now().to_seconds()) +
                                 "s: " + v.describe());

@@ -90,7 +90,7 @@ System::System(const SystemConfig& config) : config_(config) {
       sim_,
       std::vector<ProcessNode*>{nodes_[0].get(), nodes_[1].get(),
                                 nodes_[2].get()},
-      config.repair_latency, trace, config.harden_recovery);
+      config.repair_latency, trace, line_verdicts_, config.harden_recovery);
 
   sw_manager_ = std::make_unique<SoftwareRecoveryManager>(
       *nodes_[0]->p1act(), *nodes_[1]->p1sdw(), *nodes_[2]->p2(),
@@ -101,7 +101,7 @@ System::System(const SystemConfig& config) : config_(config) {
         sim_, *net_, *clocks_,
         std::vector<ProcessNode*>{nodes_[0].get(), nodes_[1].get(),
                                   nodes_[2].get()},
-        config.monitor, trace);
+        config.monitor, trace, line_verdicts_);
     monitor_->install();
     if (faulty_net_) {
       // Declared disconnection epochs are expected outages, not broken
@@ -375,40 +375,45 @@ void System::on_at_failure(ProcessId detector) {
   nodes_[0]->retire();
 }
 
-GlobalState System::stable_line_state() const {
+System::LineChoice System::choose_stable_line() const {
   // Mirror the recovery selection: the line is the last checkpoint index
   // every (timer-driven) process has committed. Write-through has no
   // indices; each process contributes its latest validated checkpoint.
-  std::vector<ProcessNode*> participants;
-  bool timered = true;
+  LineChoice choice;
   for (const auto& node : nodes_) {
     if (node->retired()) continue;
     auto* n = const_cast<ProcessNode*>(node.get());
     if (!n->has_stable_storage()) continue;
-    participants.push_back(n);
-    if (n->tb() == nullptr) timered = false;
+    choice.participants.push_back(n);
+    if (n->tb() == nullptr) choice.timered = false;
   }
-  std::vector<CheckpointRecord> records;
-  std::optional<StableSeq> line;
-  if (timered && !participants.empty()) {
+  if (choice.timered && !choice.participants.empty()) {
     // Same selection a recovery would make: in hardened mode the newest
     // index that is intact on every participant and restores a clean
     // global state, then merely intact (storage faults can damage the
     // naive minimum, and injector-era indices can fail the oracles —
     // hardened recovery skips those).
-    if (config_.harden_recovery) line = common_restorable_line(participants);
-    if (!line) line = common_valid_line(participants);
+    if (config_.harden_recovery) {
+      choice.ndc = common_restorable_line(choice.participants, line_verdicts_);
+    }
+    if (!choice.ndc) choice.ndc = common_valid_line(choice.participants);
   }
-  if (line) {
+  return choice;
+}
+
+GlobalState System::line_state(const LineChoice& choice) const {
+  const std::vector<ProcessNode*>& participants = choice.participants;
+  std::vector<CheckpointRecord> records;
+  if (choice.ndc) {
     for (ProcessNode* n : participants) {
-      auto rec = n->sstore().committed_for(*line);
+      auto rec = n->sstore().committed_for(*choice.ndc);
       if (rec) records.push_back(std::move(*rec));
     }
   } else {
     // Index-less schemes: mirror hardened recovery's per-node selection
     // (consistent_write_through_cut), falling back to per-node newest.
     std::vector<std::optional<StableSeq>> cut;
-    if (!timered && config_.harden_recovery) {
+    if (!choice.timered && config_.harden_recovery) {
       cut = consistent_write_through_cut(participants);
     }
     for (std::size_t i = 0; i < participants.size(); ++i) {
@@ -419,6 +424,21 @@ GlobalState System::stable_line_state() const {
     }
   }
   return global_state_from_records(records);
+}
+
+GlobalState System::stable_line_state() const {
+  return line_state(choose_stable_line());
+}
+
+std::vector<Violation> System::audit_stable_line() const {
+  const LineChoice choice = choose_stable_line();
+  if (choice.ndc) {
+    // Both selections return an index every participant decodes.
+    if (const auto line = stable_line_at(choice.participants, *choice.ndc)) {
+      return line_verdicts_.all(*line);
+    }
+  }
+  return check_all(line_state(choice));
 }
 
 GlobalState System::live_state() const {

@@ -24,10 +24,12 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/checkers.hpp"
 #include "analysis/global_state.hpp"
 #include "app/workload.hpp"
 #include "clock/ensemble.hpp"
 #include "coord/hw_recovery.hpp"
+#include "coord/line_verdicts.hpp"
 #include "coord/monitor.hpp"
 #include "coord/node.hpp"
 #include "coord/write_through.hpp"
@@ -191,6 +193,10 @@ class System {
   /// from the latest committed stable checkpoints of non-retired nodes).
   GlobalState stable_line_state() const;
 
+  /// check_all over stable_line_state(), the mission's periodic audit. A
+  /// line of common index is audited once (LineVerdicts).
+  std::vector<Violation> audit_stable_line() const;
+
   /// Global state of the live engines (post-recovery audits).
   GlobalState live_state() const;
 
@@ -204,6 +210,17 @@ class System {
   AssumptionMonitor* monitor() { return monitor_.get(); }
 
  private:
+  /// The non-retired nodes with stable storage, and the line of common
+  /// index a recovery would pick among them (nullopt: no common index,
+  /// each node contributes its own record).
+  struct LineChoice {
+    std::vector<ProcessNode*> participants;
+    bool timered = true;
+    std::optional<StableSeq> ndc;
+  };
+  LineChoice choose_stable_line() const;
+  GlobalState line_state(const LineChoice& choice) const;
+
   void on_at_failure(ProcessId detector);
   void on_lane_rollback(ProcessId detector);
   std::uint32_t next_epoch() { return ++epoch_counter_; }
@@ -217,6 +234,9 @@ class System {
   std::vector<std::unique_ptr<ProcessNode>> nodes_;
   std::unique_ptr<WorkloadDriver> workload_;
   std::unique_ptr<WriteThroughCoordinator> write_through_;
+  // Shared by the recovery manager, the monitor and the line audits; the
+  // audits are const reads of the run, the memo is their cache.
+  mutable LineVerdicts line_verdicts_;
   std::unique_ptr<HardwareRecoveryManager> hw_manager_;
   std::unique_ptr<SoftwareRecoveryManager> sw_manager_;
   std::unique_ptr<AssumptionMonitor> monitor_;

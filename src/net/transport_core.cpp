@@ -212,7 +212,8 @@ void TransportCore::mark_consumed(const Message& m) {
 
 Bytes TransportCore::encode(const Streams& streams,
                             const Consumed& consumed) const {
-  // Two u32 counts, 12 B per stream, 16 B + 8 B per tail seq per peer.
+  // Two u32 counts, 12 B per stream, 16 B + 8 B per tail seq per peer:
+  // sized once, each tail copied in bulk.
   std::size_t size = 8 + 12 * streams.size();
   for (const PeerConsumed& pc : consumed) size += 16 + 8 * pc.tail.size();
   ByteWriter w;
@@ -227,7 +228,7 @@ Bytes TransportCore::encode(const Streams& streams,
     w.u32(pc.peer);
     w.u64(pc.low);
     w.u32(static_cast<std::uint32_t>(pc.tail.size()));
-    for (auto s : pc.tail) w.u64(s);
+    w.u64s({pc.tail.data(), pc.tail.size()});
   }
   ++encodes_;
   bytes_encoded_ += w.size();

@@ -12,11 +12,13 @@
 // messages — never dedup'd, never logged, never re-sent). A receiver
 // therefore observes a dense 1..N stream from each peer, which lets the
 // per-peer consumption set compress to a watermark plus a sparse
-// reorder tail — "every seq <= low is consumed" plus the few seqs beyond
-// the first in-flight gap. That keeps the dedup state (and every
-// checkpointed transport snapshot) O(peers), instead of growing with the
-// total message count of the run — the term that made long large-topology
-// missions quadratic.
+// reorder tail — "every seq <= low is consumed" plus the seqs beyond the
+// first gap. Without rollbacks the gaps are in-flight reorderings, and the
+// dedup state (and every checkpointed transport snapshot) stays O(peers)
+// instead of growing with the run's message count. A rollback leaves
+// permanent gaps, though, and every later seq from that peer lands in the
+// tail (EXPERIMENTS, Known limitations): a snapshot is O(peers + tail
+// seqs), so encode() sizes its blob once and copies each tail in bulk.
 //
 // Storage is allocation-lean (every application send and consumption used
 // to cost a map/set node): the stream counters and consumption sets are

@@ -40,7 +40,7 @@ StableStore::Committed StableStore::encode(const CheckpointRecord& record) {
 }
 
 void StableStore::retain(Committed entry) {
-  ++generation_;
+  touch(entry);
   // Same-index re-commit (post-recovery line refresh) replaces in place.
   for (auto& c : history_) {
     if (c.ndc == entry.ndc) {
@@ -56,6 +56,7 @@ void StableStore::retain(Committed entry) {
 
 void StableStore::flip(Committed& c, std::size_t offset, int bit) {
   c.encoded[offset] ^= static_cast<std::uint8_t>(1u << bit);
+  touch(c);
 }
 
 void StableStore::commit() {
@@ -120,7 +121,6 @@ void StableStore::apply_post_commit_faults() {
   const auto bit = static_cast<int>(fault_rng_.uniform_int(0, 7));
   flip(victim, byte, bit);
   ++latent_corruptions_;
-  ++generation_;
 }
 
 void StableStore::commit_now(CheckpointRecord record) {
@@ -130,24 +130,46 @@ void StableStore::commit_now(CheckpointRecord record) {
 }
 
 bool StableStore::decodes(const Committed& c) {
-  ByteReader r(c.encoded);
-  // Record-boundary check: a stored blob is exactly one record. Trailing
-  // bytes mean the blob is not what the writer produced (overlong torn
-  // read, appended garbage) even when the record's own CRC happens to
-  // pass — treat it as corrupt, never hand back state plus junk.
-  return CheckpointRecord::try_deserialize(r).has_value() && r.exhausted();
+  if (c.verdict == Verdict::kUnknown) {
+    ByteReader r(c.encoded);
+    // Record-boundary check: a stored blob is exactly one record. Trailing
+    // bytes mean the blob is not what the writer produced (overlong torn
+    // read, appended garbage) even when the record's own CRC happens to
+    // pass — treat it as corrupt, never hand back state plus junk.
+    const bool ok =
+        CheckpointRecord::try_deserialize(r).has_value() && r.exhausted();
+    c.verdict = ok ? Verdict::kValid : Verdict::kCorrupt;
+  }
+  return c.verdict == Verdict::kValid;
 }
 
 std::optional<CheckpointRecord> StableStore::decode(const Committed& c) const {
-  ByteReader r(c.encoded);
-  auto rec = CheckpointRecord::try_deserialize(r);
-  if (rec && !r.exhausted()) rec.reset();  // record-boundary check
+  std::optional<CheckpointRecord> rec;
+  if (c.verdict != Verdict::kCorrupt) {
+    ByteReader r(c.encoded);
+    rec = CheckpointRecord::try_deserialize(r);
+    if (rec && !r.exhausted()) rec.reset();  // record-boundary check
+    c.verdict = rec ? Verdict::kValid : Verdict::kCorrupt;
+  }
   if (!rec) {
     ++corrupt_reads_;
     return rec;
   }
   rec->views = c.views;
   return rec;
+}
+
+const StableStore::Committed* StableStore::find(StableSeq ndc) const {
+  for (const auto& c : history_) {
+    if (c.ndc == ndc) return &c;
+  }
+  return nullptr;
+}
+
+std::optional<std::uint64_t> StableStore::entry_id(StableSeq ndc) const {
+  const Committed* c = find(ndc);
+  if (c == nullptr) return std::nullopt;
+  return c->id;
 }
 
 std::optional<CheckpointRecord> StableStore::latest_committed() const {
@@ -170,10 +192,9 @@ StableSeq StableStore::latest_valid_ndc() const {
 
 std::optional<CheckpointRecord> StableStore::committed_for(
     StableSeq ndc) const {
-  for (const auto& c : history_) {
-    if (c.ndc == ndc) return decode(c);
-  }
-  return std::nullopt;
+  const Committed* c = find(ndc);
+  if (c == nullptr) return std::nullopt;
+  return decode(*c);
 }
 
 std::optional<CheckpointRecord> StableStore::best_valid_at_most(
@@ -186,10 +207,8 @@ std::optional<CheckpointRecord> StableStore::best_valid_at_most(
 }
 
 bool StableStore::has_valid(StableSeq ndc) const {
-  for (const auto& c : history_) {
-    if (c.ndc == ndc) return decodes(c);
-  }
-  return false;
+  const Committed* c = find(ndc);
+  return c != nullptr && decodes(*c);
 }
 
 std::vector<StableSeq> StableStore::retained_ndcs() const {
@@ -200,10 +219,7 @@ std::vector<StableSeq> StableStore::retained_ndcs() const {
 }
 
 void StableStore::discard_above(StableSeq ndc) {
-  if (std::erase_if(history_,
-                    [ndc](const Committed& c) { return c.ndc > ndc; }) > 0) {
-    ++generation_;
-  }
+  std::erase_if(history_, [ndc](const Committed& c) { return c.ndc > ndc; });
 }
 
 StableStore::HandoffOutcome StableStore::handoff(std::size_t keep_depth,
@@ -235,7 +251,6 @@ StableStore::HandoffOutcome StableStore::handoff(std::size_t keep_depth,
     history_.erase(history_.begin(),
                    history_.begin() +
                        static_cast<std::ptrdiff_t>(out.dropped));
-    ++generation_;
   }
   out.migrated = history_.size();
   return out;
@@ -260,7 +275,6 @@ bool StableStore::corrupt_retained(StableSeq ndc, std::size_t offset) {
     if (c.ndc == ndc && offset < c.encoded.size()) {
       flip(c, offset, 4);
       ++latent_corruptions_;
-      ++generation_;
       return true;
     }
   }
@@ -271,8 +285,8 @@ bool StableStore::pad_retained(StableSeq ndc, std::size_t extra) {
   for (auto& c : history_) {
     if (c.ndc == ndc) {
       c.encoded.insert(c.encoded.end(), extra, std::uint8_t{0xA5});
+      touch(c);
       ++latent_corruptions_;
-      ++generation_;
       return true;
     }
   }
@@ -283,8 +297,8 @@ bool StableStore::truncate_retained(StableSeq ndc, std::size_t keep) {
   for (auto& c : history_) {
     if (c.ndc == ndc && keep < c.encoded.size()) {
       c.encoded.resize(keep);
+      touch(c);
       ++torn_writes_;
-      ++generation_;
       return true;
     }
   }

@@ -203,27 +203,45 @@ class StableStore {
   std::uint64_t corrupt_reads() const { return corrupt_reads_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
 
-  /// Bumped by every change to the retained history: equal generations
-  /// mean every retained record still decodes to the same record.
-  std::uint64_t generation() const { return generation_; }
+  /// Id of the retained entry with index `ndc`, whatever its verdict;
+  /// nullopt when none is retained. Ids come from a per-store counter and
+  /// an entry gets a fresh one whenever its bytes change, so equal ids
+  /// mean the same bytes, which decode to the same record: recovery-line
+  /// audits are memoized on them (coord/line_verdicts.hpp).
+  std::optional<std::uint64_t> entry_id(StableSeq ndc) const;
 
  private:
   static constexpr std::size_t kHistoryDepth = 8;
+
+  /// Whether an entry's bytes decode: unknown until first read.
+  enum class Verdict : std::uint8_t { kUnknown, kValid, kCorrupt };
 
   struct Committed {
     StableSeq ndc;
     Bytes encoded;
     ViewRef views;
+    std::uint64_t id = 0;
+    /// Cached decode verdict; every change to `encoded` resets it.
+    mutable Verdict verdict = Verdict::kUnknown;
   };
 
   void commit();
   void retain(Committed entry);
   Committed encode(const CheckpointRecord& record);
+  /// `c`'s bytes changed: new id, verdict unknown.
+  void touch(Committed& c) {
+    c.id = ++next_id_;
+    c.verdict = Verdict::kUnknown;
+  }
   /// Flip `bit` of byte `offset` (latent corruption).
-  static void flip(Committed& c, std::size_t offset, int bit);
+  void flip(Committed& c, std::size_t offset, int bit);
   void apply_post_commit_faults();
+  /// The entry's record, or nullopt (counted in corrupt_reads) when its
+  /// bytes do not decode. A known-corrupt entry is not parsed again.
   std::optional<CheckpointRecord> decode(const Committed& c) const;
+  /// O(1) once the verdict is cached.
   static bool decodes(const Committed& c);
+  const Committed* find(StableSeq ndc) const;
 
   struct InProgress {
     CheckpointRecord record;
@@ -249,7 +267,7 @@ class StableStore {
   mutable std::uint64_t corrupt_reads_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t handoffs_ = 0;
-  std::uint64_t generation_ = 0;
+  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace synergy

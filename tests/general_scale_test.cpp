@@ -89,7 +89,7 @@ TEST(ContamDifferentialFuzz, FlatMatchesMapOracle) {
     // Byte-identical encoding, and the flat decoder round-trips it.
     ByteWriter w;
     contam_serialize(a.flat, w);
-    const Bytes& flat_bytes = w.data();
+    const Bytes flat_bytes = w.take();
     ASSERT_EQ(flat_bytes, oracle_serialize(a.oracle));
     ByteReader r(flat_bytes);
     ASSERT_EQ(contam_deserialize(r), a.flat);

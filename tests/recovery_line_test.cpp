@@ -121,5 +121,92 @@ TEST(RecoveryLineTest, AuditUsesCommonIndexLikeRecovery) {
   EXPECT_GE(system.hw_recoveries().size(), 4u);
 }
 
+/// Counts the oracle audits computed on this thread while in scope.
+class AuditCounter {
+ public:
+  AuditCounter() {
+    set_audit_observer(
+        [this](AuditKind, const GlobalState&, const std::vector<Violation>&) {
+          ++audits;
+        });
+  }
+  ~AuditCounter() { set_audit_observer({}); }
+  AuditCounter(const AuditCounter&) = delete;
+  AuditCounter& operator=(const AuditCounter&) = delete;
+  std::size_t audits = 0;
+};
+
+TEST(LineVerdictsTest, AnUnchangedLineIsAuditedOnce) {
+  SystemConfig c = base_config(26);
+  System system(c);
+  system.start(TimePoint::origin() + Duration::seconds(60));
+  system.run_until(TimePoint::origin() + Duration::seconds(35));
+  const std::vector<ProcessNode*> nodes = {
+      &system.node(kP1Act), &system.node(kP1Sdw), &system.node(kP2)};
+  const auto ndc = common_valid_line(nodes);
+  ASSERT_TRUE(ndc.has_value());
+  ASSERT_GT(*ndc, 0u);
+
+  LineVerdicts verdicts;
+  AuditCounter counter;
+  const auto line = stable_line_at(nodes, *ndc);
+  ASSERT_TRUE(line.has_value());
+  const std::vector<Violation> found = verdicts.all(*line);
+  EXPECT_EQ(counter.audits, 2u);  // consistency + recoverability
+  EXPECT_TRUE(found.empty());
+  EXPECT_EQ(verdicts.consistency(*line), 0u);
+  EXPECT_EQ(verdicts.all(*line).size(), found.size());
+  EXPECT_EQ(counter.audits, 2u);
+
+  // A commit elsewhere — another index of P2's store — leaves the line's
+  // records as they were: no audit.
+  CheckpointRecord newer = system.node(kP2).engine().make_record(CkptKind::kStable);
+  newer.ndc = *ndc + 5;
+  system.node(kP2).sstore().commit_now(std::move(newer));
+  const auto same = stable_line_at(nodes, *ndc);
+  ASSERT_TRUE(same.has_value());
+  EXPECT_EQ(same->key, line->key);
+  (void)verdicts.all(*same);
+  EXPECT_EQ(counter.audits, 2u);
+
+  // A flip on one of the line's records: the line no longer decodes. Flip
+  // the bit back and the bytes are as they were, but the entry's id moved
+  // on, so the line is audited afresh.
+  StableStore& sdw = system.node(kP1Sdw).sstore();
+  ASSERT_TRUE(sdw.corrupt_retained(*ndc, 40));
+  const std::uint64_t reads = sdw.corrupt_reads();
+  EXPECT_FALSE(stable_line_at(nodes, *ndc).has_value());
+  EXPECT_EQ(sdw.corrupt_reads(), reads + 1);
+  ASSERT_TRUE(sdw.corrupt_retained(*ndc, 40));
+  const auto healed = stable_line_at(nodes, *ndc);
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_NE(healed->key, line->key);
+  EXPECT_EQ(verdicts.consistency(*healed), 0u);
+  EXPECT_EQ(counter.audits, 3u);
+  EXPECT_TRUE(verdicts.all(*healed).empty());
+  EXPECT_EQ(counter.audits, 4u);
+}
+
+TEST(LineVerdictsTest, MissionAuditMatchesAFreshAudit) {
+  // The memoized periodic audit returns what check_all over the decoded
+  // line returns, at every point of a faulted mission.
+  SystemConfig c = base_config(27);
+  c.harden_recovery = true;
+  c.enable_monitor = true;
+  System system(c);
+  system.schedule_hw_fault(TimePoint::origin() + Duration::seconds(47),
+                           NodeId{1});
+  system.start(TimePoint::origin() + Duration::seconds(120));
+  for (int t = 5; t <= 120; t += 5) {
+    system.run_until(TimePoint::origin() + Duration::seconds(t));
+    const std::vector<Violation> memo = system.audit_stable_line();
+    const std::vector<Violation> fresh = check_all(system.stable_line_state());
+    ASSERT_EQ(memo.size(), fresh.size()) << "at " << t << " s";
+    for (std::size_t i = 0; i < memo.size(); ++i) {
+      EXPECT_EQ(memo[i].describe(), fresh[i].describe());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace synergy

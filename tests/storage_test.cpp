@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "mdcd/views.hpp"
 #include "sim/simulator.hpp"
 #include "storage/stable_store.hpp"
@@ -240,6 +243,88 @@ TEST_F(StableStoreFixture, LatentFlipOfTheLastByteIsUndecodable) {
   const std::uint64_t reads = store_.corrupt_reads();
   EXPECT_FALSE(store_.committed_for(2).has_value());
   EXPECT_EQ(store_.corrupt_reads(), reads + 1);
+}
+
+/// Commits records 1 and 2 and reads both clean, so their verdicts are
+/// cached as valid; returns entry 2's id.
+std::uint64_t commit_and_read_clean(StableStore& store) {
+  store.commit_now(sample_record(1));
+  store.commit_now(sample_record(2));
+  EXPECT_TRUE(store.has_valid(1));
+  EXPECT_TRUE(store.has_valid(2));
+  EXPECT_EQ(store.latest_valid_ndc(), 2u);
+  EXPECT_TRUE(store.committed_for(2).has_value());
+  return *store.entry_id(2);
+}
+
+/// Entry 2, read clean before, was damaged since: its cached verdict must
+/// not survive.
+void expect_entry_two_damaged(const StableStore& store, std::uint64_t id) {
+  EXPECT_NE(store.entry_id(2), id);
+  EXPECT_FALSE(store.has_valid(2));
+  EXPECT_TRUE(store.has_valid(1));
+  EXPECT_EQ(store.latest_valid_ndc(), 1u);
+  // Every read of a damaged entry counts, not only the first.
+  const std::uint64_t reads = store.corrupt_reads();
+  EXPECT_FALSE(store.committed_for(2).has_value());
+  EXPECT_FALSE(store.committed_for(2).has_value());
+  EXPECT_EQ(store.corrupt_reads(), reads + 2);
+  EXPECT_EQ(store.latest_committed()->ndc, 1u);
+}
+
+TEST_F(StableStoreFixture, DamageAfterACleanReadResetsTheCachedVerdict) {
+  const std::vector<std::function<void(StableStore&)>> damages = {
+      [](StableStore& s) { ASSERT_TRUE(s.corrupt_retained(2)); },
+      [](StableStore& s) { ASSERT_TRUE(s.pad_retained(2, 3)); },
+      [](StableStore& s) { ASSERT_TRUE(s.truncate_retained(2, 20)); },
+  };
+  for (const auto& damage : damages) {
+    Simulator sim;
+    StableStore store(sim, params());
+    const std::uint64_t id = commit_and_read_clean(store);
+    damage(store);
+    expect_entry_two_damaged(store, id);
+  }
+}
+
+TEST_F(StableStoreFixture, LatentFlipAfterACleanReadResetsTheCachedVerdict) {
+  // A seeded latent flip lands on a random retained entry after a commit:
+  // find a seed whose flip hits entry 2.
+  StableStoreParams p = params();
+  p.faults.latent_corruption_probability = 1.0;
+  bool hit = false;
+  for (std::uint64_t seed = 1; seed <= 64 && !hit; ++seed) {
+    Simulator sim;
+    StableStore store(sim, p);
+    store.seed_faults(Rng(seed));
+    const std::uint64_t id = commit_and_read_clean(store);
+    store.begin_write(sample_record(3));
+    sim.run();
+    store.discard_above(2);
+    if (store.entry_id(2) == id) continue;  // the flip hit another entry
+    hit = true;
+    EXPECT_EQ(store.latent_corruptions(), 1u);
+    expect_entry_two_damaged(store, id);
+  }
+  EXPECT_TRUE(hit);
+}
+
+TEST_F(StableStoreFixture, EntryIdsChangeWithTheBytes) {
+  store_.commit_now(sample_record(1));
+  const auto id = store_.entry_id(1);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_FALSE(store_.entry_id(2).has_value());
+  EXPECT_EQ(store_.entry_id(1), id);  // reads change nothing
+  (void)store_.latest_committed();
+  EXPECT_EQ(store_.entry_id(1), id);
+  store_.commit_now(sample_record(1));  // same index, rewritten in place
+  EXPECT_NE(store_.entry_id(1), id);
+  const auto rewritten = store_.entry_id(1);
+  const std::size_t size = sample_record(1).encoded_size();
+  ASSERT_TRUE(store_.corrupt_retained(1, size - 1));
+  ASSERT_TRUE(store_.corrupt_retained(1, size - 1));  // the same bit back
+  EXPECT_TRUE(store_.has_valid(1));
+  EXPECT_NE(store_.entry_id(1), rewritten);
 }
 
 TEST_F(StableStoreFixture, DecodeReattachesViewHandle) {

@@ -139,6 +139,54 @@ TEST(TransportCoreTest, SnapshotRestoreRoundTripsDedupState) {
   EXPECT_FALSE(core.already_consumed(m));
 }
 
+TEST(TransportCoreTest, SnapshotBytesMatchTheDocumentedLayout) {
+  // u32 stream count, then per stream (by dest id) u32 dest + u64 next;
+  // u32 peer count, then per peer (by id) u32 peer + u64 low + u32 tail
+  // length + one u64 per tail seq. Every integer little-endian.
+  TransportCore core(kP2);
+  core.prepare_send(internal_to(kP1Sdw));
+  core.prepare_send(internal_to(kP1Act));
+  core.prepare_send(internal_to(kP1Act));
+  Message m = internal_to(kP2);
+  m.sender = kP1Sdw;
+  for (const std::uint64_t seq : {1, 2, 9, 5, 7}) {
+    m.transport_seq = seq;
+    core.mark_consumed(m);
+  }
+  m.sender = kP1Act;
+  m.transport_seq = 3;
+  core.mark_consumed(m);
+
+  Bytes want;
+  const auto le = [&want](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      want.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  le(2, 4);                     // streams
+  le(kP1Act.value(), 4);        //   dest P1act
+  le(3, 8);                     //   next seq
+  le(kP1Sdw.value(), 4);        //   dest P1sdw
+  le(2, 8);                     //   next seq
+  le(2, 4);                     // peers
+  le(kP1Act.value(), 4);        //   peer P1act
+  le(0, 8);                     //   low: seq 1 not consumed yet
+  le(1, 4);                     //   tail length
+  le(3, 8);                     //     3
+  le(kP1Sdw.value(), 4);        //   peer P1sdw
+  le(2, 8);                     //   low
+  le(3, 4);                     //   tail length
+  for (const std::uint64_t seq : {5, 7, 9}) le(seq, 8);
+
+  const Bytes got = core.snapshot_state();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(core.snapshot_bytes_encoded(), want.size());
+  const std::uint64_t mark = core.mark();
+  m.transport_seq = 1;
+  core.mark_consumed(m);  // P1act's watermark moves past the mark
+  EXPECT_EQ(core.state_at(mark), want);
+}
+
 TEST(TransportCoreTest, RestoreStateNeverLowersSequenceCounter) {
   TransportCore core(kP1Act);
   const Bytes early = core.snapshot_state();
