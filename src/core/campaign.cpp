@@ -258,7 +258,13 @@ double computed_coverage(const MissionReport& report) {
              : 1.0;
 }
 
-/// Whether `group` is shown for `report` (one mission, or the total).
+constexpr const char* kGroupNames[] = {"adversity", "checkpoint", "lanes",
+                                       "mobile", "abft"};
+static_assert(std::size(kGroupNames) ==
+              static_cast<std::size_t>(CounterGroup::kAbft) + 1);
+
+/// Whether `group` is shown for `report` (one mission, or the total). The
+/// summary line passes an empty report, so there only the config decides.
 bool counter_group_shown(const CampaignConfig& config,
                          const MissionReport& report, CounterGroup group) {
   switch (group) {
@@ -273,6 +279,26 @@ bool counter_group_shown(const CampaignConfig& config,
   }
 }
 
+/// ` key=value` for each row of `group`, keyed by field name, or by summary
+/// label when `summary` is set (unlabelled rows are then left out).
+void append_rows(std::ostream& out, const MissionReport& report,
+                 CounterGroup group, bool summary) {
+  for (const MissionCounter& c : kMissionCounters) {
+    const char* key = summary ? c.label : c.name;
+    if (c.group == group && key) out << ' ' << key << '=' << report.*c.field;
+  }
+}
+
+/// Measured against assumed AT coverage, printed after the abft rows.
+void append_coverage(std::ostream& out, const CampaignConfig& config,
+                     const MissionReport& report) {
+  out.setf(std::ios::fixed);
+  out.precision(3);
+  out << " cov_computed=" << computed_coverage(report)
+      << " cov_assumed=" << config.base.at.coverage;
+  out.unsetf(std::ios::fixed);
+}
+
 }  // namespace
 
 std::string format_mission_report(const CampaignConfig& config,
@@ -281,50 +307,20 @@ std::string format_mission_report(const CampaignConfig& config,
   std::ostringstream out;
   if (config.verbose || !report.ok) {
     out << "mission " << index << " seed=" << report.seed
-        << (report.ok ? " ok" : " FAIL") << " net=" << report.injected_net
-        << " late=" << report.late_deliveries
-        << " drop_loss=" << report.net_dropped_loss
-        << " drop_norecv=" << report.net_dropped_no_receiver
-        << " drop_cancel=" << report.net_dropped_cancelled
-        << " retries=" << report.write_retries
-        << " torn=" << report.torn_writes
-        << " latent=" << report.latent_corruptions
-        << " hw=" << report.hw_faults
-        << " drift=" << report.drift_excursions
-        << " missed_resync=" << report.missed_resyncs
-        << " detect=" << report.monitor.violations()
-        << " degrade=" << report.monitor.degradations();
-    // Lane adjudication only exists on redundant schemes; single-lane
-    // campaign output stays byte-identical to the pre-lane format.
-    if (scheme_lane_count(config.scheme) > 1) {
-      out << " lane_inj=" << report.lane_injected
-          << " masked=" << report.lane_masked
-          << " detected=" << report.lane_detected
-          << " silent=" << report.lane_silent
-          << " lane_rb=" << report.lane_rollbacks;
-    }
-    // Mobile-family counters only when the family is armed; pre-mobile
-    // campaigns keep their lines byte-identical.
-    if (config.rates.mobile.any()) {
-      out << " link_epochs=" << report.link_epochs
-          << " disc_drop=" << report.disconnect_drops
-          << " burst_drop=" << report.burst_drops
-          << " handoffs=" << report.handoffs
-          << " handoff_aborts=" << report.handoff_aborted_writes
-          << " unacked_hw=" << report.unacked_high_water
-          << " deferred=" << report.monitor.disconnect_deferrals;
-    }
-    // Assumed-vs-computed coverage only for ABFT workloads, where the AT
-    // verdicts are measured from the block checksums.
-    if (config.base.workload.kind == WorkloadKind::kAbft) {
-      out << " at_exposed=" << report.at_exposures
-          << " at_detect=" << report.at_detected
-          << " at_miss=" << report.at_missed;
-      out.setf(std::ios::fixed);
-      out.precision(3);
-      out << " cov_computed=" << computed_coverage(report)
-          << " cov_assumed=" << config.base.at.coverage;
-      out.unsetf(std::ios::fixed);
+        << (report.ok ? " ok" : " FAIL");
+    const MissionReport none;
+    for (std::size_t g = 0; g < std::size(kGroupNames); ++g) {
+      const auto group = static_cast<CounterGroup>(g);
+      if (!counter_group_shown(config, none, group)) continue;
+      append_rows(out, report, group, true);
+      if (group == CounterGroup::kAdversity) {
+        out << " detect=" << report.monitor.violations()
+            << " degrade=" << report.monitor.degradations();
+      } else if (group == CounterGroup::kMobile) {
+        out << " deferred=" << report.monitor.disconnect_deferrals;
+      } else if (group == CounterGroup::kAbft) {
+        append_coverage(out, config, report);
+      }
     }
     out << "\n";
   }
@@ -347,24 +343,13 @@ std::string format_mission_report(const CampaignConfig& config,
 
 std::string format_mission_counters(const CampaignConfig& config,
                                     const MissionReport& report) {
-  static constexpr const char* kGroupNames[] = {"adversity", "checkpoint",
-                                                "lanes", "mobile", "abft"};
-  static_assert(std::size(kGroupNames) ==
-                static_cast<std::size_t>(CounterGroup::kAbft) + 1);
   std::ostringstream out;
   for (std::size_t g = 0; g < std::size(kGroupNames); ++g) {
     const auto group = static_cast<CounterGroup>(g);
     if (!counter_group_shown(config, report, group)) continue;
     out << kGroupNames[g] << ":";
-    for (const MissionCounter& c : kMissionCounters) {
-      if (c.group == group) out << ' ' << c.name << '=' << report.*c.field;
-    }
-    if (group == CounterGroup::kAbft) {
-      out.setf(std::ios::fixed);
-      out.precision(3);
-      out << " cov_computed=" << computed_coverage(report)
-          << " cov_assumed=" << config.base.at.coverage;
-    }
+    append_rows(out, report, group, false);
+    if (group == CounterGroup::kAbft) append_coverage(out, config, report);
     out << '\n';
   }
   out << "monitor: violations=" << report.monitor.violations()

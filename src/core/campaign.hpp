@@ -61,10 +61,12 @@ enum class CounterGroup { kAdversity, kCheckpoint, kLanes, kMobile, kAbft };
 /// How a counter folds across the missions of a campaign.
 enum class CounterFold { kSum, kMax };
 
-// Every MissionReport counter, declared once as X(field, group, fold) in
-// struct order. The rows generate the fields, the `--replay` dump and the
-// `chaos --json` totals: a new counter is one row plus its increment site
-// in run_mission (and in perfbench's field-by-field replica of it).
+// Every MissionReport counter, declared once as X(field, group, fold,
+// label) in struct order. The rows generate the fields, the `--replay`
+// dump, the `chaos --json` totals and the per-mission summary line, which
+// prints each row under its short `label` (nullptr: left off the line): a
+// new counter is one row plus its increment site in run_mission (and in
+// perfbench's field-by-field replica of it).
 //  - adversity: what the injectors actually did. Base-network drops are
 //    split by cause (summing them gives the old conflated figure):
 //    injected/probabilistic loss, no attached receiver, and in-flight
@@ -93,44 +95,44 @@ enum class CounterFold { kSum, kMax };
 //    ABFT workloads the verdicts are computed from the block checksums, so
 //    at_detected / at_exposures is a *measured* coverage to compare
 //    against the assumed `at.coverage`.
-#define SYNERGY_MISSION_COUNTERS(X)                \
-  X(injected_net, kAdversity, kSum)                \
-  X(late_deliveries, kAdversity, kSum)             \
-  X(net_dropped_loss, kAdversity, kSum)            \
-  X(net_dropped_no_receiver, kAdversity, kSum)     \
-  X(net_dropped_cancelled, kAdversity, kSum)       \
-  X(write_retries, kAdversity, kSum)               \
-  X(failed_writes, kAdversity, kSum)               \
-  X(torn_writes, kAdversity, kSum)                 \
-  X(latent_corruptions, kAdversity, kSum)          \
-  X(corrupt_reads, kAdversity, kSum)               \
-  X(hw_faults, kAdversity, kSum)                   \
-  X(drift_excursions, kAdversity, kSum)            \
-  X(missed_resyncs, kAdversity, kSum)              \
-  X(sw_recoveries, kAdversity, kSum)               \
-  X(ckpt_records, kCheckpoint, kSum)               \
-  X(ckpt_bytes_encoded, kCheckpoint, kSum)         \
-  X(ckpt_cache_hits, kCheckpoint, kSum)            \
-  X(ckpt_cache_misses, kCheckpoint, kSum)          \
-  X(stable_bytes_written, kCheckpoint, kSum)       \
-  X(lane_injected, kLanes, kSum)                   \
-  X(lane_masked, kLanes, kSum)                     \
-  X(lane_detected, kLanes, kSum)                   \
-  X(lane_silent, kLanes, kSum)                     \
-  X(lane_unprotected, kLanes, kSum)                \
-  X(lane_rollbacks, kLanes, kSum)                  \
-  X(lane_resyncs, kLanes, kSum)                    \
-  X(sig_mismatches, kLanes, kSum)                  \
-  X(link_epochs, kMobile, kSum)                    \
-  X(disconnect_drops, kMobile, kSum)               \
-  X(burst_drops, kMobile, kSum)                    \
-  X(handoffs, kMobile, kSum)                       \
-  X(handoff_aborted_writes, kMobile, kSum)         \
-  X(unacked_high_water, kMobile, kMax)             \
-  X(at_exposures, kAbft, kSum)                     \
-  X(at_detected, kAbft, kSum)                      \
-  X(at_missed, kAbft, kSum)                        \
-  X(at_false_alarms, kAbft, kSum)
+#define SYNERGY_MISSION_COUNTERS(X)                           \
+  X(injected_net, kAdversity, kSum, "net")                    \
+  X(late_deliveries, kAdversity, kSum, "late")                \
+  X(net_dropped_loss, kAdversity, kSum, "drop_loss")          \
+  X(net_dropped_no_receiver, kAdversity, kSum, "drop_norecv") \
+  X(net_dropped_cancelled, kAdversity, kSum, "drop_cancel")   \
+  X(write_retries, kAdversity, kSum, "retries")               \
+  X(failed_writes, kAdversity, kSum, nullptr)                 \
+  X(torn_writes, kAdversity, kSum, "torn")                    \
+  X(latent_corruptions, kAdversity, kSum, "latent")           \
+  X(corrupt_reads, kAdversity, kSum, nullptr)                 \
+  X(hw_faults, kAdversity, kSum, "hw")                        \
+  X(drift_excursions, kAdversity, kSum, "drift")              \
+  X(missed_resyncs, kAdversity, kSum, "missed_resync")        \
+  X(sw_recoveries, kAdversity, kSum, nullptr)                 \
+  X(ckpt_records, kCheckpoint, kSum, nullptr)                 \
+  X(ckpt_bytes_encoded, kCheckpoint, kSum, nullptr)           \
+  X(ckpt_cache_hits, kCheckpoint, kSum, nullptr)              \
+  X(ckpt_cache_misses, kCheckpoint, kSum, nullptr)            \
+  X(stable_bytes_written, kCheckpoint, kSum, nullptr)         \
+  X(lane_injected, kLanes, kSum, "lane_inj")                  \
+  X(lane_masked, kLanes, kSum, "masked")                      \
+  X(lane_detected, kLanes, kSum, "detected")                  \
+  X(lane_silent, kLanes, kSum, "silent")                      \
+  X(lane_unprotected, kLanes, kSum, nullptr)                  \
+  X(lane_rollbacks, kLanes, kSum, "lane_rb")                  \
+  X(lane_resyncs, kLanes, kSum, nullptr)                      \
+  X(sig_mismatches, kLanes, kSum, nullptr)                    \
+  X(link_epochs, kMobile, kSum, "link_epochs")                \
+  X(disconnect_drops, kMobile, kSum, "disc_drop")             \
+  X(burst_drops, kMobile, kSum, "burst_drop")                 \
+  X(handoffs, kMobile, kSum, "handoffs")                      \
+  X(handoff_aborted_writes, kMobile, kSum, "handoff_aborts")  \
+  X(unacked_high_water, kMobile, kMax, "unacked_hw")          \
+  X(at_exposures, kAbft, kSum, "at_exposed")                  \
+  X(at_detected, kAbft, kSum, "at_detect")                    \
+  X(at_missed, kAbft, kSum, "at_miss")                        \
+  X(at_false_alarms, kAbft, kSum, nullptr)
 
 struct MissionReport {
   std::uint64_t seed = 0;
@@ -163,10 +165,11 @@ struct MissionCounter {
   const char* name;
   CounterGroup group;
   CounterFold fold;
+  const char* label;  ///< Summary-line key; nullptr when not on the line.
   std::uint64_t MissionReport::*field;
 };
-#define SYNERGY_MISSION_COUNTER_ROW(field, group, fold)     \
-  MissionCounter{#field, CounterGroup::group, CounterFold::fold, \
+#define SYNERGY_MISSION_COUNTER_ROW(field, group, fold, label)          \
+  MissionCounter{#field, CounterGroup::group, CounterFold::fold, label, \
                  &MissionReport::field},
 inline constexpr MissionCounter kMissionCounters[] = {
     SYNERGY_MISSION_COUNTERS(SYNERGY_MISSION_COUNTER_ROW)};

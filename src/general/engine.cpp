@@ -89,40 +89,6 @@ void GeneralEngine::on_app_send(bool external, std::uint64_t input) {
   do_app_send(external, input);
 }
 
-void GeneralEngine::on_local_step(std::uint64_t input) {
-  if (!alive_) return;
-  if (blocking_) {
-    deferred_.push_back(StepReq{input});
-    return;
-  }
-  services_.app->local_step(input);
-}
-
-void GeneralEngine::on_confidence_loss() {
-  if (!alive_) return;
-  if (blocking_) {
-    trace(TraceKind::kHoldBlocked, "confidence_loss");
-    deferred_.push_back(ConfLossReq{});
-    return;
-  }
-  do_confidence_loss();
-}
-
-void GeneralEngine::do_confidence_loss() {
-  trace(TraceKind::kConfidenceLoss);
-  // Same machinery as absorbing contaminated traffic, minus the absorption:
-  // anchor the last-known-good state (when clean) and mark the process
-  // dirty. With no new entry merged into absorbed_, any later validation
-  // trivially covers the (unchanged) dependency set and clears the bit —
-  // the AT has re-certified the state since the suspect window.
-  capture_anchor(CkptKind::kType1);
-  if (!dirty_bit_) {
-    dirty_bit_ = true;
-    trace(TraceKind::kCkptVolatile, "type1");
-    trace(TraceKind::kDirtySet);
-  }
-}
-
 void GeneralEngine::on_message(const Message& m) {
   if (!alive_) return;
   if (tracing()) {
@@ -453,10 +419,6 @@ void GeneralEngine::end_blocking() {
     if (!alive_) break;
     if (auto* send = std::get_if<SendReq>(&op)) {
       do_app_send(send->external, send->input);
-    } else if (auto* step = std::get_if<StepReq>(&op)) {
-      services_.app->local_step(step->input);
-    } else if (std::get_if<ConfLossReq>(&op)) {
-      do_confidence_loss();
     } else {
       process_message(std::get<Message>(op));
     }

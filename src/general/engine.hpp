@@ -74,14 +74,7 @@ class GeneralEngine final : public CheckpointableProcess {
 
   // ---- Workload / transport events ---------------------------------------
   void on_app_send(bool external, std::uint64_t input);
-  void on_local_step(std::uint64_t input);
   void on_message(const Message& m);
-  /// Redundant-lane signature monitor reported a control-flow fault:
-  /// confidence in the current state is lost. Anchors (if clean) and sets
-  /// the dirty bit, exactly like absorbing contaminated traffic; the next
-  /// covering validation clears it. Deferred (never dropped) while
-  /// blocking — only passed_AT is processed during a blocking period.
-  void on_confidence_loss();
 
   // ---- CheckpointableProcess ----------------------------------------------
   ProcessId self() const override { return services_.self; }
@@ -146,18 +139,13 @@ class GeneralEngine final : public CheckpointableProcess {
     bool external;
     std::uint64_t input;
   };
-  struct StepReq {
-    std::uint64_t input;
-  };
-  struct ConfLossReq {};
-  using Deferred = std::variant<SendReq, StepReq, Message, ConfLossReq>;
+  using Deferred = std::variant<SendReq, Message>;
   struct AckKey {
     ProcessId sender;
     std::uint64_t transport_seq;
   };
 
   void do_app_send(bool external, std::uint64_t input);
-  void do_confidence_loss();
   void process_message(const Message& m);
   void do_app_message(const Message& m);
   void do_passed_at(const Message& m);

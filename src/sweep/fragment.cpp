@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 #include "sweep/json.hpp"
@@ -66,31 +67,34 @@ void append_metric(std::string& out, const char* name, const Moments& m,
   out += "]}";
 }
 
+/// The JSON object holding each TallyLine's keys; nullptr for a line of
+/// plain keys in the cell (or overall) object itself.
+constexpr const char* kTallyObject[] = {nullptr, nullptr, "at", "lanes"};
+static_assert(std::size(kTallyObject) ==
+              static_cast<std::size_t>(TallyLine::kLanes) + 1);
+
+const char* tally_object(TallyLine line) {
+  return kTallyObject[static_cast<std::size_t>(line)];
+}
+
+/// One line per TallyLine, its keys in row order.
 void append_tallies(std::string& out, const CellTallies& t,
                     const char* indent) {
-  out += indent;
-  out += "\"missions\": " + u64(t.missions);
-  out += ", \"ok\": " + u64(t.ok);
-  out += ", \"oracle_violations\": " + u64(t.oracle_violations);
-  out += ",\n";
-  out += indent;
-  out += "\"detections\": " + u64(t.detections);
-  out += ", \"degradations\": " + u64(t.degradations);
-  out += ", \"hw_faults\": " + u64(t.hw_faults);
-  out += ", \"sw_recoveries\": " + u64(t.sw_recoveries);
-  out += ", \"injected_net\": " + u64(t.injected_net);
-  out += ",\n";
-  out += indent;
-  out += "\"at\": {\"exposures\": " + u64(t.at_exposures) +
-         ", \"detected\": " + u64(t.at_detected) +
-         ", \"missed\": " + u64(t.at_missed) +
-         ", \"false_alarms\": " + u64(t.at_false_alarms) + "}";
-  out += ",\n";
-  out += indent;
-  out += "\"lanes\": {\"injected\": " + u64(t.lane_injected) +
-         ", \"masked\": " + u64(t.lane_masked) +
-         ", \"detected\": " + u64(t.lane_detected) +
-         ", \"silent\": " + u64(t.lane_silent) + "}";
+  const CellTally* prev = nullptr;
+  for (const CellTally& row : kCellTallies) {
+    if (prev && prev->line == row.line) {
+      out += ", ";
+    } else {
+      if (prev) out += tally_object(prev->line) ? "},\n" : ",\n";
+      out += indent;
+      if (const char* object = tally_object(row.line)) {
+        out += quoted(object) + ": {";
+      }
+    }
+    out += quoted(row.key) + ": " + u64(t.*row.field);
+    prev = &row;
+  }
+  if (tally_object(prev->line)) out += "}";
 }
 
 template <class T, class F>
@@ -241,24 +245,10 @@ Reservoir parse_reservoir(const JsonValue& v) {
 
 CellTallies parse_tallies(const JsonValue& v) {
   CellTallies t;
-  t.missions = v.at("missions").as_u64();
-  t.ok = v.at("ok").as_u64();
-  t.oracle_violations = v.at("oracle_violations").as_u64();
-  t.detections = v.at("detections").as_u64();
-  t.degradations = v.at("degradations").as_u64();
-  t.hw_faults = v.at("hw_faults").as_u64();
-  t.sw_recoveries = v.at("sw_recoveries").as_u64();
-  t.injected_net = v.at("injected_net").as_u64();
-  const JsonValue& at = v.at("at");
-  t.at_exposures = at.at("exposures").as_u64();
-  t.at_detected = at.at("detected").as_u64();
-  t.at_missed = at.at("missed").as_u64();
-  t.at_false_alarms = at.at("false_alarms").as_u64();
-  const JsonValue& lanes = v.at("lanes");
-  t.lane_injected = lanes.at("injected").as_u64();
-  t.lane_masked = lanes.at("masked").as_u64();
-  t.lane_detected = lanes.at("detected").as_u64();
-  t.lane_silent = lanes.at("silent").as_u64();
+  for (const CellTally& row : kCellTallies) {
+    const char* object = tally_object(row.line);
+    t.*row.field = (object ? v.at(object) : v).at(row.key).as_u64();
+  }
   return t;
 }
 
@@ -319,15 +309,21 @@ ShardResult parse_fragment(const std::string& json_text) {
         static_cast<std::size_t>(cv.at("index").as_u64());
     if (index >= grid.size()) bad("cell index out of range");
     CellStats c(grid[index]);
+    const auto bad_cell = [index](const std::string& what) {
+      bad("cell " + std::to_string(index) + ": " + what);
+    };
     if (cv.at("seed").as_u64() != c.cell.seed) {
-      bad("cell " + std::to_string(index) +
-          ": seed disagrees with the sweep header");
+      bad_cell("seed disagrees with the sweep header");
     }
     if (parse_scheme_or_die(cv.at("scheme").as_string()) != c.cell.scheme) {
-      bad("cell " + std::to_string(index) +
-          ": scheme disagrees with the sweep header");
+      bad_cell("scheme disagrees with the sweep header");
     }
+    // A sweep folds exactly `reps` missions into every cell.
     c.tallies = parse_tallies(cv);
+    if (c.tallies.missions != cfg.reps) {
+      bad_cell("missions disagrees with the sweep header's reps");
+    }
+    if (c.tallies.ok > c.tallies.missions) bad_cell("ok exceeds missions");
     const JsonValue& rb = cv.at("rollback_s");
     c.rollback = parse_moments(rb);
     c.rollback_samples = parse_reservoir(rb);

@@ -1,6 +1,8 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "core/pool.hpp"
@@ -21,23 +23,12 @@ std::uint64_t sample_priority(std::uint64_t cell_seed, std::uint64_t salt,
 
 }  // namespace
 
+// fold fills the outcome rows by hand; every other row sums its counter.
+static_assert(std::count_if(std::begin(kCellTallies), std::end(kCellTallies),
+                            [](const CellTally& t) { return !t.from; }) == 5);
+
 void CellTallies::accumulate(const CellTallies& other) {
-  missions += other.missions;
-  ok += other.ok;
-  oracle_violations += other.oracle_violations;
-  detections += other.detections;
-  degradations += other.degradations;
-  hw_faults += other.hw_faults;
-  sw_recoveries += other.sw_recoveries;
-  injected_net += other.injected_net;
-  at_exposures += other.at_exposures;
-  at_detected += other.at_detected;
-  at_missed += other.at_missed;
-  at_false_alarms += other.at_false_alarms;
-  lane_injected += other.lane_injected;
-  lane_masked += other.lane_masked;
-  lane_detected += other.lane_detected;
-  lane_silent += other.lane_silent;
+  for (const CellTally& t : kCellTallies) this->*t.field += other.*t.field;
 }
 
 void CellStats::fold(std::size_t index, const MissionReport& report) {
@@ -46,17 +37,9 @@ void CellStats::fold(std::size_t index, const MissionReport& report) {
   tallies.oracle_violations += report.failures.size();
   tallies.detections += report.monitor.violations();
   tallies.degradations += report.monitor.degradations();
-  tallies.hw_faults += report.hw_faults;
-  tallies.sw_recoveries += report.sw_recoveries;
-  tallies.injected_net += report.injected_net;
-  tallies.at_exposures += report.at_exposures;
-  tallies.at_detected += report.at_detected;
-  tallies.at_missed += report.at_missed;
-  tallies.at_false_alarms += report.at_false_alarms;
-  tallies.lane_injected += report.lane_injected;
-  tallies.lane_masked += report.lane_masked;
-  tallies.lane_detected += report.lane_detected;
-  tallies.lane_silent += report.lane_silent;
+  for (const CellTally& t : kCellTallies) {
+    if (t.from) tallies.*t.field += report.*t.from;
+  }
 
   blocking.add(report.blocking_seconds);
   blocking_samples.add(report.blocking_seconds,

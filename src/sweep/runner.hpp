@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "sweep/grid.hpp"
@@ -28,27 +29,64 @@ namespace synergy::sweep {
 /// purpose: 10^5-mission sweeps must stay O(cells) resident.
 inline constexpr std::size_t kReservoirCapacity = 64;
 
+/// Where a cell tally sits in a fragment: on the outcome or the adversity
+/// line of the cell object, or inside its `at` or `lanes` object.
+enum class TallyLine { kOutcome, kAdversity, kAt, kLanes };
+
+// Every per-cell tally, declared once as X(field, line, key) in wire
+// order. The rows generate the CellTallies fields, their merge, their fold
+// and their fragment JSON: a new tally is one row, plus its increment site
+// in run_mission when it mirrors a MissionReport counter.
+//  - The 11 rows named like a MissionReport counter sum that counter.
+//  - The five outcome rows (missions, ok, oracle_violations, detections,
+//    degradations) come from the mission's verdict and its monitor; fold
+//    fills them by hand.
+#define SYNERGY_CELL_TALLIES(X)                             \
+  X(missions, kOutcome, "missions")                         \
+  X(ok, kOutcome, "ok")                                     \
+  X(oracle_violations, kOutcome, "oracle_violations")       \
+  X(detections, kAdversity, "detections")                   \
+  X(degradations, kAdversity, "degradations")               \
+  X(hw_faults, kAdversity, "hw_faults")                     \
+  X(sw_recoveries, kAdversity, "sw_recoveries")             \
+  X(injected_net, kAdversity, "injected_net")               \
+  X(at_exposures, kAt, "exposures")                         \
+  X(at_detected, kAt, "detected")                           \
+  X(at_missed, kAt, "missed")                               \
+  X(at_false_alarms, kAt, "false_alarms")                   \
+  X(lane_injected, kLanes, "injected")                      \
+  X(lane_masked, kLanes, "masked")                          \
+  X(lane_detected, kLanes, "detected")                      \
+  X(lane_silent, kLanes, "silent")
+
 /// Summed per-cell mission outcomes (exact counts, trivially mergeable).
 struct CellTallies {
-  std::uint64_t missions = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t oracle_violations = 0;
-  std::uint64_t detections = 0;
-  std::uint64_t degradations = 0;
-  std::uint64_t hw_faults = 0;
-  std::uint64_t sw_recoveries = 0;
-  std::uint64_t injected_net = 0;
-  std::uint64_t at_exposures = 0;
-  std::uint64_t at_detected = 0;
-  std::uint64_t at_missed = 0;
-  std::uint64_t at_false_alarms = 0;
-  std::uint64_t lane_injected = 0;
-  std::uint64_t lane_masked = 0;
-  std::uint64_t lane_detected = 0;
-  std::uint64_t lane_silent = 0;
+  SYNERGY_CELL_TALLIES(SYNERGY_DECLARE_COUNTER)
 
   void accumulate(const CellTallies& other);
 };
+
+/// The MissionReport counter named `name`; nullptr when there is none.
+constexpr std::uint64_t MissionReport::*mission_counter(const char* name) {
+  for (const MissionCounter& c : kMissionCounters) {
+    if (std::string_view(c.name) == name) return c.field;
+  }
+  return nullptr;
+}
+
+struct CellTally {
+  const char* key;  ///< JSON key inside its line or object.
+  TallyLine line;
+  std::uint64_t CellTallies::*field;
+  /// The counter this tally sums; nullptr for the outcome rows.
+  std::uint64_t MissionReport::*from;
+};
+#define SYNERGY_CELL_TALLY_ROW(field, line, key)          \
+  CellTally{key, TallyLine::line, &CellTallies::field, \
+            mission_counter(#field)},
+inline constexpr CellTally kCellTallies[] = {
+    SYNERGY_CELL_TALLIES(SYNERGY_CELL_TALLY_ROW)};
+#undef SYNERGY_CELL_TALLY_ROW
 
 /// Streaming aggregate of one cell's missions.
 struct CellStats {

@@ -104,6 +104,29 @@ TEST(CounterTableTest, ReplayDumpPrintsEveryShownRowOnce) {
                                std::size(kMonitorCounters) + 4);
 }
 
+TEST(CounterTableTest, SummaryLineMatchesPinnedBytes) {
+  // The verbose per-mission line, byte for byte: the labels, their order
+  // and the derived tokens after adversity, mobile and abft.
+  const MissionReport r = distinct_report(100);
+  CampaignConfig all = all_groups_config();
+  all.verbose = true;
+  EXPECT_EQ(format_mission_report(all, 0, r),
+            "mission 0 seed=0 ok net=101 late=102 drop_loss=103 "
+            "drop_norecv=104 drop_cancel=105 retries=106 torn=108 latent=109 "
+            "hw=111 drift=112 missed_resync=113 detect=1278 degrade=903 "
+            "lane_inj=120 masked=121 detected=122 silent=123 lane_rb=125 "
+            "link_epochs=128 disc_drop=129 burst_drop=130 handoffs=131 "
+            "handoff_aborts=132 unacked_hw=133 deferred=147 at_exposed=134 "
+            "at_detect=135 at_miss=136 cov_computed=1.007 "
+            "cov_assumed=1.000\n");
+  CampaignConfig plain;
+  plain.verbose = true;
+  EXPECT_EQ(format_mission_report(plain, 0, r),
+            "mission 0 seed=0 ok net=101 late=102 drop_loss=103 "
+            "drop_norecv=104 drop_cancel=105 retries=106 torn=108 latent=109 "
+            "hw=111 drift=112 missed_resync=113 detect=1278 degrade=903\n");
+}
+
 TEST(CounterTableTest, ReplayDumpHidesGroupsTheRunDoesNotHave) {
   MissionReport r = distinct_report(100);
   r.lane_injected = 0;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "sweep/fragment.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/runner.hpp"
@@ -158,6 +159,46 @@ TEST(SweepFragment, JsonRoundTripIsExact) {
   EXPECT_EQ(reloaded.cells.size(), shard.cells.size());
 }
 
+TEST(SweepFragment, EveryTallySurvivesTheRoundTrip) {
+  // A hand-built cell whose every tally holds its own value: a tally the
+  // emitter or the parser drops, duplicates or swaps changes a value.
+  ShardResult shard;
+  shard.config = small_config();
+  shard.cells_total = grid_size(shard.config.axes);
+  CellStats c(build_grid(shard.config)[5]);
+  std::uint64_t CellTallies::*const rows[] = {
+      &CellTallies::missions,      &CellTallies::ok,
+      &CellTallies::oracle_violations, &CellTallies::detections,
+      &CellTallies::degradations,  &CellTallies::hw_faults,
+      &CellTallies::sw_recoveries, &CellTallies::injected_net,
+      &CellTallies::at_exposures,  &CellTallies::at_detected,
+      &CellTallies::at_missed,     &CellTallies::at_false_alarms,
+      &CellTallies::lane_injected, &CellTallies::lane_masked,
+      &CellTallies::lane_detected, &CellTallies::lane_silent};
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    c.tallies.*rows[i] = 1000 + i;
+  }
+  c.tallies.missions = shard.config.reps;
+  c.tallies.ok = shard.config.reps - 1;
+  c.rollback.add(1.5);
+  c.rollback.add(4.25);
+  c.rollback_samples.add(1.5, 7, c.cell.index, 0);
+  c.rollback_samples.add(4.25, 9, c.cell.index, 1);
+  c.blocking.add(0.5);
+  c.blocking_samples.add(0.5, 3, c.cell.index, 0);
+  shard.cells.push_back(c);
+  shard.missions_run = c.tallies.missions;
+
+  const std::string json = to_json(shard);
+  const ShardResult reloaded = parse_fragment(json);
+  EXPECT_EQ(to_json(reloaded), json);
+  EXPECT_EQ(to_csv(reloaded), to_csv(shard));
+  ASSERT_EQ(reloaded.cells.size(), 1u);
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    EXPECT_EQ(reloaded.cells[0].tallies.*rows[i], c.tallies.*rows[i]) << i;
+  }
+}
+
 TEST(SweepFragment, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(parse_fragment("not json"), std::runtime_error);
   EXPECT_THROW(parse_fragment("{}"), std::runtime_error);
@@ -185,6 +226,10 @@ TEST(SweepFragment, ParseRejectsMalformedDocuments) {
       edited("\"duration_s\": 20,", "\"duration_s\": 20-1,"),
       edited("\"intervals_s\": [10, 20]", "\"intervals_s\": [10, 1e300]"),
       edited("\"fault_scales\": [1, 2]", "\"fault_scales\": [1, 1e999]"),
+      // Tallies no sweep can produce: a cell folds exactly `reps`
+      // missions, and no more of them pass than ran.
+      edited("\"missions\": 3,", "\"missions\": 2,"),
+      edited("\"missions\": 3, \"ok\": 3,", "\"missions\": 3, \"ok\": 4,"),
       std::string(200000, '['),
   };
   for (const std::string& doc : malformed) {
@@ -265,4 +310,31 @@ TEST(SweepFragment, EmptyCellsSerializeCleanly) {
   const ShardResult merged = merge_fragments(fragments);
   const ShardResult full = run_sweep(config, nullptr);
   EXPECT_EQ(to_json(merged), to_json(full));
+}
+
+TEST(SweepGolden, DocumentsMatchPinnedFingerprints) {
+  // The bytes of a small sweep whose lane and acceptance-test tallies are
+  // non-zero, pinned as FNV-1a fingerprints of the JSON and the CSV.
+  SweepConfig config;
+  config.seed = 11;
+  config.reps = 3;
+  config.mission = Duration::seconds(20);
+  config.workload = WorkloadKind::kAbft;
+  config.axes.schemes = {Scheme::kCoordinated, Scheme::kMdcdTmr};
+  config.axes.fault_scales = {0.0, 1.0};
+  config.lane_flip_gap = Duration::seconds(40);
+  const ShardResult result = run_sweep(config, nullptr);
+  std::uint64_t lanes = 0, at = 0;
+  for (const CellStats& c : result.cells) {
+    lanes += c.tallies.lane_injected;
+    at += c.tallies.at_exposures;
+  }
+  EXPECT_GT(lanes, 0u);
+  EXPECT_GT(at, 0u);
+  const std::string json = to_json(result);
+  const std::string csv = to_csv(result);
+  EXPECT_EQ(fingerprint(Bytes(json.begin(), json.end())),
+            15885085712294854045ull);
+  EXPECT_EQ(fingerprint(Bytes(csv.begin(), csv.end())),
+            5261330930995472717ull);
 }
