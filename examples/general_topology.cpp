@@ -43,15 +43,16 @@ int main() {
   std::printf("\nvalidated external outputs: %zu\n", system.device_outputs());
 
   for (const auto& rec : system.hw_recoveries()) {
+    const ProcessId victim{rec.faulty_node.value()};
     std::printf("hardware fault on %s at t=%.0f s; rollback distances:",
-                system.topology().process_name(rec.victim).c_str(),
+                system.topology().process_name(victim).c_str(),
                 rec.fault_time.to_seconds());
     for (std::uint32_t p = 0; p < rec.rollback_distance.size(); ++p) {
       std::printf(" %s=%.1fs",
                   system.topology().process_name(ProcessId{p}).c_str(),
                   rec.rollback_distance[p].to_seconds());
     }
-    std::printf(" (%zu unacked re-sent)\n", rec.resent);
+    std::printf(" (%zu unacked re-sent)\n", rec.resent_messages);
   }
 
   if (const auto& r = system.sw_recovery()) {

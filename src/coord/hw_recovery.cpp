@@ -9,12 +9,17 @@
 
 namespace synergy {
 
-std::optional<StableSeq> common_valid_line(
-    const std::vector<ProcessNode*>& nodes) {
+namespace {
+
+/// The index range the non-retired nodes with stable storage can share:
+/// from the newest of their oldest retained indices up to the oldest of
+/// their newest valid ones. Nullopt when no node takes part.
+std::optional<std::pair<StableSeq, StableSeq>> common_range(
+    const std::vector<Node*>& nodes) {
   StableSeq hi = ~StableSeq{0};
   StableSeq lo = 0;
   bool any = false;
-  for (ProcessNode* n : nodes) {
+  for (Node* n : nodes) {
     if (n->retired() || !n->has_stable_storage()) continue;
     any = true;
     hi = std::min(hi, n->sstore().latest_valid_ndc());
@@ -22,51 +27,52 @@ std::optional<StableSeq> common_valid_line(
     if (!retained.empty()) lo = std::max(lo, retained.front());
   }
   if (!any) return std::nullopt;
+  return std::make_pair(lo, hi);
+}
+
+/// The newest index in the common range that `accept` takes, walking down.
+template <typename Accept>
+std::optional<StableSeq> newest_common(const std::vector<Node*>& nodes,
+                                       Accept accept) {
+  const auto range = common_range(nodes);
+  if (!range) return std::nullopt;
+  const auto [lo, hi] = *range;
   for (StableSeq cand = hi; cand + 1 > lo; --cand) {
-    bool ok = true;
-    for (ProcessNode* n : nodes) {
-      if (n->retired() || !n->has_stable_storage()) continue;
-      if (!n->sstore().has_valid(cand)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return cand;
+    if (accept(cand)) return cand;
     if (cand == 0) break;  // unsigned: don't wrap below zero
   }
   return std::nullopt;
 }
 
-std::optional<StableSeq> common_restorable_line(
-    const std::vector<ProcessNode*>& nodes, LineVerdicts& verdicts) {
-  StableSeq hi = ~StableSeq{0};
-  StableSeq lo = 0;
-  bool any = false;
-  for (ProcessNode* n : nodes) {
-    if (n->retired() || !n->has_stable_storage()) continue;
-    any = true;
-    hi = std::min(hi, n->sstore().latest_valid_ndc());
-    const auto retained = n->sstore().retained_ndcs();
-    if (!retained.empty()) lo = std::max(lo, retained.front());
-  }
-  if (!any) return std::nullopt;
-  for (StableSeq cand = hi; cand + 1 > lo; --cand) {
+}  // namespace
+
+std::optional<StableSeq> common_valid_line(const std::vector<Node*>& nodes) {
+  return newest_common(nodes, [&](StableSeq cand) {
+    for (Node* n : nodes) {
+      if (n->retired() || !n->has_stable_storage()) continue;
+      if (!n->sstore().has_valid(cand)) return false;
+    }
+    return true;
+  });
+}
+
+std::optional<StableSeq> common_restorable_line(const std::vector<Node*>& nodes,
+                                                LineVerdicts& verdicts) {
+  return newest_common(nodes, [&](StableSeq cand) {
     const auto line = stable_line_at(nodes, cand);
-    if (line && verdicts.all(*line).empty()) return cand;
-    if (cand == 0) break;  // unsigned: don't wrap below zero
-  }
-  return std::nullopt;
+    return line && verdicts.all(*line).empty();
+  });
 }
 
 std::vector<std::optional<StableSeq>> consistent_write_through_cut(
-    const std::vector<ProcessNode*>& nodes) {
+    const std::vector<Node*>& nodes) {
   const std::size_t n = nodes.size();
   std::vector<std::vector<StableSeq>> ndcs(n);        // newest first
   std::vector<std::vector<CheckpointRecord>> recs(n);  // parallel to ndcs
   std::vector<std::size_t> idx(n, 0);
   std::size_t steps = 1;
   for (std::size_t i = 0; i < n; ++i) {
-    ProcessNode* node = nodes[i];
+    Node* node = nodes[i];
     if (node->retired() || !node->has_stable_storage()) continue;
     const auto retained = node->sstore().retained_ndcs();
     for (auto it = retained.rbegin(); it != retained.rend(); ++it) {
@@ -109,20 +115,73 @@ std::vector<std::optional<StableSeq>> consistent_write_through_cut(
   return {};
 }
 
+LineChoice choose_line(const std::vector<Node*>& nodes, LineVerdicts& verdicts,
+                       bool oracle_filter) {
+  // The recovery line is the last checkpoint index *every* process has
+  // committed: a fault inside the timer-skew window leaves some processes
+  // one index ahead, and TB's guarantees hold per-index, not across
+  // indices. (Write-through has no indices; each process restores its
+  // latest validated checkpoint, which the paper argues form a consistent
+  // global state by construction.)
+  LineChoice choice;
+  for (Node* n : nodes) {
+    if (n->retired() || !n->has_stable_storage()) continue;
+    choice.participants.push_back(n);
+    if (n->tb() == nullptr) choice.timered = false;
+  }
+  if (choice.participants.empty()) return choice;
+  if (choice.timered) {
+    // Storage faults can leave the record at the naive line (min of latest
+    // indices) undecodable on some node, and injector-era lines can fail
+    // the paper's oracles outright: hardened mode prefers the newest index
+    // that is intact everywhere AND restores a clean global state, then
+    // degrades to merely intact.
+    if (oracle_filter) {
+      choice.ndc = common_restorable_line(choice.participants, verdicts);
+    }
+    if (!choice.ndc) choice.ndc = common_valid_line(choice.participants);
+  } else if (oracle_filter) {
+    // Hardened index-less selection: per-node newest records rolled back
+    // into a cut the oracles accept (write-latency skew / torn newest
+    // records otherwise restore orphan receipts).
+    choice.cut = consistent_write_through_cut(choice.participants);
+  }
+  return choice;
+}
+
+GlobalState line_state(const LineChoice& choice) {
+  // One record decoded at a time: a 256-leaf line held whole costs
+  // hundreds of KB of peak memory.
+  GlobalState state;
+  for (std::size_t i = 0; i < choice.participants.size(); ++i) {
+    const StableStore& store = choice.participants[i]->sstore();
+    std::optional<CheckpointRecord> rec;
+    if (choice.ndc) {
+      rec = store.committed_for(*choice.ndc);
+    } else if (i < choice.cut.size() && choice.cut[i]) {
+      rec = store.committed_for(*choice.cut[i]);
+    } else {
+      rec = store.latest_committed();
+    }
+    if (rec) state.processes.push_back(facts_from_record(*rec));
+  }
+  return state;
+}
+
 HardwareRecoveryManager::HardwareRecoveryManager(
-    Simulator& sim, std::vector<ProcessNode*> nodes, Duration repair_latency,
-    TraceLog* trace, LineVerdicts& verdicts, bool oracle_filter)
+    Simulator& sim, std::vector<Node*> nodes, Duration repair_latency,
+    TraceLog* trace, LineVerdicts& verdicts,
+    std::function<std::uint32_t()> next_epoch, bool oracle_filter)
     : sim_(sim), nodes_(std::move(nodes)), repair_latency_(repair_latency),
-      trace_(trace), verdicts_(verdicts), oracle_filter_(oracle_filter) {
+      trace_(trace), verdicts_(verdicts), next_epoch_(std::move(next_epoch)),
+      oracle_filter_(oracle_filter) {
   SYNERGY_EXPECTS(repair_latency >= Duration::zero());
 }
 
-void HardwareRecoveryManager::inject_fault(
-    NodeId node, std::uint32_t new_epoch,
-    std::function<void(const HwRecoveryStats&)> on_recovered) {
-  SYNERGY_EXPECTS(!pending_);  // single-fault-at-a-time model
-  ProcessNode* victim = nullptr;
-  for (ProcessNode* n : nodes_) {
+void HardwareRecoveryManager::inject_fault(NodeId node) {
+  if (pending_) return;  // single-fault-at-a-time model
+  Node* victim = nullptr;
+  for (Node* n : nodes_) {
     if (n->node_id() == node) victim = n;
   }
   SYNERGY_EXPECTS(victim != nullptr);
@@ -137,73 +196,45 @@ void HardwareRecoveryManager::inject_fault(
   // the survivors (stop timers, abort in-progress writes). Otherwise a
   // survivor could re-commit the current line index with post-fault
   // content the victim can never match — a mixed-time recovery line.
-  for (ProcessNode* n : nodes_) {
+  for (Node* n : nodes_) {
     if (n == victim || n->retired()) continue;
     if (TbEngine* tb = n->tb()) tb->stop();
     if (n->has_stable_storage()) n->sstore().crash_abort_in_progress();
   }
 
-  sim_.schedule_after(
-      repair_latency_,
-      [this, fault_time, node, new_epoch,
-       on_recovered = std::move(on_recovered)] {
-        HwRecoveryStats stats = recover_all(fault_time, node, new_epoch);
-        pending_ = false;
-        if (on_recovered) on_recovered(stats);
-      });
+  sim_.schedule_after(repair_latency_, [this, fault_time, node] {
+    recoveries_.push_back(recover_all(fault_time, node));
+    pending_ = false;
+  });
 }
 
 HwRecoveryStats HardwareRecoveryManager::recover_all(TimePoint fault_time,
-                                                     NodeId faulty,
-                                                     std::uint32_t epoch) {
+                                                     NodeId faulty) {
+  const std::uint32_t epoch = next_epoch_();
   HwRecoveryStats stats;
   stats.fault_time = fault_time;
   stats.faulty_node = faulty;
   stats.rollback_distance.resize(nodes_.size(), Duration::zero());
   stats.restored_dirty.resize(nodes_.size(), false);
 
-  // The recovery line is the last checkpoint index *every* process has
-  // committed: a fault inside the timer-skew window leaves some processes
-  // one index ahead, and TB's guarantees hold per-index, not across
-  // indices. (Write-through has no indices; each process restores its
-  // latest validated checkpoint, which the paper argues form a consistent
-  // global state by construction.)
-  std::optional<StableSeq> line_ndc;
-  bool timered = true;
-  for (ProcessNode* n : nodes_) {
-    if (n->retired()) continue;
-    if (n->tb() == nullptr) timered = false;
-  }
-  std::vector<std::optional<StableSeq>> wt_cut;
-  if (timered) {
-    // Storage faults can leave the record at the naive line (min of latest
-    // indices) undecodable on some node, and injector-era lines can fail
-    // the paper's oracles outright: hardened mode prefers the newest index
-    // that is intact everywhere AND restores a clean global state, then
-    // degrades to merely intact, then to per-node fallbacks.
-    if (oracle_filter_) line_ndc = common_restorable_line(nodes_, verdicts_);
-    if (!line_ndc) line_ndc = common_valid_line(nodes_);
-    if (!line_ndc) {
-      StableSeq min_ndc = ~StableSeq{0};
-      for (ProcessNode* n : nodes_) {
-        if (n->retired()) continue;
-        min_ndc = std::min(min_ndc, n->sstore().latest_valid_ndc());
-      }
-      line_ndc = min_ndc;
+  LineChoice line = choose_line(nodes_, verdicts_, oracle_filter_);
+  if (line.timered && !line.ndc) {
+    // No common intact index: every node restores its newest intact
+    // record at or below the naive line (restore_from_stable's fallback).
+    StableSeq min_ndc = ~StableSeq{0};
+    for (Node* n : line.participants) {
+      min_ndc = std::min(min_ndc, n->sstore().latest_valid_ndc());
     }
-  } else if (oracle_filter_) {
-    // Hardened index-less recovery: per-node newest records rolled back
-    // into a cut the oracles accept (write-latency skew / torn newest
-    // records otherwise restore orphan receipts).
-    wt_cut = consistent_write_through_cut(nodes_);
+    line.ndc = min_ndc;
   }
 
   // Phase 1: every non-retired process rolls back to the line.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ProcessNode* n = nodes_[i];
-    if (n->retired()) continue;
+  for (std::size_t j = 0; j < line.participants.size(); ++j) {
+    Node* n = line.participants[j];
+    const auto i = static_cast<std::size_t>(
+        std::find(nodes_.begin(), nodes_.end(), n) - nodes_.begin());
     const CheckpointRecord rec = n->restore_from_stable(
-        epoch, i < wt_cut.size() && wt_cut[i] ? wt_cut[i] : line_ndc);
+        epoch, j < line.cut.size() && line.cut[j] ? line.cut[j] : line.ndc);
     // Rollback distance counts undone *computation*: work done between the
     // restored state and the fault. Repair downtime is not part of it.
     stats.rollback_distance[i] = fault_time - rec.state_time;
@@ -212,7 +243,7 @@ HwRecoveryStats HardwareRecoveryManager::recover_all(TimePoint fault_time,
 
   // Phase 2: re-send unacked messages from the restored logs (after every
   // process is back, so nothing is delivered into a dead node).
-  for (ProcessNode* n : nodes_) {
+  for (Node* n : nodes_) {
     if (n->retired()) continue;
     stats.resent_messages += n->resend_unacked();
   }

@@ -17,10 +17,10 @@ constexpr Oracle kOracles[] = {&check_consistency, &check_recoverability,
 
 }  // namespace
 
-std::optional<StableLine> stable_line_at(const std::vector<ProcessNode*>& nodes,
+std::optional<StableLine> stable_line_at(const std::vector<Node*>& nodes,
                                          StableSeq ndc) {
   StableLine line;
-  for (ProcessNode* n : nodes) {
+  for (Node* n : nodes) {
     if (n->retired() || !n->has_stable_storage()) continue;
     const StableStore& store = n->sstore();
     const auto id = store.entry_id(ndc);

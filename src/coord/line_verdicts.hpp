@@ -34,7 +34,7 @@ struct StableLine {
     std::uint64_t id;
     bool operator==(const Entry&) const = default;
   };
-  std::vector<ProcessNode*> nodes;
+  std::vector<Node*> nodes;
   std::vector<Entry> key;
 };
 
@@ -42,7 +42,7 @@ struct StableLine {
 /// skipped). Nullopt when a node retains no entry at `ndc` or its entry
 /// does not decode; that node's read counts in corrupt_reads exactly as
 /// committed_for would count it, and later nodes are not read.
-std::optional<StableLine> stable_line_at(const std::vector<ProcessNode*>& nodes,
+std::optional<StableLine> stable_line_at(const std::vector<Node*>& nodes,
                                          StableSeq ndc);
 
 class LineVerdicts {

@@ -324,7 +324,7 @@ std::size_t AssumptionMonitor::resend_all() {
 }
 
 std::size_t AssumptionMonitor::line_violations() {
-  std::vector<ProcessNode*> participants;
+  std::vector<Node*> participants;
   for (ProcessNode* n : nodes_) {
     if (n->retired()) continue;
     if (!n->has_stable_storage() || n->tb() == nullptr) return 0;
@@ -371,7 +371,8 @@ void AssumptionMonitor::reestablish_line() {
   // Shared with the System's handoff path (coord/reline.hpp): the same
   // coordinated same-instant write-through maneuver serves line repair and
   // post-migration re-anchoring alike.
-  const auto line = reestablish_recovery_line(sim_, nodes_);
+  const auto line = reestablish_recovery_line(
+      sim_, std::vector<Node*>(nodes_.begin(), nodes_.end()));
   if (!line) return;  // no common index space to re-line in
   ++stats_.relines;
   if (trace_) {

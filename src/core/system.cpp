@@ -87,10 +87,8 @@ System::System(const SystemConfig& config) : config_(config) {
   }
 
   hw_manager_ = std::make_unique<HardwareRecoveryManager>(
-      sim_,
-      std::vector<ProcessNode*>{nodes_[0].get(), nodes_[1].get(),
-                                nodes_[2].get()},
-      config.repair_latency, trace, line_verdicts_, config.harden_recovery);
+      sim_, all_nodes(), config.repair_latency, trace, line_verdicts_,
+      [this] { return next_epoch(); }, config.harden_recovery);
 
   sw_manager_ = std::make_unique<SoftwareRecoveryManager>(
       *nodes_[0]->p1act(), *nodes_[1]->p1sdw(), *nodes_[2]->p2(),
@@ -154,16 +152,15 @@ void System::run() {
   sim_.run_until(horizon_);
 }
 
+std::vector<Node*> System::all_nodes() const {
+  std::vector<Node*> all;
+  for (const auto& node : nodes_) all.push_back(node.get());
+  return all;
+}
+
 void System::schedule_hw_fault(TimePoint at, NodeId node_id) {
   SYNERGY_EXPECTS(config_.scheme != Scheme::kMdcdOnly);
-  sim_.schedule_at(at, [this, node_id] {
-    if (hw_manager_->recovery_pending()) return;
-    if (node(ProcessId{node_id.value()}).retired()) return;
-    hw_manager_->inject_fault(node_id, next_epoch(),
-                              [this](const HwRecoveryStats& stats) {
-                                hw_recoveries_.push_back(stats);
-                              });
-  });
+  sim_.schedule_at(at, [this, node_id] { hw_manager_->inject_fault(node_id); });
 }
 
 void System::schedule_sw_error(TimePoint at) {
@@ -271,15 +268,12 @@ bool System::perform_handoff(ProcessId target) {
   // recovery line at a fresh common index right away rather than leaving
   // a window where a rollback would have to search for one.
   if (outcome.dropped > 0 && scheme_has_tb(config_.scheme)) {
-    std::vector<ProcessNode*> all;
-    all.reserve(nodes_.size());
     bool quiescent = true;
     for (auto& node : nodes_) {
       if (!node->retired() && node->crashed()) quiescent = false;
-      all.push_back(node.get());
     }
     if (quiescent) {
-      if (const auto line = reestablish_recovery_line(sim_, all);
+      if (const auto line = reestablish_recovery_line(sim_, all_nodes());
           line && config_.enable_trace) {
         trace_.record(sim_.now(), target, TraceKind::kDegradation,
                       "handoff_reline", *line);
@@ -310,10 +304,7 @@ void System::on_lane_rollback(ProcessId detector) {
     // The suspect node's volatile state is unusable (which lane was right
     // is unknowable without a majority): treat it exactly like a hardware
     // fault and restart everyone from the oracle-filtered recovery line.
-    hw_manager_->inject_fault(NodeId{detector.value()}, next_epoch(),
-                              [this](const HwRecoveryStats& stats) {
-                                hw_recoveries_.push_back(stats);
-                              });
+    hw_manager_->inject_fault(NodeId{detector.value()});
   });
 }
 
@@ -351,87 +342,20 @@ void System::on_at_failure(ProcessId detector) {
   // every survivor's current Ndc, and each TB schedule fast-forwards to it
   // — mixing per-node indices would pair pre- and post-takeover records.
   if (config_.scheme != Scheme::kMdcdOnly) {
-    // Boundary-aligned index strictly after every survivor's schedule
-    // position: the next TB expiry re-commits the same index for everyone.
-    StableSeq line = static_cast<StableSeq>(sim_.now().count() /
-                                            config_.tb.interval.count()) +
-                     1;
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      if (TbEngine* tb = nodes_[i]->tb()) {
-        line = std::max(line, tb->ndc() + 1);
-      }
-    }
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-      ProcessNode& n = *nodes_[i];
-      // A survivor parked in a blocking period drains it now: its deferred
-      // work lands after the recovery instant on both sides of the line.
-      if (n.engine().in_blocking()) n.engine().end_blocking();
-      CheckpointRecord rec = n.engine().make_record(CkptKind::kStable);
-      rec.ndc = line;
-      n.sstore().commit_now(std::move(rec));
-      if (TbEngine* tb = n.tb()) tb->reset_after_recovery(line);
-    }
+    commit_fresh_line(sim_.now(), config_.tb.interval,
+                      {nodes_[1].get(), nodes_[2].get()});
   }
   nodes_[0]->retire();
 }
 
-System::LineChoice System::choose_stable_line() const {
-  // Mirror the recovery selection: the line is the last checkpoint index
-  // every (timer-driven) process has committed. Write-through has no
-  // indices; each process contributes its latest validated checkpoint.
-  LineChoice choice;
-  for (const auto& node : nodes_) {
-    if (node->retired()) continue;
-    auto* n = const_cast<ProcessNode*>(node.get());
-    if (!n->has_stable_storage()) continue;
-    choice.participants.push_back(n);
-    if (n->tb() == nullptr) choice.timered = false;
-  }
-  if (choice.timered && !choice.participants.empty()) {
-    // Same selection a recovery would make: in hardened mode the newest
-    // index that is intact on every participant and restores a clean
-    // global state, then merely intact (storage faults can damage the
-    // naive minimum, and injector-era indices can fail the oracles —
-    // hardened recovery skips those).
-    if (config_.harden_recovery) {
-      choice.ndc = common_restorable_line(choice.participants, line_verdicts_);
-    }
-    if (!choice.ndc) choice.ndc = common_valid_line(choice.participants);
-  }
-  return choice;
-}
-
-GlobalState System::line_state(const LineChoice& choice) const {
-  const std::vector<ProcessNode*>& participants = choice.participants;
-  std::vector<CheckpointRecord> records;
-  if (choice.ndc) {
-    for (ProcessNode* n : participants) {
-      auto rec = n->sstore().committed_for(*choice.ndc);
-      if (rec) records.push_back(std::move(*rec));
-    }
-  } else {
-    // Index-less schemes: mirror hardened recovery's per-node selection
-    // (consistent_write_through_cut), falling back to per-node newest.
-    std::vector<std::optional<StableSeq>> cut;
-    if (!choice.timered && config_.harden_recovery) {
-      cut = consistent_write_through_cut(participants);
-    }
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      ProcessNode* n = participants[i];
-      auto rec = i < cut.size() && cut[i] ? n->sstore().committed_for(*cut[i])
-                                          : n->sstore().latest_committed();
-      if (rec) records.push_back(std::move(*rec));
-    }
-  }
-  return global_state_from_records(records);
-}
-
 GlobalState System::stable_line_state() const {
-  return line_state(choose_stable_line());
+  return line_state(
+      choose_line(all_nodes(), line_verdicts_, config_.harden_recovery));
 }
 
 std::vector<Violation> System::audit_stable_line() const {
-  const LineChoice choice = choose_stable_line();
+  const LineChoice choice =
+      choose_line(all_nodes(), line_verdicts_, config_.harden_recovery);
   if (choice.ndc) {
     // Both selections return an index every participant decodes.
     if (const auto line = stable_line_at(choice.participants, *choice.ndc)) {

@@ -167,7 +167,7 @@ class System {
 
   // ---- Results ---------------------------------------------------------------
   const std::vector<HwRecoveryStats>& hw_recoveries() const {
-    return hw_recoveries_;
+    return hw_manager_->recoveries();
   }
   const std::optional<SwRecoveryStats>& sw_recovery() const {
     return sw_recovery_;
@@ -210,16 +210,7 @@ class System {
   AssumptionMonitor* monitor() { return monitor_.get(); }
 
  private:
-  /// The non-retired nodes with stable storage, and the line of common
-  /// index a recovery would pick among them (nullopt: no common index,
-  /// each node contributes its own record).
-  struct LineChoice {
-    std::vector<ProcessNode*> participants;
-    bool timered = true;
-    std::optional<StableSeq> ndc;
-  };
-  LineChoice choose_stable_line() const;
-  GlobalState line_state(const LineChoice& choice) const;
+  std::vector<Node*> all_nodes() const;
 
   void on_at_failure(ProcessId detector);
   void on_lane_rollback(ProcessId detector);
@@ -251,7 +242,6 @@ class System {
   std::uint64_t handoffs_ = 0;
   std::uint64_t handoff_aborted_writes_ = 0;
   bool lane_rollback_pending_ = false;
-  std::vector<HwRecoveryStats> hw_recoveries_;
   std::optional<SwRecoveryStats> sw_recovery_;
   std::unique_ptr<Rng> rng_;
 };

@@ -97,12 +97,12 @@ class GeneralEngine final : public CheckpointableProcess {
   void set_ndc_provider(std::function<StableSeq()> fn);
   bool dirty() const;          ///< uncovered absorbed contamination exists
   bool pseudo_dirty() const;   ///< (active) uncovered own sends exist
-  std::uint32_t epoch() const { return epoch_; }
-  void set_epoch(std::uint32_t e) { epoch_ = e; }
-  void fence_all_below(std::uint32_t epoch);
+  std::uint32_t epoch() const override { return epoch_; }
+  void set_epoch(std::uint32_t e) override { epoch_ = e; }
+  void fence_all_below(std::uint32_t epoch) override;
   void fence_dirty_below(std::uint32_t epoch);
-  void kill() { alive_ = false; }
-  void revive() { alive_ = true; }
+  void kill() override { alive_ = false; }
+  void revive() override { alive_ = true; }
   bool active_role() const { return takeover_done_ || kind_ != GProcessKind::kShadow; }
 
   /// Shadow takeover: assume the active role and replay logged messages
@@ -115,7 +115,7 @@ class GeneralEngine final : public CheckpointableProcess {
   /// Persisted in the protocol state (survives rollbacks).
   void mark_component_failed_over(std::uint32_t c);
 
-  void restore_from_record(const CheckpointRecord& record);
+  void restore_from_record(const CheckpointRecord& record) override;
   Bytes snapshot_protocol_state() const;
   void restore_protocol_state(const Bytes& state);
 

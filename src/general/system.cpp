@@ -1,11 +1,54 @@
 #include "general/system.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "coord/reline.hpp"
 
 namespace synergy {
+
+/// One process of the topology on its own node: the engine-agnostic Node
+/// hosting a GeneralEngine.
+class GeneralNode final : public Node {
+ public:
+  GeneralNode(const Topology& topology, ProcessId id, Simulator& sim,
+              Network& net, ClockEnsemble& clocks, const GeneralConfig& config,
+              const TbParams& tb, Rng& rng, TraceLog* trace,
+              std::function<void(ProcessId)> request_sw_recovery)
+      // Shadows share their component's application seed (same
+      // computation).
+      : Node(id, sim, net, trace,
+             config.seed * 7919 + topology.component_of(id),
+             WorkloadKind::kRegisters, &config.sstore, config.at,
+             sw_fault_for(topology, id), rng) {
+    endpoint_ = std::make_unique<ReliableEndpoint>(
+        net, id, [this](const Message& m) { engine_->on_message(m); });
+    auto engine = std::make_unique<GeneralEngine>(
+        topology, id, config.mdcd, services(std::move(request_sw_recovery)));
+    engine_ = engine.get();
+    adopt(std::move(engine), &tb, clocks);
+    engine_->set_ndc_provider([tbp = tb_.get()] { return tbp->ndc(); });
+    tb_->set_resync_requester([&clocks] { clocks.resync_all(); });
+  }
+
+  GeneralEngine& engine() { return *engine_; }
+
+ private:
+  /// Only a low-confidence component's active process runs the design
+  /// fault model.
+  static std::optional<SoftwareFaultParams> sw_fault_for(
+      const Topology& topology, ProcessId id) {
+    const auto& spec = topology.components()[topology.component_of(id)];
+    if (topology.is_shadow(id) || spec.confidence != Confidence::kLow) {
+      return std::nullopt;
+    }
+    SoftwareFaultParams fp;
+    fp.activation_per_send = spec.fault_activation_per_send;
+    return fp;
+  }
+
+  GeneralEngine* engine_ = nullptr;
+};
 
 GeneralSystem::GeneralSystem(Topology topology, const GeneralConfig& config)
     : topology_(std::move(topology)), config_(config) {
@@ -25,80 +68,46 @@ GeneralSystem::GeneralSystem(Topology topology, const GeneralConfig& config)
 
   TraceLog* trace = config.enable_trace ? &trace_ : nullptr;
   for (std::uint32_t p = 0; p < topology_.process_count(); ++p) {
-    auto node = std::make_unique<GNode>();
-    node->id = ProcessId{p};
-    const std::uint32_t c = topology_.component_of(node->id);
-    const auto& spec = topology_.components()[c];
-    // Shadows share their component's application seed (same computation).
-    node->app = std::make_unique<ApplicationState>(config.seed * 7919 + c);
-    node->sstore = std::make_unique<StableStore>(sim_, config.sstore);
-    node->at = std::make_unique<AcceptanceTest>(config.at, rng_->split());
-    const bool is_active_low = !topology_.is_shadow(node->id) &&
-                               spec.confidence == Confidence::kLow;
-    if (is_active_low) {
-      SoftwareFaultParams fp;
-      fp.activation_per_send = spec.fault_activation_per_send;
-      node->sw_fault =
-          std::make_unique<SoftwareFaultModel>(fp, rng_->split());
-    }
-    GeneralEngine* engine_raw = nullptr;
-    node->endpoint = std::make_unique<ReliableEndpoint>(
-        *net_, node->id, [&engine_raw, raw = node.get()](const Message& m) {
-          raw->engine->on_message(m);
-        });
-
-    ProcessServices services;
-    services.self = node->id;
-    services.now = [this] { return sim_.now(); };
-    services.transport = node->endpoint.get();
-    services.vstore = &node->vstore;
-    services.app = node->app.get();
-    services.at = node->at.get();
-    services.sw_fault = node->sw_fault.get();
-    services.trace = trace;
-    services.request_sw_recovery = [this](ProcessId detector) {
-      on_at_failure(detector);
-    };
-    node->engine = std::make_unique<GeneralEngine>(
-        topology_, node->id, config.mdcd, std::move(services));
-    engine_raw = node->engine.get();
-    (void)engine_raw;
-
-    node->tb = std::make_unique<TbEngine>(
-        tb, *node->engine, *node->sstore, clocks_->timers(node->id),
-        [this] { return clocks_->elapsed_since_resync(); }, trace);
-    node->engine->set_ndc_provider(
-        [tbp = node->tb.get()] { return tbp->ndc(); });
-    node->tb->set_resync_requester([this] { clocks_->resync_all(); });
-    nodes_.push_back(std::move(node));
+    nodes_.push_back(std::make_unique<GeneralNode>(
+        topology_, ProcessId{p}, sim_, *net_, *clocks_, config, tb, *rng_,
+        trace, [this](ProcessId detector) { on_at_failure(detector); }));
   }
 
   comp_routes_.resize(topology_.component_count());
   for (std::uint32_t c = 0; c < topology_.component_count(); ++c) {
-    comp_routes_[c].active =
-        nodes_[topology_.active_of(c).value()]->engine.get();
+    comp_routes_[c].active = &engine(topology_.active_of(c));
     if (topology_.has_shadow(c)) {
-      comp_routes_[c].shadow =
-          nodes_[topology_.shadow_of(c).value()]->engine.get();
+      comp_routes_[c].shadow = &engine(topology_.shadow_of(c));
     }
   }
+
+  hw_manager_ = std::make_unique<HardwareRecoveryManager>(
+      sim_, all_nodes(), config.repair_latency, trace, line_verdicts_,
+      [this] { return ++epoch_counter_; });
 }
 
 GeneralSystem::~GeneralSystem() = default;
 
 GeneralEngine& GeneralSystem::engine(ProcessId p) {
   SYNERGY_EXPECTS(p.value() < nodes_.size());
-  return *nodes_[p.value()]->engine;
+  return nodes_[p.value()]->engine();
 }
 
 TbEngine& GeneralSystem::tb(ProcessId p) {
   SYNERGY_EXPECTS(p.value() < nodes_.size());
-  return *nodes_[p.value()]->tb;
+  return *nodes_[p.value()]->tb();
 }
 
 ApplicationState& GeneralSystem::app(ProcessId p) {
   SYNERGY_EXPECTS(p.value() < nodes_.size());
-  return *nodes_[p.value()]->app;
+  return nodes_[p.value()]->app();
+}
+
+std::vector<Node*> GeneralSystem::all_nodes() const {
+  std::vector<Node*> all;
+  all.reserve(nodes_.size());
+  for (const auto& node : nodes_) all.push_back(node.get());
+  return all;
 }
 
 void GeneralSystem::arm_workload(std::uint32_t component, TimePoint until) {
@@ -128,10 +137,7 @@ void GeneralSystem::start(TimePoint horizon) {
   SYNERGY_EXPECTS(!started_);
   started_ = true;
   horizon_ = horizon;
-  for (auto& node : nodes_) {
-    node->sstore->commit_now(node->engine->make_record(CkptKind::kStable));
-    node->tb->start();
-  }
+  for (auto& node : nodes_) node->start();
   for (std::uint32_t c = 0; c < topology_.component_count(); ++c) {
     arm_workload(c, horizon);
   }
@@ -147,13 +153,13 @@ void GeneralSystem::schedule_sw_error(TimePoint at, std::uint32_t component) {
   SYNERGY_EXPECTS(topology_.components()[component].confidence ==
                   Confidence::kLow);
   sim_.schedule_at(at, [this, component] {
-    GNode& node = *nodes_[topology_.active_of(component).value()];
-    if (!node.engine->alive()) return;
-    node.app->corrupt(rng_->next());
-    node.engine->on_app_send(/*external=*/true, rng_->next());
+    GeneralNode& node = *nodes_[topology_.active_of(component).value()];
+    if (!node.engine().alive()) return;
+    node.app().corrupt(rng_->next());
+    node.engine().on_app_send(/*external=*/true, rng_->next());
     if (topology_.has_shadow(component)) {
-      nodes_[topology_.shadow_of(component).value()]->engine->on_app_send(
-          /*external=*/true, rng_->next());
+      engine(topology_.shadow_of(component))
+          .on_app_send(/*external=*/true, rng_->next());
     }
   });
 }
@@ -167,171 +173,76 @@ void GeneralSystem::on_at_failure(ProcessId detector) {
 
   // 1. Every low-confidence active is terminated and retired.
   for (auto& node : nodes_) {
-    const std::uint32_t c = topology_.component_of(node->id);
-    if (!topology_.is_shadow(node->id) &&
+    const std::uint32_t c = topology_.component_of(node->id());
+    if (!topology_.is_shadow(node->id()) &&
         topology_.components()[c].confidence == Confidence::kLow) {
-      node->engine->kill();
-      node->tb->stop();
-      node->endpoint->detach_network();
-      node->retired = true;
+      node->retire();
     }
   }
 
   // 2. Local rollback / roll-forward decisions for the survivors.
   for (auto& node : nodes_) {
-    if (node->retired) continue;
-    if (node->engine->dirty()) {
-      const auto& record = node->engine->latest_volatile();
+    if (node->retired()) continue;
+    GeneralEngine& engine = node->engine();
+    if (engine.dirty()) {
+      const auto& record = engine.latest_volatile();
       if (!record.has_value()) {
         // Only a hardware-crashed survivor lacks one (its RAM is gone).
         // The pending hardware recovery rebuilds it from stable storage,
         // so it is left alone, as mdcd/recovery.cpp leaves a crashed one.
-        SYNERGY_ASSERT(!node->engine->alive());
+        SYNERGY_ASSERT(!engine.alive());
         continue;
       }
-      node->engine->restore_from_record(*record);
+      engine.restore_from_record(*record);
       ++result.rolled_back;
-      trace_.record(sim_.now(), node->id, TraceKind::kRollback,
+      trace_.record(sim_.now(), node->id(), TraceKind::kRollback,
                     to_string(record->kind));
     } else {
-      trace_.record(sim_.now(), node->id, TraceKind::kRollForward);
+      trace_.record(sim_.now(), node->id(), TraceKind::kRollForward);
     }
   }
 
   // 3. Epoch fences + reconfiguration knowledge, then shadow takeovers.
   for (auto& node : nodes_) {
-    node->engine->set_epoch(new_epoch);
-    node->engine->fence_dirty_below(new_epoch);
+    GeneralEngine& engine = node->engine();
+    engine.set_epoch(new_epoch);
+    engine.fence_dirty_below(new_epoch);
     for (std::uint32_t c = 0; c < topology_.component_count(); ++c) {
       if (topology_.components()[c].confidence == Confidence::kLow) {
-        node->engine->mark_component_failed_over(c);
+        engine.mark_component_failed_over(c);
       }
     }
   }
   for (auto& node : nodes_) {
-    if (node->retired || !topology_.is_shadow(node->id)) continue;
-    result.replayed += node->engine->takeover();
+    if (node->retired() || !topology_.is_shadow(node->id())) continue;
+    result.replayed += node->engine().takeover();
   }
 
-  // 4. Fresh recovery line so no later hardware rollback spans the
-  //    takeover — at a *common* index, with every survivor's TB schedule
-  //    fast-forwarded to it.
-  // Boundary-aligned index strictly after every survivor's schedule
-  // position (see core/system.cpp).
-  StableSeq line = static_cast<StableSeq>(sim_.now().count() /
-                                          config_.tb.interval.count()) +
-                   1;
-  for (auto& node : nodes_) {
-    if (!node->retired) line = std::max(line, node->tb->ndc() + 1);
-  }
-  for (auto& node : nodes_) {
-    if (node->retired) continue;
-    if (node->engine->in_blocking()) node->engine->end_blocking();
-    CheckpointRecord rec = node->engine->make_record(CkptKind::kStable);
-    rec.ndc = line;
-    node->sstore->commit_now(std::move(rec));
-    node->tb->reset_after_recovery(line);
-  }
+  // 4. Fresh recovery line at a *common* index so no later hardware
+  //    rollback spans the takeover (coord/reline.hpp).
+  commit_fresh_line(sim_.now(), config_.tb.interval, all_nodes());
   trace_.record(sim_.now(), detector, TraceKind::kSwRecoveryDone);
   sw_recovery_ = result;
 }
 
 void GeneralSystem::schedule_hw_fault(TimePoint at, ProcessId victim) {
   sim_.schedule_at(at, [this, victim] {
-    if (hw_pending_) return;
-    GNode& node = *nodes_[victim.value()];
-    if (node.retired) return;
-    hw_pending_ = true;
-    const TimePoint fault_time = sim_.now();
-    node.crashed = true;
-    node.engine->kill();
-    node.tb->stop();
-    node.endpoint->detach_network();
-    net_->drop_in_transit_to(victim);
-    node.vstore.crash_erase();
-    node.sstore->crash_abort_in_progress();
-    // Freeze checkpointing on the survivors until the coordinated restart
-    // (see coord/hw_recovery.cpp for the rationale).
-    for (auto& other : nodes_) {
-      if (other->id == victim || other->retired) continue;
-      other->tb->stop();
-      other->sstore->crash_abort_in_progress();
-    }
-    trace_.record(fault_time, victim, TraceKind::kHwFault);
-    sim_.schedule_after(config_.repair_latency, [this, fault_time, victim] {
-      recover_hw(fault_time, victim);
-      hw_pending_ = false;
-    });
+    hw_manager_->inject_fault(NodeId{victim.value()});
   });
 }
 
-void GeneralSystem::recover_hw(TimePoint fault_time, ProcessId victim) {
-  const std::uint32_t new_epoch = ++epoch_counter_;
-  GeneralHwRecovery result;
-  result.fault_time = fault_time;
-  result.victim = victim;
-  result.rollback_distance.assign(nodes_.size(), Duration::zero());
-
-  // Common-index recovery line.
-  StableSeq line = ~StableSeq{0};
-  for (auto& node : nodes_) {
-    if (node->retired) continue;
-    node->sstore->crash_abort_in_progress();
-    line = std::min(line, node->sstore->latest_ndc());
-  }
-  for (auto& node : nodes_) {
-    if (node->retired) continue;
-    auto rec = node->sstore->committed_for(line);
-    SYNERGY_ASSERT(rec.has_value());
-    node->sstore->discard_above(line);  // undone-incarnation records
-    node->tb->stop();
-    node->engine->revive();
-    node->engine->restore_from_record(*rec);
-    node->engine->set_epoch(new_epoch);
-    node->engine->fence_all_below(new_epoch);
-    node->endpoint->reattach_network();
-    node->crashed = false;
-    CheckpointRecord baseline = node->engine->make_record(CkptKind::kType1);
-    baseline.state_time = rec->state_time;
-    node->vstore.save(std::move(baseline));
-    node->tb->reset_after_recovery(rec->ndc);
-    result.rollback_distance[node->id.value()] =
-        fault_time - rec->state_time;
-    trace_.record(sim_.now(), node->id, TraceKind::kHwRestore,
-                  to_string(rec->kind), rec->ndc);
-  }
-  for (auto& node : nodes_) {
-    if (node->retired) continue;
-    result.resent += node->endpoint->resend_unacked(new_epoch);
-  }
-  trace_.record(sim_.now(), victim, TraceKind::kHwRecoveryDone);
-  hw_recoveries_.push_back(std::move(result));
-}
-
 GlobalState GeneralSystem::stable_line_state() const {
-  StableSeq line = ~StableSeq{0};
-  bool any = false;
-  for (const auto& node : nodes_) {
-    if (node->retired) continue;
-    line = std::min(line, node->sstore->latest_ndc());
-    any = true;
-  }
-  GlobalState state;
-  if (!any) return state;
-  for (const auto& node : nodes_) {
-    if (node->retired) continue;
-    auto rec = node->sstore->committed_for(line);
-    if (rec) state.processes.push_back(facts_from_record(*rec));
-  }
-  return state;
+  return line_state(
+      choose_line(all_nodes(), line_verdicts_, /*oracle_filter=*/false));
 }
 
 GlobalState GeneralSystem::live_state() const {
   GlobalState state;
   for (const auto& node : nodes_) {
-    if (!node->engine->alive()) continue;
-    state.processes.push_back(facts_from_record(
-        node->engine->make_record(CkptKind::kType1)));
+    const GeneralEngine& engine = node->engine();
+    if (!engine.alive()) continue;
+    state.processes.push_back(
+        facts_from_record(engine.make_record(CkptKind::kType1)));
   }
   return state;
 }

@@ -7,6 +7,12 @@
 // component; and provides software- and hardware-fault injection with the
 // same recovery semantics as the canonical system, generalized to any
 // number of guarded components.
+//
+// Every process lives on a Node (coord/node.hpp), so a crash, the
+// coordinated restart and recovery-line selection are the canonical
+// system's own (HardwareRecoveryManager with the paper's naive line
+// selection). This class owns the general software recovery's rollback,
+// fencing and takeover steps and the per-component workload routes.
 #pragma once
 
 #include <memory>
@@ -14,16 +20,12 @@
 #include <vector>
 
 #include "analysis/global_state.hpp"
-#include "app/acceptance_test.hpp"
-#include "app/fault.hpp"
-#include "app/state.hpp"
 #include "clock/ensemble.hpp"
+#include "coord/hw_recovery.hpp"
 #include "general/engine.hpp"
 #include "general/topology.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "storage/stable_store.hpp"
-#include "storage/volatile_store.hpp"
 #include "tb/engine.hpp"
 #include "trace/trace.hpp"
 
@@ -47,12 +49,10 @@ struct GeneralSwRecovery {
   std::size_t replayed = 0;
 };
 
-struct GeneralHwRecovery {
-  TimePoint fault_time;
-  ProcessId victim;
-  std::vector<Duration> rollback_distance;  // per process id
-  std::size_t resent = 0;
-};
+/// One hardware restart; rollback_distance is indexed by process id.
+using GeneralHwRecovery = HwRecoveryStats;
+
+class GeneralNode;
 
 class GeneralSystem {
  public:
@@ -86,29 +86,16 @@ class GeneralSystem {
     return sw_recovery_;
   }
   const std::vector<GeneralHwRecovery>& hw_recoveries() const {
-    return hw_recoveries_;
+    return hw_manager_->recoveries();
   }
 
-  /// Recovery-line audit surface: the same oracles as the canonical
-  /// system, reading each record's views in place (facts_from_record).
+  /// Recovery-line audit surface: the global state a hardware restart
+  /// would restore right now (choose_line), for the same oracles as the
+  /// canonical system.
   GlobalState stable_line_state() const;
   GlobalState live_state() const;
 
  private:
-  struct GNode {
-    ProcessId id;
-    std::unique_ptr<ApplicationState> app;
-    VolatileStore vstore;
-    std::unique_ptr<StableStore> sstore;
-    std::unique_ptr<AcceptanceTest> at;
-    std::unique_ptr<SoftwareFaultModel> sw_fault;
-    std::unique_ptr<ReliableEndpoint> endpoint;
-    std::unique_ptr<GeneralEngine> engine;
-    std::unique_ptr<TbEngine> tb;
-    bool retired = false;
-    bool crashed = false;
-  };
-
   /// Flat workload-dispatch route: one entry per component, resolved to
   /// raw engine pointers at construction so the per-event path (the
   /// hottest callback in a large topology) is two indirect calls, not a
@@ -120,7 +107,7 @@ class GeneralSystem {
 
   void arm_workload(std::uint32_t component, TimePoint until);
   void on_at_failure(ProcessId detector);
-  void recover_hw(TimePoint fault_time, ProcessId victim);
+  std::vector<Node*> all_nodes() const;
 
   Topology topology_;
   GeneralConfig config_;
@@ -130,14 +117,16 @@ class GeneralSystem {
   std::unique_ptr<Rng> rng_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<ClockEnsemble> clocks_;
-  std::vector<std::unique_ptr<GNode>> nodes_;
+  std::vector<std::unique_ptr<GeneralNode>> nodes_;
   std::vector<CompRoute> comp_routes_;
+  // The restart's line memo (read only in oracle-filtered mode, which the
+  // general system does not use) and the shared restart path.
+  mutable LineVerdicts line_verdicts_;
+  std::unique_ptr<HardwareRecoveryManager> hw_manager_;
   TimePoint horizon_;
   bool started_ = false;
-  bool hw_pending_ = false;
   std::uint32_t epoch_counter_ = 0;
   std::optional<GeneralSwRecovery> sw_recovery_;
-  std::vector<GeneralHwRecovery> hw_recoveries_;
 };
 
 }  // namespace synergy

@@ -1,10 +1,13 @@
-// The surface a TB checkpointing engine needs from the process it guards.
+// The surface a TB checkpointing engine and a node's crash / restart
+// lifecycle need from the process they drive.
 //
 // Both the canonical three-process MDCD engines and the generalized
 // N-component engine (src/general) implement this, so the same adapted TB
-// protocol coordinates either.
+// protocol coordinates either and the same hardware restart
+// (coord/node.hpp, coord/hw_recovery.hpp) recovers either.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 
@@ -42,6 +45,18 @@ class CheckpointableProcess {
   /// adapted TB's abort-and-replace trigger).
   virtual void set_contamination_cleared_observer(
       std::function<void()> fn) = 0;
+
+  // Recovery surface (node crash and coordinated restart).
+  /// Terminate (crash, retirement) / bring back (restart) the process.
+  virtual void kill() = 0;
+  virtual void revive() = 0;
+  /// Restore process state from a checkpoint record.
+  virtual void restore_from_record(const CheckpointRecord& record) = 0;
+  /// The recovery incarnation stamped on sends and re-sends.
+  virtual std::uint32_t epoch() const = 0;
+  virtual void set_epoch(std::uint32_t e) = 0;
+  /// Drop every application message below `epoch` at consumption.
+  virtual void fence_all_below(std::uint32_t epoch) = 0;
 };
 
 }  // namespace synergy

@@ -101,13 +101,13 @@ class MdcdEngine : public CheckpointableProcess {
 
   // ---- Recovery / lifecycle ----------------------------------------------
 
-  std::uint32_t epoch() const { return epoch_; }
-  void set_epoch(std::uint32_t e) { epoch_ = e; }
+  std::uint32_t epoch() const override { return epoch_; }
+  void set_epoch(std::uint32_t e) override { epoch_ = e; }
   /// Drop application messages below these epochs at consumption: a
   /// hardware rollback fences everything, a software recovery fences only
   /// dirty-flagged messages (exactly the sends undone by contaminated
   /// processes).
-  void fence_all_below(std::uint32_t epoch);
+  void fence_all_below(std::uint32_t epoch) override;
   void fence_dirty_below(std::uint32_t epoch);
 
   /// Guarded operation: the low-confidence version is in service. When
@@ -119,8 +119,8 @@ class MdcdEngine : public CheckpointableProcess {
   /// A terminated engine ignores all events (P1act after takeover; any
   /// process while its node is crashed).
   bool alive() const override { return alive_; }
-  void kill() { alive_ = false; }
-  void revive() { alive_ = true; }
+  void kill() override { alive_ = false; }
+  void revive() override { alive_ = true; }
 
   // ---- Checkpointing -----------------------------------------------------
 
@@ -136,7 +136,7 @@ class MdcdEngine : public CheckpointableProcess {
   /// hardware recovery). Clears deferred/held queues and blocking. The
   /// engine continues in a copy of the record's view history up to its
   /// mark (copy-on-restore); a record without one starts an empty history.
-  void restore_from_record(const CheckpointRecord& record);
+  void restore_from_record(const CheckpointRecord& record) override;
 
   /// The most recent volatile checkpoint (rollback target).
   const std::optional<CheckpointRecord>& latest_volatile() const override {

@@ -123,7 +123,7 @@ void StableStore::apply_post_commit_faults() {
   ++latent_corruptions_;
 }
 
-void StableStore::commit_now(CheckpointRecord record) {
+void StableStore::commit_now(const CheckpointRecord& record) {
   crash_abort_in_progress();
   retain(encode(record));
   ++commits_;

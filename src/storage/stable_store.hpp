@@ -95,7 +95,7 @@ class StableStore {
   /// recovery managers establishing a fresh recovery line; not part of the
   /// modelled steady-state write path. Never fault-injected (the recovery
   /// path is modelled as a verified write-through).
-  void commit_now(CheckpointRecord record);
+  void commit_now(const CheckpointRecord& record);
 
   /// The most recently committed checkpoint that decodes cleanly. A
   /// corrupted newest record is skipped (counted in corrupt_reads) and the

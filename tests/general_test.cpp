@@ -359,6 +359,23 @@ TEST(GeneralSystemTest, SoftwareRecoveryLeavesACrashedNodeToHardwareRecovery) {
   }
 }
 
+// perfbench's star-256 workload at `--seed 7009`, mission 6. The software
+// recovery at t=10 s commits a fresh line at index 2, and a node whose
+// clock lags then commits its index-1 boundary above it. When a node
+// crashes at 16.5 s, the nodes' newest indices differ, and the restart
+// used to abort on the index some node lacks. The shared restart walks
+// down to the newest index every node has.
+TEST(GeneralSystemTest, RestartWalksDownToAnIndexEveryNodeHas) {
+  GeneralCampaignConfig config;
+  config.size = 256;
+  config.mission = Duration::seconds(30);
+  const GeneralMissionReport r =
+      run_general_mission(config, 2030030104138053823ULL);
+  EXPECT_EQ(r.hw_recoveries, 1u);
+  EXPECT_EQ(r.sw_recoveries, 1u);
+  EXPECT_TRUE(r.ok);
+}
+
 struct GeneralPropertyCase {
   std::uint64_t seed;
   int topology;  // 0 canonical, 1 dual, 2 star, 3 chain

@@ -250,5 +250,32 @@ TEST(HwRecoveryTest, HwFaultAfterSwRecoveryUsesPostTakeoverLine) {
   EXPECT_FALSE(system.p1sdw().guarded());
 }
 
+TEST(HwRecoveryTest, RestartInsideASoftwareRecoveryNeverLowersTheEpoch) {
+  // P2 crashes; 0.3 s later, inside the 1 s repair window, a software error
+  // is detected and recovered. The restart then runs last, so its epoch
+  // must rank above the software recovery's: an older epoch would let the
+  // fences of the two recoveries admit each other's stale messages.
+  SystemConfig c = hw_config(Scheme::kCoordinated, 15);
+  c.at.coverage = 1.0;
+  c.repair_latency = Duration::seconds(1);
+  System system(c);
+  const TimePoint crash = TimePoint::origin() + Duration::seconds(105);
+  system.start(TimePoint::origin() + Duration::seconds(300));
+  system.schedule_hw_fault(crash, NodeId{2});
+  system.schedule_sw_error(crash + Duration::millis(300));
+  system.run_until(crash + Duration::millis(500));
+  ASSERT_TRUE(system.sw_recovery().has_value());
+  ASSERT_TRUE(system.hw_manager().recovery_pending());
+  const std::uint32_t sw_epoch = system.p1sdw().epoch();
+
+  system.run();
+  ASSERT_EQ(system.hw_recoveries().size(), 1u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const MdcdEngine& engine = system.node(ProcessId{i}).engine();
+    if (!engine.alive()) continue;
+    EXPECT_GT(engine.epoch(), sw_epoch) << i;
+  }
+}
+
 }  // namespace
 }  // namespace synergy

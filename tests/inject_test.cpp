@@ -254,5 +254,21 @@ TEST(CampaignTest, FailedMissionReportCarriesTheReplayableSchedule) {
   EXPECT_EQ(replay.failures.size(), m.failures.size());
 }
 
+// 600 s missions of `synergy chaos --duration 600` (seed 5104 missions 57
+// and 182, seed 5105 mission 45) whose software error is detected while a
+// crashed node waits for its restart. The restart used to install the
+// epoch drawn at fault time, below the software recovery's, and P1sdw then
+// dropped P2's re-sends as stale: the line lost messages P2 reflects
+// sending ("... which neither reflects it nor can it be re-sent").
+TEST(CampaignTest, RestartAfterASoftwareRecoveryKeepsTheResends) {
+  const CampaignConfig config;  // coordinated, 600 s, default injectors
+  for (std::uint64_t seed : {592437340179730271ULL, 14492788472785266155ULL,
+                             1586715988752456996ULL}) {
+    const MissionReport r = run_mission(config, seed);
+    EXPECT_EQ(r.sw_recoveries, 1u) << seed;
+    EXPECT_TRUE(r.ok) << seed;
+  }
+}
+
 }  // namespace
 }  // namespace synergy

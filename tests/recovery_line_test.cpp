@@ -141,7 +141,7 @@ TEST(LineVerdictsTest, AnUnchangedLineIsAuditedOnce) {
   System system(c);
   system.start(TimePoint::origin() + Duration::seconds(60));
   system.run_until(TimePoint::origin() + Duration::seconds(35));
-  const std::vector<ProcessNode*> nodes = {
+  const std::vector<Node*> nodes = {
       &system.node(kP1Act), &system.node(kP1Sdw), &system.node(kP2)};
   const auto ndc = common_valid_line(nodes);
   ASSERT_TRUE(ndc.has_value());
