@@ -169,7 +169,8 @@ void GeneralSystem::on_at_failure(ProcessId detector) {
   GeneralSwRecovery result;
   result.detector = detector;
   const std::uint32_t new_epoch = ++epoch_counter_;
-  trace_.record(sim_.now(), detector, TraceKind::kSwErrorDetected);
+  const bool traced = config_.enable_trace;
+  if (traced) trace_.record(sim_.now(), detector, TraceKind::kSwErrorDetected);
 
   // 1. Every low-confidence active is terminated and retired.
   for (auto& node : nodes_) {
@@ -195,9 +196,11 @@ void GeneralSystem::on_at_failure(ProcessId detector) {
       }
       engine.restore_from_record(*record);
       ++result.rolled_back;
-      trace_.record(sim_.now(), node->id(), TraceKind::kRollback,
-                    to_string(record->kind));
-    } else {
+      if (traced) {
+        trace_.record(sim_.now(), node->id(), TraceKind::kRollback,
+                      to_string(record->kind));
+      }
+    } else if (traced) {
       trace_.record(sim_.now(), node->id(), TraceKind::kRollForward);
     }
   }
@@ -221,7 +224,7 @@ void GeneralSystem::on_at_failure(ProcessId detector) {
   // 4. Fresh recovery line at a *common* index so no later hardware
   //    rollback spans the takeover (coord/reline.hpp).
   commit_fresh_line(sim_.now(), config_.tb.interval, all_nodes());
-  trace_.record(sim_.now(), detector, TraceKind::kSwRecoveryDone);
+  if (traced) trace_.record(sim_.now(), detector, TraceKind::kSwRecoveryDone);
   sw_recovery_ = result;
 }
 

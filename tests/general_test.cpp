@@ -264,6 +264,19 @@ TEST_F(GeneralFixture, SoftwareRecoveryFailsOverEveryGuardedComponent) {
   EXPECT_FALSE(system_->app(ProcessId{2}).tainted());
 }
 
+TEST_F(GeneralFixture, SoftwareRecoveryRecordsNothingWhileTracingIsOff) {
+  GeneralConfig config = quiet_config();
+  config.enable_trace = false;
+  build(Topology::dual_guarded(), config);
+  component_send(0, false);
+  settle();
+  system_->schedule_sw_error(system_->sim().now() + Duration::seconds(1), 0);
+  settle();
+  ASSERT_TRUE(system_->sw_recovery().has_value());
+  EXPECT_GT(system_->sw_recovery()->rolled_back, 0u);
+  EXPECT_TRUE(system_->trace().events().empty());
+}
+
 TEST_F(GeneralFixture, StarTopologyFanOut) {
   build(Topology::star(3));
   component_send(0, false);  // hub multicasts to all leaves

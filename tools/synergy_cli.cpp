@@ -1,36 +1,25 @@
-// synergy — command-line driver for the simulator.
+// synergy — command-line driver for the simulator. Each subcommand's flags
+// are one table (DESIGN.md §22), printed by `synergy help` and
+// `synergy <cmd> --help`. Examples:
 //
-//   synergy run      [options]  run one mission and report what happened
-//   synergy sweep    [options]  sharded Monte-Carlo parameter sweep (JSON)
-//   synergy rollback [options]  Figure-7 rollback-distance sweep (CSV)
-//   synergy model    [options]  evaluate the closed-form rollback model
-//   synergy chaos    [options]  seeded fault-injection campaign
-//   synergy general  [options]  generalized N-component topology campaign
-//
-// Run `synergy help` for the full option list. Examples:
-//
-//   synergy run --scheme coordinated --duration 3600 --hw-fault 1800:2
-//   synergy run --sw-error 900 --timeline
-//   synergy run --scheme naive --seed 7 --check --trace-csv trace.csv
-//   synergy sweep --schemes coordinated,mdcd_only --fault-scales 1,2,4 \
-//       --reps 100 --duration 60 --jobs 0 --out sweep.json
-//   synergy sweep ... --shard 2/3 --out frag2.json
-//   synergy sweep --merge frag1.json frag2.json frag3.json --out full.json
-//   synergy rollback --rates 60,100,140,200 --reps 40 > fig7.csv
-//   synergy chaos --reps 50 --seed 1
-//   synergy chaos --replay 13665873534402006364
+//   synergy run --scheme naive --seed 7 --hw-fault 1800:2 --check --timeline
+//   synergy sweep --schemes coordinated,mdcd_only --shard 2/3 --out f2.json
+//   synergy sweep --merge f1.json f2.json f3.json --out full.json
+//   synergy chaos --replay 13665873534402006364 --trace-csv mission.csv
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/checkers.hpp"
@@ -50,8 +39,8 @@ using namespace synergy;
 
 namespace {
 
-/// The most worker threads `--jobs` may ask for (the usage text quotes
-/// it): above the hardware threads of common hosts, far below what would
+/// The most worker threads `--jobs` may ask for (its help text quotes it):
+/// above the hardware threads of common hosts, far below what would
 /// exhaust the process table.
 constexpr std::uint64_t kMaxJobs = 1024;
 
@@ -62,248 +51,65 @@ constexpr double kMaxRate = 1e6;
 /// `rollback --rates` counts messages per this many seconds.
 constexpr double kRollbackTimeBase = 100'000.0;
 
-// The usage text quotes the largest star and chain sizes.
+// The `--size` help text quotes the largest star and chain sizes.
 static_assert(Topology::kMaxStarLeaves == 65533 &&
               Topology::kMaxChainLength == 65534);
 
-[[noreturn]] void usage(int code) {
-  std::printf(R"(synergy — MDCD + TB fault-tolerance simulator
+/// Help lines wrap at this width; a flag's help starts at kHelpColumn.
+constexpr std::size_t kHelpWidth = 77;
+constexpr std::size_t kHelpColumn = 22;
 
-USAGE
-  synergy run      [options]  run one mission
-  synergy sweep    [options]  sharded Monte-Carlo parameter sweep (JSON)
-  synergy rollback [options]  rollback-distance sweep, CSV on stdout
-  synergy model    [options]  closed-form rollback model
-  synergy chaos    [options]  seeded fault-injection campaign
-  synergy general  [options]  generalized N-component topology campaign
-  synergy help
+[[noreturn]] void usage(int code);
 
-RUN OPTIONS
-  --scheme S          mdcd_only | write_through | naive | coordinated |
-                      mdcd+dwc | mdcd+tmr | mdcd+tb+tmr
-                      ("mdcd+tb" is an alias for coordinated; default
-                      coordinated)
-  --seed N            RNG seed (default 1)
-  --duration SECS     mission length (default 3600)
-  --internal-rate R   component internal msgs/s, at most 1e6 (default 2.0)
-  --external-rate R   external (validated) msgs/s, at most 1e6 (default
-                      0.05)
-  --interval SECS     TB checkpoint interval Delta (default 60)
-  --sw-fault-prob P   design-fault activation per send (default 0)
-  --hw-fault T:NODE   crash NODE at T seconds (repeatable)
-  --sw-error T        corrupt P1act at T seconds and force an AT
-  --gate MODE         paper | blocking_aware (default blocking_aware)
-  --tracking MODE     paper_dirty_bit | watermark (default watermark)
-  --check             audit the final stable recovery line
-  --timeline          print the ASCII event timeline
-  --trace-csv FILE    dump the trace as CSV
-  --trace-jsonl FILE  dump the trace as JSON Lines
-
-SWEEP OPTIONS (run mode)
-  Crosses scheme x fault-scale x AT-coverage x checkpoint-interval into a
-  deterministic cell grid; each cell runs --reps chaos missions through
-  the in-order parallel executor and is aggregated with streaming statistics
-  (memory stays O(cells) however many missions run). Output is a
-  `synergy-sweep-v1` JSON document on stdout (or --out).
-  --seed N            sweep seed; cell and mission seeds derive from it
-                      (default 1)
-  --reps N            missions per cell (default 100)
-  --duration SECS     mission length (default 60)
-  --schemes A,B,...   scheme axis (default coordinated)
-  --fault-scales A,.. multiplier on every chaos injector rate; 0 = fault
-                      free (default 1)
-  --coverages A,B,... AT coverage axis (default 1)
-  --intervals A,B,... TB checkpoint interval axis, seconds, each positive
-                      (default 10)
-  --workload W        registers | abft (default registers)
-  --lane-gap SECS     arm per-lane bit-flips at this mean gap (default off)
-  --sig-gap SECS      arm CFCSS signature faults at this mean gap
-  --mobile            arm the mobile disconnect/handoff family
-  --jobs N            per-cell mission fan-out; 0 = all hardware threads
-                      (default 1, at most 1024); never affects the output
-                      bytes
-  --shard I/N         run only the cells the seed-stable hash assigns to
-                      shard I of N (default 1/1); emit a mergeable fragment
-  --out FILE          write the JSON here instead of stdout
-  --csv FILE          also write a plot-ready per-cell CSV
-  --bench-json FILE   write shard throughput (cells/s) as synergy-bench-v1
-                      JSON (the BENCH_sweep.json regression baseline)
-  --quiet             suppress per-cell progress lines on stderr
-
-SWEEP OPTIONS (merge mode)
-  --merge F1 F2 ...   combine shard fragments; the merged document is
-                      byte-identical to the single-process full-grid run.
-                      Headers must agree and every cell must appear
-                      exactly once (missing cells are listed so the lost
-                      shard can be re-run). --out/--csv as above.
-
-ROLLBACK OPTIONS
-  Every rate runs coordinated and write_through, one CSV row each.
-  --seed N            RNG seed (default 42)
-  --interval SECS     TB checkpoint interval Delta (default 60)
-  --rates A,B,...     internal message rates per 100000 s, each at most
-                      1e11 (default 60,80,...,200)
-  --reps N            replications per point (default 30)
-
-MODEL OPTIONS
-  --lambda-dirty R    contamination rate [1/s], positive
-  --lambda-valid R    validation rate [1/s], positive
-  --interval SECS     Delta
-
-CHAOS OPTIONS
-  --reps N            missions to run (default 50)
-  --seed N            campaign seed; mission seeds derive from it (default 1)
-  --duration SECS     mission length (default 600)
-  --scheme S          as for run (default coordinated)
-  --jobs N            worker threads for the mission fan-out; 0 = all
-                      hardware threads (default 1, at most 1024). Reports
-                      and per-mission output are bit-identical for every
-                      value.
-  --json FILE         write campaign throughput and counter totals as
-                      synergy-bench-v1 JSON (the BENCH_campaign.json
-                      regression baseline)
-  --replay SEED       re-run exactly one mission with this mission seed
-                      (printed by a failing campaign) and dump its counters
-  --drop P            network drop probability        (default 0.01)
-  --dup P             network duplicate probability   (default 0.01)
-  --reorder P         network reorder probability     (default 0.02)
-  --delay P           beyond-tmax delay probability   (default 0.002)
-  --bitflip P         payload bit-flip probability    (default 0.005)
-  --write-error P     storage write-error probability (default 0.05)
-  --torn P            storage torn-write probability  (default 0.02)
-  --latent P          latent corruption probability   (default 0.01)
-  --hw-gap SECS       mean gap between node crashes, 0=off (default 150)
-  --drift-gap SECS    mean gap between drift excursions, 0=off (default 200)
-  --blackout-gap SECS mean gap between resync blackouts, 0=off (default 250)
-  --lane-gap SECS     mean gap between per-lane state bit-flips, 0=off
-                      (default 0; COAST register/memory injection model)
-  --sig-gap SECS      mean gap between per-lane CFCSS signature faults,
-                      0=off (default 0)
-  --workload W        registers | abft (default registers). abft runs the
-                      checksum-encoded matrix-block workload: AT verdicts
-                      are computed from the block state, and the campaign
-                      reports assumed-vs-computed coverage
-  --disconnect-gap S  mean gap between disconnection epochs, 0=off
-                      (default 0; arms the mobile mission family)
-  --disconnect-len S  mean disconnection epoch length, positive (default 15)
-  --disconnect-loss P stationary burst-loss fraction of a degraded epoch
-                      (default 0.9)
-  --disconnect-full P probability an epoch is a full blackout (default 0.5)
-  --handoff-gap SECS  mean gap between base-station handoffs, 0=off
-                      (default 0)
-  --verbose           one summary line per mission
-  A failing mission prints its seed and full schedule JSON; re-running
-  with --replay SEED reproduces it exactly.
-
-GENERAL OPTIONS
-  --topology T        star | chain (default star)
-  --size N            star: leaf count, 1..65533; chain: length, 2..65534
-                      (default 64)
-  --reps N            missions to run (default 8)
-  --seed N            campaign seed; mission seeds derive from it (default 1)
-  --duration SECS     mission length (default 60)
-  --internal-rate R   per-component internal msgs/s, at most 1e6 (default
-                      2.0)
-  --external-rate R   per-component external msgs/s, at most 1e6 (default
-                      0.3)
-  --interval SECS     TB checkpoint interval (default 10)
-  --no-hw             skip the seeded per-mission node crash
-  --no-sw             skip the seeded per-mission design-fault activation
-  --jobs N            worker threads; 0 = all hardware threads (default 1,
-                      at most 1024). Reports and per-mission output are
-                      bit-identical for every value.
-  --json FILE         write campaign throughput as synergy-bench-v1 JSON
-  --verbose           one summary line per mission
-  Every mission ends with a recovery-line audit (consistency +
-  recoverability); any violation fails the mission and the campaign.
-)");
-  std::exit(code);
-}
-
-[[noreturn]] void unknown_option(const std::string& option) {
-  std::fprintf(stderr, "unknown option: %s\n", option.c_str());
+/// Print the error on stderr, then the usage; exit 2.
+[[noreturn, gnu::format(printf, 1, 2)]] void fail(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  std::fputc('\n', stderr);
   usage(2);
 }
 
-const char* arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "missing value for %s\n", argv[i]);
-    usage(2);
-  }
-  return argv[++i];
-}
+// ---- Value parsers: each error names the flag ------------------------------
 
-Scheme parse_scheme(const std::string& s) {
-  if (const auto scheme = scheme_from_string(s)) return *scheme;
-  std::fprintf(stderr, "unknown scheme: %s\n", s.c_str());
-  usage(2);
-}
-
-WorkloadKind parse_workload(const std::string& s) {
-  if (const auto kind = workload_kind_from_string(s)) return *kind;
-  std::fprintf(stderr, "unknown workload: %s (expected registers | abft)\n",
-               s.c_str());
-  usage(2);
-}
-
-/// Parse `value` as a finite number in [lo, hi]; reject junk and
-/// out-of-range values with an error naming the flag and what it expects.
-double parse_number(const char* flag, const char* value, const char* expects,
-                    double lo, double hi = HUGE_VAL) {
+/// `value` as a number in the finite range [lo, hi], or nullopt.
+std::optional<double> to_number(const std::string& value, double lo,
+                                double hi) {
   char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !std::isfinite(v) || !(v >= lo) ||
-      !(v <= hi)) {
-    std::fprintf(stderr, "%s expects %s, got \"%s\"\n", flag, expects, value);
-    usage(2);
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || !(v >= lo) || !(v <= hi)) {
+    return std::nullopt;
   }
   return v;
 }
 
-double parse_probability(const char* flag, const char* value) {
-  return parse_number(flag, value, "a probability in [0, 1]", 0.0, 1.0);
+double parse_number(const char* flag, const char* value, const char* expects,
+                    double lo, double hi) {
+  if (const auto v = to_number(value, lo, hi)) return *v;
+  fail("%s expects %s, got \"%s\"", flag, expects, value);
 }
 
-/// Parse `value` as a non-negative duration in seconds (capped well inside
-/// Duration's microsecond range).
+/// Capped well inside Duration's microsecond range.
 Duration parse_seconds(const char* flag, const char* value) {
   return Duration::from_seconds(
       parse_number(flag, value, "a non-negative duration in seconds", 0.0,
                    Duration::kMaxInputSeconds));
 }
 
-/// Reject a value parsed as non-negative that must be positive; a
-/// duration counts as zero when it rounds below the clock's 1 µs tick.
-void require_positive(const char* flag, bool positive) {
-  if (!positive) {
-    std::fprintf(stderr, "%s must be positive\n", flag);
-    usage(2);
-  }
-}
-
-double parse_rate(const char* flag, const char* value) {
-  return parse_number(flag, value,
-                      "a non-negative rate per second, at most 1e6", 0.0,
-                      kMaxRate);
-}
-
-/// Parse `value` as a whole number in [min, max] (decimal digits only: no
-/// sign, no junk, no overflow).
-std::uint64_t parse_count(const char* flag, const char* value,
-                          std::uint64_t min = 0,
-                          std::uint64_t max = UINT64_MAX) {
+/// A whole number in [lo, hi]: decimal digits only, no sign, no junk, no
+/// overflow.
+std::uint64_t parse_count(const std::string& flag, const char* value,
+                          std::uint64_t lo, std::uint64_t hi) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long n = std::strtoull(value, &end, 10);
   if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
-      errno == ERANGE || n < min || n > max) {
-    std::fprintf(stderr, "%s expects a whole number >= %llu", flag,
-                 static_cast<unsigned long long>(min));
-    if (max != UINT64_MAX) {
-      std::fprintf(stderr, " and <= %llu", static_cast<unsigned long long>(max));
-    }
-    std::fprintf(stderr, ", got \"%s\"\n", value);
-    usage(2);
+      errno == ERANGE || n < lo || n > hi) {
+    const std::string at_most =
+        hi == UINT64_MAX ? "" : " and <= " + std::to_string(hi);
+    fail("%s expects a whole number >= %llu%s, got \"%s\"", flag.c_str(),
+         static_cast<unsigned long long>(lo), at_most.c_str(), value);
   }
   return n;
 }
@@ -321,135 +127,388 @@ std::vector<std::string> split_list(const std::string& list) {
   return items;
 }
 
-/// Comma-separated list of finite doubles in [`lo`, `hi`]; rejects empty
-/// items, junk and out-of-range values.
-std::vector<double> parse_double_list(const char* flag, const char* value,
-                                      double lo = -HUGE_VAL,
-                                      double hi = HUGE_VAL) {
+/// `value` split at its first `sep`, or an error naming the flag.
+auto split_at(const std::string& flag, const char* meta,
+              const std::string& value, char sep) {
+  const auto at = value.find(sep);
+  if (at == std::string::npos) {
+    fail("%s expects %s, got \"%s\"", flag.c_str(), meta, value.c_str());
+  }
+  return std::pair{value.substr(0, at), value.substr(at + 1)};
+}
+
+/// Reject a value parsed as non-negative that must be positive; a
+/// duration counts as zero when it rounds below the clock's 1 µs tick.
+void require_positive(const char* flag, bool positive) {
+  if (!positive) fail("%s must be positive", flag);
+}
+
+// ---- The flag table --------------------------------------------------------
+
+/// One row of a flag table. A command builds its rows over its default
+/// arguments before parsing, so a row prints its target's default.
+struct Flag {
+  const char* name;
+  const char* meta;   ///< the value's metavar; nullptr for a switch
+  std::string help;
+  std::string value;  ///< the default as printed; empty: none
+  std::function<void(const char* value)> set;  ///< a switch gets nullptr
+};
+
+/// A default as the help prints it. Paths and unset optionals print none.
+template <typename T>
+std::string shown(const T& v) {
+  if constexpr (std::is_same_v<T, Duration>) {
+    return shown(v.to_seconds());
+  } else if constexpr (std::is_enum_v<T>) {
+    return to_string(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return buf;
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_same_v<T, std::vector<typename T::value_type>>) {
+    std::string out;
+    for (const auto& item : v) out += (out.empty() ? "" : ",") + shown(item);
+    return out;
+  } else {
+    return "";
+  }
+}
+
+/// A parser kind. `kind(name, meta, &target, help, bounds...)` builds a row
+/// whose value `parse(name, value, bounds...)` turns into the target's type.
+template <typename Parse>
+struct Kind {
+  Parse parse;
+
+  template <typename T, typename... Bounds>
+  Flag operator()(const char* name, const char* meta, T* target,
+                  std::string help, Bounds... bounds) const {
+    return {name, meta, std::move(help), shown(*target),
+            [=, parse = parse](const char* v) {
+              *target = parse(name, v, bounds...);
+            }};
+  }
+};
+
+/// A whole number in [lo, hi]; the target is unsigned, or an optional one.
+constexpr Kind count{[](const char* flag, const char* value,
+                        std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) {
+  return parse_count(flag, value, lo, hi);
+}};
+
+/// The target is a Duration, or an optional one.
+constexpr Kind seconds{parse_seconds};
+
+constexpr Kind probability{[](const char* flag, const char* value) {
+  return parse_number(flag, value, "a probability in [0, 1]", 0.0, 1.0);
+}};
+
+constexpr Kind rate{[](const char* flag, const char* value) {
+  return parse_number(flag, value,
+                      "a non-negative rate per second, at most 1e6", 0.0,
+                      kMaxRate);
+}};
+
+constexpr Kind path{[](const char*, const char* v) { return std::string(v); }};
+
+/// Comma-separated finite numbers, each in [lo, hi].
+constexpr Kind number_list{[](const char* flag, const char* value, double lo,
+                              double hi) {
   std::vector<double> out;
   for (const std::string& item : split_list(value)) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0' || !std::isfinite(v) ||
-        !(v >= lo) || !(v <= hi)) {
-      std::fprintf(stderr, "%s expects a comma-separated number list", flag);
-      if (std::isfinite(hi)) {
-        std::fprintf(stderr, " (each in [%g, %g])", lo, hi);
-      } else if (std::isfinite(lo)) {
-        std::fprintf(stderr, " (each >= %g)", lo);
-      }
-      std::fprintf(stderr, ", got \"%s\"\n", value);
-      usage(2);
+    const auto v = to_number(item, lo, hi);
+    if (!v) {
+      fail("%s expects a comma-separated number list (each in [%g, %g]), "
+           "got \"%s\"",
+           flag, lo, hi, value);
     }
-    out.push_back(v);
+    out.push_back(*v);
   }
   return out;
-}
+}};
 
-/// A sweep axis: the same range a fragment's axes must satisfy on --merge,
-/// so every fragment a sweep writes can be merged.
-std::vector<double> parse_axis(const char* flag, const char* value) {
-  return parse_double_list(flag, value, 0.0, Duration::kMaxInputSeconds);
-}
-
-std::vector<Scheme> parse_scheme_list(const char* flag, const char* value) {
+constexpr Kind scheme_list{[](const char* flag, const char* value) {
   std::vector<Scheme> out;
   for (const std::string& item : split_list(value)) {
-    const auto scheme = scheme_from_string(item);
-    if (!scheme) {
-      std::fprintf(stderr, "%s: unknown scheme \"%s\"\n", flag, item.c_str());
-      usage(2);
-    }
-    out.push_back(*scheme);
+    const auto s = scheme_from_string(item);
+    if (!s) fail("%s: unknown scheme \"%s\"", flag, item.c_str());
+    out.push_back(*s);
   }
   return out;
+}};
+
+/// `T:NODE`, repeatable: crash canonical node NODE at T seconds.
+Flag node_faults(const char* name, const char* meta,
+                 std::vector<std::pair<Duration, NodeId>>* target,
+                 const char* help) {
+  return {name, meta, help, "", [=](const char* v) {
+            const std::string flag = name;
+            const auto [t, node] = split_at(flag, meta, v, ':');
+            const auto id = parse_count(flag + " NODE", node.c_str(), 0,
+                                        kNumCanonicalProcesses - 1);
+            target->emplace_back(
+                parse_seconds((flag + " T").c_str(), t.c_str()),
+                NodeId{static_cast<std::uint32_t>(id)});
+          }};
 }
 
-/// One of a flag's two documented values.
-template <typename T>
-T parse_choice(const char* flag, const char* value, const char* a, T a_value,
-               const char* b, T b_value) {
-  if (std::strcmp(value, a) == 0) return a_value;
-  if (std::strcmp(value, b) == 0) return b_value;
-  std::fprintf(stderr, "%s expects %s | %s, got \"%s\"\n", flag, a, b, value);
-  usage(2);
+/// `I/N` with 1 <= I <= N <= UINT32_MAX: run shard I of N.
+Flag shard(const char* name, const char* meta, sweep::SweepConfig* c,
+           const char* help) {
+  return {name, meta, help,
+          shown(c->shard_index + 1) + "/" + shown(c->shard_count),
+          [=](const char* v) {
+            const std::string flag = name;
+            const auto [i, n] = split_at(flag, meta, v, '/');
+            const auto index = parse_count(flag + " I", i.c_str(), 1,
+                                           UINT32_MAX);
+            const auto count = parse_count(flag + " N", n.c_str(), 1,
+                                           UINT32_MAX);
+            if (index > count) {
+              fail("%s expects %s with 1 <= I <= N, got \"%s\"", name, meta,
+                   v);
+            }
+            c->shard_index = static_cast<std::uint32_t>(index - 1);
+            c->shard_count = static_cast<std::uint32_t>(count);
+          }};
 }
 
-struct FaultSpec {
-  Duration at;
-  std::uint32_t node = 0;
-};
+/// One of `options`, spelled as their to_string (a scheme also as
+/// scheme_from_string reads it); the help lists them.
+template <typename E, std::size_t N>
+Flag choice(const char* name, const char* meta, E* target,
+            const E (&options)[N], const char* help = "") {
+  std::string names;
+  for (const E e : options) names += (names.empty() ? "" : " | ") + shown(e);
+  const Kind kind{[=](const char* flag, const char* v) {
+    if constexpr (std::is_same_v<E, Scheme>) {
+      if (const auto s = scheme_from_string(v)) return *s;
+    }
+    for (const E e : options) {
+      if (shown(e) == v) return e;
+    }
+    fail("unknown %s: %s (%s expects %s)", flag + 2, v, flag, names.c_str());
+  }};
+  return kind(name, meta, target, *help ? names + "; " + help : names);
+}
+
+/// A switch: sets its target to the opposite of its default.
+Flag toggle(const char* name, bool* target, const char* help) {
+  const bool on = !*target;
+  return {name, nullptr, help, "", [=](const char*) { *target = on; }};
+}
+
+// ---- Shared row groups -----------------------------------------------------
+
+/// --reps, --seed, --duration and --jobs for chaos, general and sweep, each
+/// read from its own config; --json and --verbose where the config reports
+/// per mission (chaos, general).
+template <typename Config>
+void add_campaign_flags(std::vector<Flag>& rows, Config& c,
+                        std::string* json = nullptr) {
+  rows.insert(rows.end(), {
+      count("--reps", "N", &c.reps, "missions to run", 1),
+      count("--seed", "N", &c.seed,
+            "campaign seed; mission seeds derive from it"),
+      seconds("--duration", "SECS", &c.mission, "mission length"),
+      count("--jobs", "N", &c.jobs,
+            "worker threads (0 = all), at most 1024; the output is "
+            "bit-identical for every value", 0, kMaxJobs),
+  });
+  if constexpr (requires { c.verbose; }) {
+    rows.push_back(path("--json", "FILE", json,
+                        "write campaign throughput and counter totals as "
+                        "synergy-bench-v1 JSON"));
+    rows.push_back(
+        toggle("--verbose", &c.verbose, "one summary line per mission"));
+  }
+}
+
+/// The chaos adversary: network, storage, timed and mobile fault rates.
+void add_injector_flags(std::vector<Flag>& rows, InjectorRates& r) {
+  rows.insert(rows.end(), {
+      probability("--drop", "P", &r.net.drop_probability,
+                  "network drop probability"),
+      probability("--dup", "P", &r.net.duplicate_probability,
+                  "network duplicate probability"),
+      probability("--reorder", "P", &r.net.reorder_probability,
+                  "network reorder probability"),
+      probability("--delay", "P", &r.net.delay_probability,
+                  "beyond-tmax delay probability"),
+      probability("--bitflip", "P", &r.net.bitflip_probability,
+                  "payload bit-flip probability"),
+      probability("--write-error", "P", &r.storage.write_error_probability,
+                  "storage write-error probability"),
+      probability("--torn", "P", &r.storage.torn_write_probability,
+                  "storage torn-write probability"),
+      probability("--latent", "P", &r.storage.latent_corruption_probability,
+                  "latent corruption probability"),
+      seconds("--hw-gap", "SECS", &r.timed.hw_fault_mean_gap,
+              "mean gap between node crashes, 0=off"),
+      seconds("--drift-gap", "SECS", &r.timed.drift_excursion_mean_gap,
+              "mean gap between drift excursions, 0=off"),
+      seconds("--blackout-gap", "SECS", &r.timed.resync_blackout_mean_gap,
+              "mean gap between resync blackouts, 0=off"),
+      seconds("--lane-gap", "SECS", &r.timed.lane_flip_mean_gap,
+              "mean gap between per-lane state bit-flips (COAST model), "
+              "0=off"),
+      seconds("--sig-gap", "SECS", &r.timed.sig_fault_mean_gap,
+              "mean gap between per-lane CFCSS signature faults, 0=off"),
+      seconds("--disconnect-gap", "S", &r.mobile.disconnect_mean_gap,
+              "mean gap between disconnection epochs (mobile family), "
+              "0=off"),
+      seconds("--disconnect-len", "S", &r.mobile.disconnect_mean_len,
+              "mean disconnection epoch length, positive"),
+      probability("--disconnect-loss", "P", &r.mobile.disconnect_burst_loss,
+                  "stationary burst-loss fraction of a degraded epoch"),
+      probability("--disconnect-full", "P",
+                  &r.mobile.disconnect_full_fraction,
+                  "probability an epoch is a full blackout"),
+      seconds("--handoff-gap", "SECS", &r.mobile.handoff_mean_gap,
+              "mean gap between base-station handoffs, 0=off"),
+  });
+}
+
+// ---- Generated help and parsing --------------------------------------------
+
+/// Print `text` after `lead` word-wrapped to kHelpWidth, then `tail`
+/// unbroken; continuation lines are indented to the width of `lead`.
+void print_wrapped(const std::string& lead, const std::string& text,
+                   const std::string& tail) {
+  std::istringstream words(text);
+  std::string line = lead;
+  const auto add = [&](const std::string& word) {
+    if (line.size() > lead.size() && line.size() + word.size() >= kHelpWidth) {
+      std::printf("%s\n", line.c_str());
+      line.assign(lead.size(), ' ');
+    }
+    line += (line.size() > lead.size() ? " " : "") + word;
+  };
+  for (std::string word; words >> word;) add(word);
+  if (!tail.empty()) add(tail);
+  std::printf("%s\n", line.c_str());
+}
+
+void print_section(std::string command, const std::vector<Flag>& rows) {
+  for (char& ch : command) ch = static_cast<char>(std::toupper(ch));
+  std::printf("%s OPTIONS\n", command.c_str());
+  for (const Flag& f : rows) {
+    std::string lead = std::string("  ") + f.name;
+    if (f.meta) lead += std::string(" ") + f.meta;
+    lead.resize(std::max(lead.size() + 1, kHelpColumn), ' ');
+    print_wrapped(lead, f.help,
+                  f.value.empty() ? "" : "(default " + f.value + ")");
+  }
+}
+
+/// Parse argv[2..] into the rows' targets and other arguments into
+/// `operands`, if given. On --help or -h, or when argc is 0 (usage() asks
+/// so), print the rows instead and return false: the command stops.
+bool parse_flags(const char* command, const std::vector<Flag>& rows,
+                 int argc, char** argv,
+                 std::vector<std::string>* operands = nullptr) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    const auto f = std::find_if(rows.begin(), rows.end(),
+                                [&](const Flag& f) { return a == f.name; });
+    if (a == "--help" || a == "-h") {
+      argc = 0;
+    } else if (f != rows.end()) {
+      if (f->meta && i + 1 >= argc) fail("missing value for %s", argv[i]);
+      f->set(f->meta ? argv[++i] : nullptr);
+    } else if (operands && !a.empty() && a[0] != '-') {
+      operands->push_back(argv[i]);
+    } else {
+      fail("unknown option: %s", argv[i]);
+    }
+  }
+  if (argc == 0) print_section(command, rows);
+  return argc > 0;
+}
+
+/// Write `text` to `path`; false, after saying so, on failure.
+bool write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (out << text && out.flush()) return true;
+  std::fprintf(stderr, "failed to write %s\n", path.c_str());
+  return false;
+}
+
+/// Write `units` of work in `wall_seconds` plus `counters` as a one-row
+/// synergy-bench-v1 document; `note` says where. Returns the exit code.
+int write_bench_json(
+    const std::string& path, const std::string& name, std::uint64_t units,
+    double wall_seconds,
+    const std::vector<std::pair<std::string, std::uint64_t>>& counters,
+    std::FILE* note) {
+  const double wall = std::max(wall_seconds, 1e-9);
+  bench::BenchJsonWriter writer;
+  writer.add({name, units,
+              units > 0 ? wall * 1e9 / static_cast<double>(units) : 0.0,
+              static_cast<double>(units) / wall});
+  for (const auto& [counter, value] : counters) {
+    writer.set_counter(counter, value);
+  }
+  if (!write_text_file(path, writer.to_json())) return 1;
+  std::fprintf(note, "bench json written to %s\n", path.c_str());
+  return 0;
+}
+
+// ---- The commands ----------------------------------------------------------
 
 int cmd_run(int argc, char** argv) {
   SystemConfig config;
   Duration duration = Duration::seconds(3600);
-  std::vector<FaultSpec> hw_faults;
-  std::optional<Duration> sw_error_at;
+  std::vector<std::pair<Duration, NodeId>> hw_faults;
+  std::optional<Duration> sw_error;
   bool check = false, timeline = false;
   std::string trace_csv, trace_jsonl;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--scheme") config.scheme = parse_scheme(arg_value(argc, argv, i));
-    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
-    else if (a == "--duration") duration = parse_seconds("--duration", arg_value(argc, argv, i));
-    else if (a == "--internal-rate") {
-      const double r = parse_rate("--internal-rate", arg_value(argc, argv, i));
-      config.workload.p1_internal_rate = r;
-      config.workload.p2_internal_rate = r;
-    } else if (a == "--external-rate") {
-      const double r = parse_rate("--external-rate", arg_value(argc, argv, i));
-      config.workload.p1_external_rate = r;
-      config.workload.p2_external_rate = r;
-    } else if (a == "--interval") {
-      config.tb.interval = parse_seconds("--interval", arg_value(argc, argv, i));
-    } else if (a == "--sw-fault-prob") {
-      config.sw_fault.activation_per_send =
-          parse_probability("--sw-fault-prob", arg_value(argc, argv, i));
-    } else if (a == "--hw-fault") {
-      const std::string spec = arg_value(argc, argv, i);
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--hw-fault expects T:NODE, got \"%s\"\n",
-                     spec.c_str());
-        usage(2);
-      }
-      const std::uint64_t node =
-          parse_count("--hw-fault NODE", spec.substr(colon + 1).c_str(), 0,
-                      kNumCanonicalProcesses - 1);
-      hw_faults.push_back(FaultSpec{
-          parse_seconds("--hw-fault T", spec.substr(0, colon).c_str()),
-          static_cast<std::uint32_t>(node)});
-    } else if (a == "--sw-error") {
-      sw_error_at = parse_seconds("--sw-error", arg_value(argc, argv, i));
-    } else if (a == "--gate") {
-      config.gate_mode = parse_choice(
-          "--gate", arg_value(argc, argv, i), "paper", NdcGateMode::kPaper,
-          "blocking_aware", NdcGateMode::kBlockingAware);
-    } else if (a == "--tracking") {
-      config.tracking = parse_choice(
-          "--tracking", arg_value(argc, argv, i), "paper_dirty_bit",
-          ContaminationTracking::kPaperDirtyBit, "watermark",
-          ContaminationTracking::kWatermark);
-    } else if (a == "--check") check = true;
-    else if (a == "--timeline") timeline = true;
-    else if (a == "--trace-csv") trace_csv = arg_value(argc, argv, i);
-    else if (a == "--trace-jsonl") trace_jsonl = arg_value(argc, argv, i);
-    else unknown_option(a);
-  }
+  // The rate rows write P1's rates; P2 runs the same.
+  const std::vector<Flag> flags = {
+      choice("--scheme", "S", &config.scheme, kAllSchemes,
+             "\"mdcd+tb\" is an alias for coordinated"),
+      count("--seed", "N", &config.seed, "RNG seed"),
+      seconds("--duration", "SECS", &duration, "mission length"),
+      rate("--internal-rate", "R", &config.workload.p1_internal_rate,
+           "component internal msgs/s, at most 1e6"),
+      rate("--external-rate", "R", &config.workload.p1_external_rate,
+           "external (validated) msgs/s, at most 1e6"),
+      seconds("--interval", "SECS", &config.tb.interval,
+              "TB checkpoint interval Delta"),
+      probability("--sw-fault-prob", "P", &config.sw_fault.activation_per_send,
+                  "design-fault activation per send"),
+      node_faults("--hw-fault", "T:NODE", &hw_faults,
+                  "crash NODE at T seconds (repeatable)"),
+      seconds("--sw-error", "T", &sw_error,
+              "corrupt P1act at T seconds and force an AT"),
+      choice("--gate", "MODE", &config.gate_mode,
+             {NdcGateMode::kPaper, NdcGateMode::kBlockingAware}),
+      choice("--tracking", "MODE", &config.tracking,
+             {ContaminationTracking::kPaperDirtyBit,
+              ContaminationTracking::kWatermark}),
+      toggle("--check", &check, "audit the final stable recovery line"),
+      toggle("--timeline", &timeline, "print the ASCII event timeline"),
+      path("--trace-csv", "FILE", &trace_csv, "dump the trace as CSV"),
+      path("--trace-jsonl", "FILE", &trace_jsonl,
+           "dump the trace as JSON Lines"),
+  };
+  if (!parse_flags("run", flags, argc, argv)) return 0;
+  config.workload.p2_internal_rate = config.workload.p1_internal_rate;
+  config.workload.p2_external_rate = config.workload.p1_external_rate;
   require_positive("--interval", config.tb.interval > Duration::zero());
   if (!hw_faults.empty() && config.scheme == Scheme::kMdcdOnly) {
-    std::fprintf(stderr,
-                 "--hw-fault needs stable storage; mdcd_only has none\n");
-    usage(2);
+    fail("--hw-fault needs stable storage; mdcd_only has none");
   }
 
   System system(config);
   system.start(TimePoint::origin() + duration);
-  for (const auto& f : hw_faults) {
-    system.schedule_hw_fault(TimePoint::origin() + f.at, NodeId{f.node});
+  for (const auto& [at, node] : hw_faults) {
+    system.schedule_hw_fault(TimePoint::origin() + at, node);
   }
-  if (sw_error_at) system.schedule_sw_error(TimePoint::origin() + *sw_error_at);
+  if (sw_error) system.schedule_sw_error(TimePoint::origin() + *sw_error);
   system.run();
 
   std::printf("scheme=%s seed=%llu duration=%.0fs\n",
@@ -507,27 +566,20 @@ int cmd_run(int argc, char** argv) {
 }
 
 int cmd_rollback(int argc, char** argv) {
-  std::vector<double> rates = {60, 80, 100, 120, 140, 160, 180, 200};
-  std::size_t reps = 30;
   std::uint64_t seed = 42;
   Duration interval = Duration::seconds(60);
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--rates") {
-      rates = parse_double_list("--rates", arg_value(argc, argv, i), 0.0,
-                                kMaxRate * kRollbackTimeBase);
-    } else if (a == "--reps") {
-      reps = parse_count("--reps", arg_value(argc, argv, i), 1);
-    } else if (a == "--seed") {
-      seed = parse_count("--seed", arg_value(argc, argv, i));
-    } else if (a == "--interval") {
-      interval = parse_seconds("--interval", arg_value(argc, argv, i));
-    } else {
-      unknown_option(a);
-    }
-  }
-
+  std::vector<double> rates = {60, 80, 100, 120, 140, 160, 180, 200};
+  std::size_t reps = 30;
+  const std::vector<Flag> flags = {
+      count("--seed", "N", &seed, "RNG seed"),
+      seconds("--interval", "SECS", &interval, "TB checkpoint interval Delta"),
+      number_list("--rates", "A,B,...", &rates,
+                  "internal message rates per 100000 s, at most 1e11, each "
+                  "run under coordinated and write_through",
+                  0.0, kMaxRate * kRollbackTimeBase),
+      count("--reps", "N", &reps, "replications per point", 1),
+  };
+  if (!parse_flags("rollback", flags, argc, argv)) return 0;
   require_positive("--interval", interval > Duration::zero());
 
   std::printf("rate,scheme,mean_rollback_s,ci95_s,faults\n");
@@ -555,93 +607,70 @@ int cmd_rollback(int argc, char** argv) {
   return 0;
 }
 
-/// `I/N` with 1 <= I <= N <= UINT32_MAX.
-void parse_shard(const char* value, std::uint32_t& index,
-                 std::uint32_t& count) {
-  const std::string spec = value;
-  const auto slash = spec.find('/');
-  if (slash == std::string::npos) {
-    std::fprintf(stderr, "--shard expects I/N (e.g. 2/3), got \"%s\"\n", value);
-    usage(2);
-  }
-  const std::uint64_t i =
-      parse_count("--shard I", spec.substr(0, slash).c_str(), 1, UINT32_MAX);
-  const std::uint64_t n =
-      parse_count("--shard N", spec.substr(slash + 1).c_str(), 1, UINT32_MAX);
-  if (i > n) {
-    std::fprintf(stderr, "--shard expects I/N with 1 <= I <= N, got \"%s\"\n",
-                 value);
-    usage(2);
-  }
-  index = static_cast<std::uint32_t>(i - 1);
-  count = static_cast<std::uint32_t>(n);
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out.flush());
-}
-
 int cmd_sweep(int argc, char** argv) {
   sweep::SweepConfig config;
-  bool merge_mode = false;
-  bool quiet = false;
+  bool merge_mode = false, quiet = false;
   std::vector<std::string> fragment_paths;
   std::string out_path, csv_path, bench_path;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--merge") merge_mode = true;
-    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
-    else if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
-    else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
-    else if (a == "--schemes") config.axes.schemes = parse_scheme_list("--schemes", arg_value(argc, argv, i));
-    else if (a == "--fault-scales") config.axes.fault_scales = parse_axis("--fault-scales", arg_value(argc, argv, i));
-    else if (a == "--coverages") config.axes.coverages = parse_axis("--coverages", arg_value(argc, argv, i));
-    else if (a == "--intervals") config.axes.intervals_s = parse_axis("--intervals", arg_value(argc, argv, i));
-    else if (a == "--workload") config.workload = parse_workload(arg_value(argc, argv, i));
-    else if (a == "--lane-gap") config.lane_flip_gap = parse_seconds("--lane-gap", arg_value(argc, argv, i));
-    else if (a == "--sig-gap") config.sig_fault_gap = parse_seconds("--sig-gap", arg_value(argc, argv, i));
-    else if (a == "--mobile") config.mobile = true;
-    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i), 0, kMaxJobs);
-    else if (a == "--shard") parse_shard(arg_value(argc, argv, i), config.shard_index, config.shard_count);
-    else if (a == "--out") out_path = arg_value(argc, argv, i);
-    else if (a == "--csv") csv_path = arg_value(argc, argv, i);
-    else if (a == "--bench-json") bench_path = arg_value(argc, argv, i);
-    else if (a == "--quiet") quiet = true;
-    else if (merge_mode && !a.empty() && a[0] != '-') fragment_paths.push_back(a);
-    else unknown_option(a);
+  std::vector<Flag> flags;
+  add_campaign_flags(flags, config);
+  flags.insert(flags.end(), {
+      scheme_list("--schemes", "A,B,...", &config.axes.schemes,
+                  "scheme axis; every cell of the scheme x fault-scale x "
+                  "coverage x interval grid runs --reps chaos missions"),
+      // Axis values stay in the range --merge accepts.
+      number_list("--fault-scales", "A,..", &config.axes.fault_scales,
+                  "multiplier on every chaos injector rate; 0 = fault free",
+                  0.0, Duration::kMaxInputSeconds),
+      number_list("--coverages", "A,B,...", &config.axes.coverages,
+                  "AT coverage axis", 0.0, Duration::kMaxInputSeconds),
+      number_list("--intervals", "A,B,...", &config.axes.intervals_s,
+                  "TB checkpoint interval axis, seconds, each positive",
+                  0.0, Duration::kMaxInputSeconds),
+      choice("--workload", "W", &config.workload, kAllWorkloadKinds),
+      seconds("--lane-gap", "SECS", &config.lane_flip_gap,
+              "per-lane bit-flip mean gap, 0=off"),
+      seconds("--sig-gap", "SECS", &config.sig_fault_gap,
+              "CFCSS signature fault mean gap, 0=off"),
+      toggle("--mobile", &config.mobile,
+             "arm the mobile disconnect/handoff family"),
+      shard("--shard", "I/N", &config,
+            "run only the cells the seed-stable hash assigns to shard I of "
+            "N; emit a mergeable fragment"),
+      path("--out", "FILE", &out_path,
+           "write the synergy-sweep-v1 JSON here instead of stdout"),
+      path("--csv", "FILE", &csv_path, "also write a plot-ready per-cell CSV"),
+      path("--bench-json", "FILE", &bench_path,
+           "write shard throughput (cells/s) as synergy-bench-v1 JSON"),
+      toggle("--quiet", &quiet, "suppress per-cell progress lines on stderr"),
+      toggle("--merge", &merge_mode,
+             "merge the fragment files given as operands into the "
+             "single-process document; each cell must appear once"),
+  });
+  if (!parse_flags("sweep", flags, argc, argv, &fragment_paths)) return 0;
+  if (!merge_mode && !fragment_paths.empty()) {
+    fail("unknown option: %s", fragment_paths[0].c_str());
   }
   for (const double interval : config.axes.intervals_s) {
     require_positive("--intervals",
                      Duration::from_seconds(interval) > Duration::zero());
   }
   if (merge_mode && fragment_paths.empty()) {
-    std::fprintf(stderr, "--merge expects fragment paths\n");
-    usage(2);
+    fail("--merge expects fragment paths");
   }
   try {
     sweep::ShardResult result;
     if (merge_mode) {
       std::vector<sweep::ShardResult> fragments;
-      fragments.reserve(fragment_paths.size());
       for (const std::string& path : fragment_paths) {
         std::ifstream in(path, std::ios::binary);
-        if (!in) {
-          std::fprintf(stderr, "synergy sweep: cannot read %s\n",
-                       path.c_str());
-          return 1;
-        }
+        if (!in) throw std::runtime_error("cannot read " + path);
         std::ostringstream buf;
         buf << in.rdbuf();
         try {
           fragments.push_back(sweep::parse_fragment(buf.str()));
         } catch (const std::exception& e) {
-          std::fprintf(stderr, "synergy sweep: %s: %s\n", path.c_str(),
-                       e.what());
-          return 1;
+          throw std::runtime_error(path + ": " + e.what());
         }
       }
       result = sweep::merge_fragments(fragments);
@@ -653,34 +682,24 @@ int cmd_sweep(int argc, char** argv) {
     if (out_path.empty()) {
       std::fwrite(json.data(), 1, json.size(), stdout);
     } else if (!write_text_file(out_path, json)) {
-      std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
       return 1;
     }
-    if (!csv_path.empty() && !write_text_file(csv_path, sweep::to_csv(result))) {
-      std::fprintf(stderr, "failed to write %s\n", csv_path.c_str());
+    if (!csv_path.empty() &&
+        !write_text_file(csv_path, sweep::to_csv(result))) {
       return 1;
     }
     if (!bench_path.empty()) {
-      // Shard throughput for the perf-regression gate. Cells/s is the
-      // stable unit (cells are fixed-size work packets of --reps
-      // missions); missions/s rides along in the counters.
-      bench::BenchJsonWriter writer;
-      const std::size_t cells = result.cells.size();
-      char name[160];
-      std::snprintf(name, sizeof(name),
-                    "sweep/cells=%zu/reps=%zu/duration=%gs", cells,
-                    config.reps, config.mission.to_seconds());
-      const double wall = std::max(result.wall_seconds, 1e-9);
-      writer.add({name, static_cast<std::uint64_t>(cells),
-                  wall * 1e9 / std::max<double>(1.0, static_cast<double>(cells)),
-                  static_cast<double>(cells) / wall});
-      writer.set_counter("missions_run", result.missions_run);
-      writer.set_counter("cells_total", result.cells_total);
-      if (!writer.write_file(bench_path)) {
-        std::fprintf(stderr, "failed to write %s\n", bench_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "bench json written to %s\n", bench_path.c_str());
+      // Cells/s is the stable unit (cells are fixed-size work packets of
+      // --reps missions); missions/s rides along in the counters.
+      return write_bench_json(
+          bench_path,
+          "sweep/cells=" + shown(result.cells.size()) +
+              "/reps=" + shown(config.reps) +
+              "/duration=" + shown(config.mission) + "s",
+          result.cells.size(), result.wall_seconds,
+          {{"missions_run", result.missions_run},
+           {"cells_total", result.cells_total}},
+          stderr);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "synergy sweep: %s\n", e.what());
@@ -691,13 +710,15 @@ int cmd_sweep(int argc, char** argv) {
 
 int cmd_model(int argc, char** argv) {
   RollbackModelParams params;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--lambda-dirty") params.lambda_dirty = parse_rate("--lambda-dirty", arg_value(argc, argv, i));
-    else if (a == "--lambda-valid") params.lambda_valid = parse_rate("--lambda-valid", arg_value(argc, argv, i));
-    else if (a == "--interval") params.interval = parse_seconds("--interval", arg_value(argc, argv, i));
-    else unknown_option(a);
-  }
+  const std::vector<Flag> flags = {
+      rate("--lambda-dirty", "R", &params.lambda_dirty,
+           "contamination rate [1/s], positive"),
+      rate("--lambda-valid", "R", &params.lambda_valid,
+           "validation rate [1/s], positive"),
+      seconds("--interval", "SECS", &params.interval,
+              "TB checkpoint interval Delta"),
+  };
+  if (!parse_flags("model", flags, argc, argv)) return 0;
   require_positive("--interval", params.interval > Duration::zero());
   require_positive("--lambda-dirty", params.lambda_dirty > 0.0);
   require_positive("--lambda-valid", params.lambda_valid > 0.0);
@@ -714,51 +735,27 @@ int cmd_model(int argc, char** argv) {
 
 int cmd_chaos(int argc, char** argv) {
   CampaignConfig config;
-  bool replay = false;
-  std::uint64_t replay_seed = 0;
+  std::optional<std::uint64_t> replay_seed;
   std::string json_path;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
-    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
-    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i), 0, kMaxJobs);
-    else if (a == "--json") json_path = arg_value(argc, argv, i);
-    else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
-    else if (a == "--scheme") config.scheme = parse_scheme(arg_value(argc, argv, i));
-    else if (a == "--replay") {
-      replay = true;
-      replay_seed = parse_count("--replay", arg_value(argc, argv, i));
-    }
-    else if (a == "--drop") config.rates.net.drop_probability = parse_probability("--drop", arg_value(argc, argv, i));
-    else if (a == "--dup") config.rates.net.duplicate_probability = parse_probability("--dup", arg_value(argc, argv, i));
-    else if (a == "--reorder") config.rates.net.reorder_probability = parse_probability("--reorder", arg_value(argc, argv, i));
-    else if (a == "--delay") config.rates.net.delay_probability = parse_probability("--delay", arg_value(argc, argv, i));
-    else if (a == "--bitflip") config.rates.net.bitflip_probability = parse_probability("--bitflip", arg_value(argc, argv, i));
-    else if (a == "--write-error") config.rates.storage.write_error_probability = parse_probability("--write-error", arg_value(argc, argv, i));
-    else if (a == "--torn") config.rates.storage.torn_write_probability = parse_probability("--torn", arg_value(argc, argv, i));
-    else if (a == "--latent") config.rates.storage.latent_corruption_probability = parse_probability("--latent", arg_value(argc, argv, i));
-    else if (a == "--hw-gap") config.rates.timed.hw_fault_mean_gap = parse_seconds("--hw-gap", arg_value(argc, argv, i));
-    else if (a == "--drift-gap") config.rates.timed.drift_excursion_mean_gap = parse_seconds("--drift-gap", arg_value(argc, argv, i));
-    else if (a == "--blackout-gap") config.rates.timed.resync_blackout_mean_gap = parse_seconds("--blackout-gap", arg_value(argc, argv, i));
-    else if (a == "--lane-gap") config.rates.timed.lane_flip_mean_gap = parse_seconds("--lane-gap", arg_value(argc, argv, i));
-    else if (a == "--sig-gap") config.rates.timed.sig_fault_mean_gap = parse_seconds("--sig-gap", arg_value(argc, argv, i));
-    else if (a == "--workload") config.base.workload.kind = parse_workload(arg_value(argc, argv, i));
-    else if (a == "--disconnect-gap") config.rates.mobile.disconnect_mean_gap = parse_seconds("--disconnect-gap", arg_value(argc, argv, i));
-    else if (a == "--disconnect-len") config.rates.mobile.disconnect_mean_len = parse_seconds("--disconnect-len", arg_value(argc, argv, i));
-    else if (a == "--disconnect-loss") config.rates.mobile.disconnect_burst_loss = parse_probability("--disconnect-loss", arg_value(argc, argv, i));
-    else if (a == "--disconnect-full") config.rates.mobile.disconnect_full_fraction = parse_probability("--disconnect-full", arg_value(argc, argv, i));
-    else if (a == "--handoff-gap") config.rates.mobile.handoff_mean_gap = parse_seconds("--handoff-gap", arg_value(argc, argv, i));
-    else if (a == "--trace-csv") config.trace_csv = arg_value(argc, argv, i);
-    else if (a == "--verbose") config.verbose = true;
-    else unknown_option(a);
-  }
-
+  std::vector<Flag> flags;
+  add_campaign_flags(flags, config, &json_path);
+  flags.insert(flags.end(), {
+      choice("--scheme", "S", &config.scheme, kAllSchemes),
+      count("--replay", "SEED", &replay_seed,
+            "re-run one mission by the seed a failing campaign prints with "
+            "its schedule, and dump its counters"),
+      path("--trace-csv", "FILE", &config.trace_csv,
+           "dump the mission trace as CSV (with --replay; forces --jobs 1)"),
+      choice("--workload", "W", &config.base.workload.kind, kAllWorkloadKinds,
+             "abft computes AT verdicts from checksum-encoded blocks"),
+  });
+  add_injector_flags(flags, config.rates);
+  if (!parse_flags("chaos", flags, argc, argv)) return 0;
   require_positive("--disconnect-len",
                    config.rates.mobile.disconnect_mean_len > Duration::zero());
 
-  if (replay) {
-    const MissionReport r = run_mission(config, replay_seed);
+  if (replay_seed) {
+    const MissionReport r = run_mission(config, *replay_seed);
     std::printf("mission seed=%llu %s\n",
                 static_cast<unsigned long long>(r.seed),
                 r.ok ? "ok" : "FAIL");
@@ -769,25 +766,14 @@ int cmd_chaos(int argc, char** argv) {
   }
 
   const CampaignResult result = run_campaign(config, &std::cout);
-
-  if (!json_path.empty()) {
-    bench::BenchJsonWriter writer;
-    char name[128];
-    std::snprintf(name, sizeof(name), "chaos_campaign/scheme=%s/reps=%zu",
-                  to_string(config.scheme), config.reps);
-    writer.add({name, static_cast<std::uint64_t>(config.reps),
-                result.wall_seconds * 1e9 /
-                    static_cast<double>(std::max<std::size_t>(1, config.reps)),
-                result.missions_per_sec});
-    for (const auto& [name, value] :
-         campaign_counter_totals(config, result.missions)) {
-      writer.set_counter(name, value);
-    }
-    if (!writer.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("bench json written to %s\n", json_path.c_str());
+  if (!json_path.empty() &&
+      write_bench_json(json_path,
+                       "chaos_campaign/scheme=" + shown(config.scheme) +
+                           "/reps=" + shown(config.reps),
+                       config.reps, result.wall_seconds,
+                       campaign_counter_totals(config, result.missions),
+                       stdout) != 0) {
+    return 1;
   }
   return result.failed == 0 ? 0 : 1;
 }
@@ -795,78 +781,89 @@ int cmd_chaos(int argc, char** argv) {
 int cmd_general(int argc, char** argv) {
   GeneralCampaignConfig config;
   std::string json_path;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--topology") {
-      config.shape = parse_choice("--topology", arg_value(argc, argv, i),
-                                  "star", GeneralShape::kStar, "chain",
-                                  GeneralShape::kChain);
-    }
-    else if (a == "--size") config.size = parse_count("--size", arg_value(argc, argv, i));
-    else if (a == "--reps") config.reps = parse_count("--reps", arg_value(argc, argv, i), 1);
-    else if (a == "--seed") config.seed = parse_count("--seed", arg_value(argc, argv, i));
-    else if (a == "--duration") config.mission = parse_seconds("--duration", arg_value(argc, argv, i));
-    else if (a == "--internal-rate") config.internal_rate = parse_rate("--internal-rate", arg_value(argc, argv, i));
-    else if (a == "--external-rate") config.external_rate = parse_rate("--external-rate", arg_value(argc, argv, i));
-    else if (a == "--interval") config.tb_interval = parse_seconds("--interval", arg_value(argc, argv, i));
-    else if (a == "--no-hw") config.inject_hw = false;
-    else if (a == "--no-sw") config.inject_sw = false;
-    else if (a == "--jobs") config.jobs = parse_count("--jobs", arg_value(argc, argv, i), 0, kMaxJobs);
-    else if (a == "--json") json_path = arg_value(argc, argv, i);
-    else if (a == "--verbose") config.verbose = true;
-    else unknown_option(a);
-  }
+  std::vector<Flag> flags = {
+      choice("--topology", "T", &config.shape,
+             {GeneralShape::kStar, GeneralShape::kChain},
+             "each mission ends with a recovery-line audit"),
+      count("--size", "N", &config.size,
+            "star: leaf count, 1..65533; chain: length, 2..65534"),
+  };
+  add_campaign_flags(flags, config, &json_path);
+  flags.insert(flags.end(), {
+      rate("--internal-rate", "R", &config.internal_rate,
+           "per-component internal msgs/s, at most 1e6"),
+      rate("--external-rate", "R", &config.external_rate,
+           "per-component external msgs/s, at most 1e6"),
+      seconds("--interval", "SECS", &config.tb_interval,
+              "TB checkpoint interval"),
+      toggle("--no-hw", &config.inject_hw,
+             "skip the seeded per-mission node crash"),
+      toggle("--no-sw", &config.inject_sw,
+             "skip the seeded per-mission design-fault activation"),
+  });
+  if (!parse_flags("general", flags, argc, argv)) return 0;
   const bool chain = config.shape == GeneralShape::kChain;
   const std::size_t min_size = chain ? 2 : 1;
   const std::size_t max_size =
       chain ? Topology::kMaxChainLength : Topology::kMaxStarLeaves;
   if (config.size < min_size || config.size > max_size) {
-    std::fprintf(stderr,
-                 "--size expects a whole number >= %zu and <= %zu for a %s, "
-                 "got \"%zu\"\n",
-                 min_size, max_size, to_string(config.shape), config.size);
-    usage(2);
+    fail("--size expects a whole number >= %zu and <= %zu for a %s, got "
+         "\"%zu\"",
+         min_size, max_size, to_string(config.shape), config.size);
   }
   require_positive("--interval", config.tb_interval > Duration::zero());
 
   const GeneralCampaignResult result =
       run_general_campaign(config, &std::cout);
-
-  if (!json_path.empty()) {
-    bench::BenchJsonWriter writer;
-    char name[128];
-    std::snprintf(name, sizeof(name), "general_campaign/%s-%zu/reps=%zu",
-                  to_string(config.shape), config.size, config.reps);
-    const double wall_ns = result.wall_seconds * 1e9;
-    writer.add({name, result.events_total,
-                result.events_total > 0
-                    ? wall_ns / static_cast<double>(result.events_total)
-                    : 0.0,
-                result.events_per_sec});
-    writer.set_counter("events_total", result.events_total);
-    writer.set_counter("oracle_violations", result.oracle_violations);
-    if (!writer.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("bench json written to %s\n", json_path.c_str());
+  if (!json_path.empty() &&
+      write_bench_json(json_path,
+                       "general_campaign/" + shown(config.shape) + "-" +
+                           shown(config.size) + "/reps=" + shown(config.reps),
+                       result.events_total, result.wall_seconds,
+                       {{"events_total", result.events_total},
+                        {"oracle_violations", result.oracle_violations}},
+                       stdout) != 0) {
+    return 1;
   }
   return result.failed == 0 ? 0 : 1;
+}
+
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*main)(int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"run", "run one mission", cmd_run},
+    {"sweep", "sharded Monte-Carlo parameter sweep (JSON)", cmd_sweep},
+    {"rollback", "rollback-distance sweep, CSV on stdout", cmd_rollback},
+    {"model", "closed-form rollback model", cmd_model},
+    {"chaos", "seeded fault-injection campaign", cmd_chaos},
+    {"general", "generalized N-component topology campaign", cmd_general},
+};
+
+void usage(int code) {
+  std::printf("synergy — MDCD + TB fault-tolerance simulator\n\nUSAGE\n");
+  for (const Command& c : kCommands) {
+    std::printf("  synergy %-8s [options]  %s\n", c.name, c.summary);
+  }
+  std::printf("  synergy <command> --help\n  synergy help\n");
+  for (const Command& c : kCommands) {
+    std::printf("\n");
+    c.main(0, nullptr);  // argc 0: print the command's rows only
+  }
+  std::exit(code);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(2);
-  const std::string cmd = argv[1];
-  if (cmd == "run") return cmd_run(argc, argv);
-  if (cmd == "sweep") return cmd_sweep(argc, argv);
-  if (cmd == "rollback") return cmd_rollback(argc, argv);
-  if (cmd == "model") return cmd_model(argc, argv);
-  if (cmd == "chaos") return cmd_chaos(argc, argv);
-  if (cmd == "general") return cmd_general(argc, argv);
+  const std::string_view cmd = argv[1];
+  for (const Command& c : kCommands) {
+    if (cmd == c.name) return c.main(argc, argv);
+  }
   if (cmd == "help" || cmd == "--help" || cmd == "-h") usage(0);
-  std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
-  usage(2);
+  fail("unknown command: %s", argv[1]);
 }
