@@ -191,18 +191,30 @@ int run(int argc, char** argv) {
     rec.app_state = Bytes(128, 0xAB);
     rec.protocol_state = Bytes(64 * 1024, 0xCD);
     std::uint64_t sink = 0;
+    std::uint64_t corrupt = 0;
     const std::uint64_t iters = scaled(effort, 2'000, 10'000, 50'000);
     const double ns = time_ns_per_op(iters, [&] {
       ByteWriter w;
       rec.serialize(w);
       ByteReader r(w.data());
-      sink += CheckpointRecord::deserialize(r).app_state.size();
+      if (const auto back = CheckpointRecord::try_deserialize(r)) {
+        sink += back->app_state.size();
+      } else {
+        ++corrupt;
+      }
     });
     writer.add({"ckpt_roundtrip_64kib", iters, ns, 0});
     std::printf("%-28s %12llu iters %14.1f ns/op %10.3f GB/s\n",
                 "ckpt_roundtrip_64kib", static_cast<unsigned long long>(iters),
                 ns, static_cast<double>(rec.encoded_size()) / ns);
     if (sink == 0) std::printf("(unreachable)\n");
+    if (corrupt != 0) {
+      std::fprintf(stderr,
+                   "FAIL: ckpt_roundtrip_64kib decoded %llu records as "
+                   "corrupt\n",
+                   static_cast<unsigned long long>(corrupt));
+      return 1;
+    }
   }
   {
     // Whole-system costs with the workload off and traffic driven by hand.

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "analysis/checkers.hpp"
+#include "common/assert.hpp"
 #include "core/pool.hpp"
 #include "trace/export.hpp"
 
@@ -390,9 +391,9 @@ CampaignResult run_campaign(const CampaignConfig& config, std::ostream* out) {
   using Clock = std::chrono::steady_clock;
   CampaignResult result;
 
-  // Every mission would write the same trace file; replay diagnostics are
-  // single-mission anyway.
-  const std::size_t jobs = config.trace_csv.empty() ? config.jobs : 1;
+  // Every mission would write the same trace file: a trace dump is a
+  // single-mission replay diagnostic (run_mission).
+  SYNERGY_EXPECTS(config.trace_csv.empty());
   const std::vector<std::uint64_t> seeds =
       derive_seeds(config.seed, config.reps);
   result.missions.resize(config.reps);
@@ -400,7 +401,7 @@ CampaignResult run_campaign(const CampaignConfig& config, std::ostream* out) {
 
   const auto wall0 = Clock::now();
   result.jobs = run_ordered(
-      config.reps, jobs,
+      config.reps, config.jobs,
       [&](std::size_t i) {
         const double cpu0 = thread_cpu_seconds();
         MissionReport report = run_mission(config, seeds[i]);

@@ -45,7 +45,8 @@ struct CampaignConfig {
   bool verbose = false;  ///< Per-mission summary lines.
   /// When non-empty, enable tracing and dump the mission's trace to this
   /// CSV path (replay diagnostics: `chaos --replay SEED --trace-csv f.csv`).
-  /// Forces jobs = 1: every mission writes the same file.
+  /// run_mission only: run_campaign requires it empty, since every mission
+  /// would write the same file.
   std::string trace_csv;
   /// Worker threads for the campaign fan-out; 0 = hardware concurrency.
   /// Mission seeds derive from the campaign seed up-front and each mission

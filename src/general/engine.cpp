@@ -34,12 +34,9 @@ bool sorted_contains(const SmallVec<std::uint32_t, 8>& set,
 GeneralEngine::GeneralEngine(const Topology& topology, ProcessId self,
                              const MdcdConfig& config,
                              ProcessServices services)
-    : topology_(topology), component_(topology.component_of(self)),
-      config_(config), services_(std::move(services)) {
-  SYNERGY_EXPECTS(services_.now != nullptr);
-  SYNERGY_EXPECTS(services_.transport != nullptr);
-  SYNERGY_EXPECTS(services_.vstore != nullptr);
-  SYNERGY_EXPECTS(services_.app != nullptr);
+    : CheckpointableProcess(config, std::move(services)),
+      topology_(topology),
+      component_(topology.component_of(self)) {
   const auto& spec = topology.components()[component_];
   if (topology.is_shadow(self)) {
     kind_ = GProcessKind::kShadow;
@@ -49,14 +46,6 @@ GeneralEngine::GeneralEngine(const Topology& topology, ProcessId self,
   } else {
     kind_ = GProcessKind::kRegular;
     SYNERGY_EXPECTS(services_.at != nullptr);
-  }
-}
-
-void GeneralEngine::trace(TraceKind kind, std::string_view detail,
-                          std::uint64_t a, std::uint64_t b) const {
-  if (services_.trace) {
-    services_.trace->record(current_time(), self(), kind, std::string(detail),
-                            a, b);
   }
 }
 
@@ -76,80 +65,6 @@ void GeneralEngine::mark_component_failed_over(std::uint32_t c) {
   while (it != failed_over_.end() && *it < c) ++it;
   if (it != failed_over_.end() && *it == c) return;
   failed_over_.insert(it, c);
-}
-
-// ---- Event entry points -----------------------------------------------------
-
-void GeneralEngine::on_app_send(bool external, std::uint64_t input) {
-  if (!alive_) return;
-  if (blocking_) {
-    deferred_.push_back(SendReq{external, input});
-    return;
-  }
-  do_app_send(external, input);
-}
-
-void GeneralEngine::on_message(const Message& m) {
-  if (!alive_) return;
-  if (tracing()) {
-    trace(TraceKind::kReceive, std::string(to_string(m.kind)), m.sn,
-          m.transport_seq);
-  }
-  if (m.kind == MsgKind::kPassedAt) {
-    // Modified semantics: validations are monitored during blocking.
-    if (!consume_or_drop(m)) return;
-    services_.transport->mark_consumed(m);
-    services_.transport->ack(m);
-    do_passed_at(m);
-    return;
-  }
-  if (blocking_) {
-    trace(TraceKind::kHoldBlocked, std::string(to_string(m.kind)), m.sn);
-    deferred_.push_back(m);
-    return;
-  }
-  process_message(m);
-}
-
-void GeneralEngine::process_message(const Message& m) {
-  if (!consume_or_drop(m)) return;
-  do_app_message(m);
-  services_.transport->mark_consumed(m);
-  settle_ack(m);
-}
-
-bool GeneralEngine::consume_or_drop(const Message& m) {
-  const std::uint32_t fence =
-      m.dirty ? std::max(fence_all_, fence_dirty_) : fence_all_;
-  if (m.epoch < fence) {
-    services_.transport->mark_consumed(m);
-    services_.transport->ack(m);
-    trace(TraceKind::kStaleDrop, std::string(to_string(m.kind)), m.sn,
-          m.epoch);
-    return false;
-  }
-  if (services_.transport->already_consumed(m)) {
-    trace(TraceKind::kDuplicate, std::string(to_string(m.kind)), m.sn,
-          m.transport_seq);
-    if (m.kind == MsgKind::kPassedAt) {
-      services_.transport->ack(m);
-    } else {
-      settle_ack(m);
-    }
-    return false;
-  }
-  return true;
-}
-
-bool GeneralEngine::ndc_gate_ok(const Message& m) {
-  StableSeq expected = ndc_provider_();
-  if (config_.gate_mode == NdcGateMode::kBlockingAware && blocking_ &&
-      contamination_flag() && expected > 0) {
-    expected -= 1;
-  }
-  if (m.ndc == expected) return true;
-  trace(TraceKind::kNdcGateReject, {}, m.ndc, expected);
-  return false;
 }
 
 // ---- Sending ------------------------------------------------------------------
@@ -174,11 +89,10 @@ void GeneralEngine::send_internal_multicast(std::uint64_t payload,
   // One shared aux buffer for the whole multicast: every copy bumps a
   // refcount instead of re-encoding the vector per receiver.
   const SharedBytes aux = suspect ? SharedBytes(encode_aux(cv)) : SharedBytes{};
-  const StableSeq ndc = ndc_provider_();
   Message m;
   m.kind = MsgKind::kInternal;
   m.sn = msg_sn_;
-  m.ndc = ndc;
+  m.ndc = ndc();
   m.epoch = epoch_;
   m.payload = payload;
   m.tainted = tainted;
@@ -263,7 +177,7 @@ void GeneralEngine::do_app_send(bool external, std::uint64_t input) {
       Message note;
       note.kind = MsgKind::kPassedAt;
       note.sn = msg_sn_;
-      note.ndc = ndc_provider_();
+      note.ndc = ndc();
       note.epoch = epoch_;
       note.aux = SharedBytes(encode_aux(coverage));
       for (std::uint32_t p = 0; p < topology_.process_count(); ++p) {
@@ -333,7 +247,7 @@ void GeneralEngine::do_app_message(const Message& m) {
       MsgView{m.sender, m.transport_seq, m.sn, m.kind, view_suspect}, cv,
       /*covered=*/false);
   services_.app->apply_message(m.payload, m.tainted);
-  trace(TraceKind::kDeliverApp, std::string(to_string(m.kind)), m.sn);
+  trace(TraceKind::kDeliverApp, to_string(m.kind), m.sn);
 }
 
 void GeneralEngine::do_passed_at(const Message& m) {
@@ -375,88 +289,11 @@ void GeneralEngine::apply_validation(const ContamVector& coverage) {
 
   if (was_flagged && !contamination_flag()) {
     if (kind_ == GProcessKind::kActive) trace(TraceKind::kPseudoDirtyClear);
-    flush_deferred_acks();
-    if (contamination_cleared_) contamination_cleared_();
+    contamination_cleared();
   }
 }
 
-// ---- Acks -----------------------------------------------------------------------
-
-void GeneralEngine::settle_ack(const Message& m) {
-  const bool gated = config_.tracking == ContaminationTracking::kWatermark;
-  if (gated && contamination_flag()) {
-    deferred_acks_.push_back(AckKey{m.sender, m.transport_seq});
-    return;
-  }
-  services_.transport->ack(m);
-}
-
-void GeneralEngine::flush_deferred_acks() {
-  for (const AckKey& key : deferred_acks_) {
-    Message m;
-    m.sender = key.sender;
-    m.transport_seq = key.transport_seq;
-    services_.transport->ack(m);
-  }
-  deferred_acks_.clear();
-}
-
-// ---- Blocking ---------------------------------------------------------------------
-
-void GeneralEngine::begin_blocking() {
-  SYNERGY_EXPECTS(!blocking_);
-  blocking_ = true;
-  trace(TraceKind::kBlockStart);
-}
-
-void GeneralEngine::end_blocking() {
-  SYNERGY_EXPECTS(blocking_);
-  blocking_ = false;
-  trace(TraceKind::kBlockEnd);
-  SmallVec<Deferred, 4> pending = std::move(deferred_);
-  deferred_.clear();  // moved-from is already empty; be explicit
-  for (auto& op : pending) {
-    if (!alive_) break;
-    if (auto* send = std::get_if<SendReq>(&op)) {
-      do_app_send(send->external, send->input);
-    } else {
-      process_message(std::get<Message>(op));
-    }
-  }
-}
-
-// ---- Checkpointing / recovery --------------------------------------------------------
-
-void GeneralEngine::set_ndc_provider(std::function<StableSeq()> fn) {
-  SYNERGY_EXPECTS(fn != nullptr);
-  ndc_provider_ = std::move(fn);
-}
-
-void GeneralEngine::fence_all_below(std::uint32_t epoch) {
-  fence_all_ = std::max(fence_all_, epoch);
-}
-
-void GeneralEngine::fence_dirty_below(std::uint32_t epoch) {
-  fence_dirty_ = std::max(fence_dirty_, epoch);
-}
-
-CheckpointRecord GeneralEngine::make_record(CkptKind kind) const {
-  CheckpointRecord rec;
-  rec.kind = kind;
-  rec.owner = self();
-  rec.established_at = current_time();
-  rec.state_time = current_time();
-  rec.dirty_bit = contamination_flag();
-  rec.ndc = ndc_provider_();
-  rec.app_state = SharedBytes(services_.app->snapshot());
-  const ViewMark views = views_->mark();
-  rec.protocol_state = encode_protocol_state(nullptr, views);
-  rec.transport_state = SharedBytes(services_.transport->snapshot_state());
-  const std::span<const Message> unacked = services_.transport->unacked();
-  rec.unacked.assign(unacked.begin(), unacked.end());
-  rec.views = ViewRef{views_, views};
-  return rec;
-}
+// ---- Anchor ring ------------------------------------------------------------------
 
 void GeneralEngine::capture_anchor(CkptKind kind) {
   AnchorCandidate candidate;
@@ -469,7 +306,7 @@ void GeneralEngine::capture_anchor(CkptKind kind) {
   candidate.absorbed = absorbed_;
   candidate.kind = kind;
   candidate.captured_at = current_time();
-  candidate.ndc = ndc_provider_();
+  candidate.ndc = ndc();
   candidate.msg_sn = msg_sn_;
   candidate.takeover_done = takeover_done_;
   candidate.serial = ++candidate_serial_;
@@ -520,7 +357,7 @@ CheckpointRecord GeneralEngine::build_promoted_record(
       SharedBytes(services_.transport->state_at(cand.transport_mark));
   rec.unacked.assign(cand.unacked.begin(), cand.unacked.end());
   const ViewMark views = views_->settled(cand.views);
-  rec.protocol_state = encode_protocol_state(&cand, views);
+  rec.protocol_state = write_protocol_state(&cand, views);
   rec.views = ViewRef{views_, views};
   return rec;
 }
@@ -556,18 +393,6 @@ void GeneralEngine::materialize_anchor() const {
   promoted_validated_version_ = validated_version_;
 }
 
-void GeneralEngine::restore_from_record(const CheckpointRecord& record) {
-  drop_candidates(0, anchor_candidates_.size());
-  services_.app->restore(record.app_state);
-  restore_protocol_state(record.protocol_state, record.views.log.get());
-  services_.transport->restore_state(record.transport_state);
-  services_.transport->restore_unacked(record.unacked);
-  deferred_.clear();
-  deferred_acks_.clear();
-  promoted_serial_ = ~std::uint64_t{0};
-  blocking_ = false;
-}
-
 std::size_t GeneralEngine::takeover() {
   SYNERGY_EXPECTS(kind_ == GProcessKind::kShadow);
   SYNERGY_EXPECTS(!takeover_done_);
@@ -579,10 +404,10 @@ std::size_t GeneralEngine::takeover() {
   msg_log_.clear();  // moved-from is already empty; be explicit
   for (Message& m : log) {
     if (m.sn <= vr) {
-      trace(TraceKind::kReplayDrop, std::string(to_string(m.kind)), m.sn);
+      trace(TraceKind::kReplayDrop, to_string(m.kind), m.sn);
       continue;
     }
-    trace(TraceKind::kReplaySend, std::string(to_string(m.kind)), m.sn);
+    trace(TraceKind::kReplaySend, to_string(m.kind), m.sn);
     if (m.kind == MsgKind::kExternal) {
       m.receiver = kDeviceId;
       m.epoch = epoch_;
@@ -599,12 +424,12 @@ std::size_t GeneralEngine::takeover() {
   return replayed;
 }
 
-Bytes GeneralEngine::snapshot_protocol_state() const {
-  return encode_protocol_state(nullptr, views_->mark());
+Bytes GeneralEngine::encode_protocol_state(const ViewMark& views) const {
+  return write_protocol_state(nullptr, views);
 }
 
-Bytes GeneralEngine::encode_protocol_state(const AnchorCandidate* promoted,
-                                           const ViewMark& views) const {
+Bytes GeneralEngine::write_protocol_state(const AnchorCandidate* promoted,
+                                          const ViewMark& views) const {
   ByteWriter w;
   if (promoted == nullptr) {
     w.u64(msg_sn_);
@@ -660,12 +485,9 @@ GeneralProtocolState GeneralProtocolState::decode(const Bytes& blob) {
   return s;
 }
 
-void GeneralEngine::restore_protocol_state(const Bytes& state) {
-  restore_protocol_state(state, views_.get());
-}
-
-void GeneralEngine::restore_protocol_state(const Bytes& state,
-                                           const ViewHistory* views) {
+ViewMark GeneralEngine::decode_protocol_state(const Bytes& state) {
+  drop_candidates(0, anchor_candidates_.size());
+  promoted_serial_ = ~std::uint64_t{0};
   GeneralProtocolState s = GeneralProtocolState::decode(state);
   msg_sn_ = s.msg_sn;
   takeover_done_ = s.takeover_done;
@@ -674,11 +496,9 @@ void GeneralEngine::restore_protocol_state(const Bytes& state,
   validated_ = std::move(s.validated);
   ++validated_version_;  // restored knowledge invalidates promotion cache
   msg_log_ = std::move(s.msg_log);
-  // Copy-on-restore (DESIGN.md §19): the records sharing the old history
-  // keep reading it.
-  views_ = views ? views->fork(s.views) : std::make_shared<ViewHistory>();
   failed_over_.clear();
   for (const std::uint32_t c : s.failed_over) mark_component_failed_over(c);
+  return s.views;
 }
 
 }  // namespace synergy

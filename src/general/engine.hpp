@@ -16,8 +16,11 @@
 // (DESIGN.md §7) generalized to contamination *vectors*: messages and
 // validations carry per-source watermark maps, dirt clears per-source,
 // views upgrade when their whole vector is covered, and acknowledgments
-// are validation-gated. Implements CheckpointableProcess, so the adapted
-// TB engine coordinates it unchanged.
+// are validation-gated. Derives from CheckpointableProcess, which owns
+// delivery, fencing, blocking, the acks and record capture (DESIGN.md
+// §23), so the adapted TB engine coordinates it unchanged; this class
+// keeps only the vector contamination model, the anchor ring and the
+// shadow log.
 //
 // Hot-path layout (DESIGN.md §17): every per-step container is inline
 // small-vector storage — contamination vectors, the deferred queue, the
@@ -31,22 +34,18 @@
 
 #include <deque>
 #include <optional>
-#include <variant>
 
 #include "common/small_vec.hpp"
 #include "general/topology.hpp"
 #include "mdcd/checkpointable.hpp"
-#include "mdcd/config.hpp"
 #include "mdcd/contam.hpp"
-#include "mdcd/services.hpp"
-#include "mdcd/views.hpp"
 
 namespace synergy {
 
 enum class GProcessKind : std::uint8_t { kActive, kShadow, kRegular };
 
 /// The general engine's protocol blob, decoded. The engine writes it in
-/// one place (GeneralEngine::encode_protocol_state) and restore reads it
+/// one place (GeneralEngine::write_protocol_state) and restore reads it
 /// through decode(), so the layout is spelled out once each way: msg_sn
 /// u64, takeover u8, dirty u8, the absorbed and validated vectors, the
 /// shadow suppression log (u32 count, messages), the ViewMark of the
@@ -72,37 +71,16 @@ class GeneralEngine final : public CheckpointableProcess {
   GProcessKind kind() const { return kind_; }
   std::uint32_t component() const { return component_; }
 
-  // ---- Workload / transport events ---------------------------------------
-  void on_app_send(bool external, std::uint64_t input);
-  void on_message(const Message& m);
-
   // ---- CheckpointableProcess ----------------------------------------------
-  ProcessId self() const override { return services_.self; }
-  bool alive() const override { return alive_; }
-  TimePoint current_time() const override { return services_.now(); }
   bool contamination_flag() const override;
   const std::optional<CheckpointRecord>& latest_volatile() const override {
     materialize_anchor();
     return services_.vstore->latest();
   }
-  CheckpointRecord make_record(CkptKind kind) const override;
-  void begin_blocking() override;
-  void end_blocking() override;
-  bool in_blocking() const override { return blocking_; }
-  void set_contamination_cleared_observer(std::function<void()> fn) override {
-    contamination_cleared_ = std::move(fn);
-  }
 
   // ---- Coordination / recovery surface -------------------------------------
-  void set_ndc_provider(std::function<StableSeq()> fn);
   bool dirty() const;          ///< uncovered absorbed contamination exists
   bool pseudo_dirty() const;   ///< (active) uncovered own sends exist
-  std::uint32_t epoch() const override { return epoch_; }
-  void set_epoch(std::uint32_t e) override { epoch_ = e; }
-  void fence_all_below(std::uint32_t epoch) override;
-  void fence_dirty_below(std::uint32_t epoch);
-  void kill() override { alive_ = false; }
-  void revive() override { alive_ = true; }
   bool active_role() const { return takeover_done_ || kind_ != GProcessKind::kShadow; }
 
   /// Shadow takeover: assume the active role and replay logged messages
@@ -115,17 +93,10 @@ class GeneralEngine final : public CheckpointableProcess {
   /// Persisted in the protocol state (survives rollbacks).
   void mark_component_failed_over(std::uint32_t c);
 
-  void restore_from_record(const CheckpointRecord& record) override;
-  Bytes snapshot_protocol_state() const;
-  void restore_protocol_state(const Bytes& state);
-
   // ---- Oracle / diagnostics -------------------------------------------------
   const ContamVector& absorbed() const { return absorbed_; }
   const ContamVector& validated() const { return validated_; }
-  const ViewLog& sent_views() const { return views_->sent(); }
-  const ViewLog& recv_views() const { return views_->recv(); }
   const SmallVec<Message, 4>& suppressed_log() const { return msg_log_; }
-  MsgSeq msg_sn() const { return msg_sn_; }
   bool app_tainted() const { return services_.app->tainted(); }
   /// Anchor-ring occupancy (bounded by kMaxAnchorCandidates; tested).
   std::size_t anchor_candidate_count() const {
@@ -135,22 +106,13 @@ class GeneralEngine final : public CheckpointableProcess {
   static constexpr std::size_t kMaxAnchorCandidates = 64;
 
  private:
-  struct SendReq {
-    bool external;
-    std::uint64_t input;
-  };
-  using Deferred = std::variant<SendReq, Message>;
-  struct AckKey {
-    ProcessId sender;
-    std::uint64_t transport_seq;
-  };
-
-  void do_app_send(bool external, std::uint64_t input);
-  void process_message(const Message& m);
-  void do_app_message(const Message& m);
-  void do_passed_at(const Message& m);
-  bool consume_or_drop(const Message& m);
-  bool ndc_gate_ok(const Message& m);
+  void do_app_send(bool external, std::uint64_t input) override;
+  void do_app_message(const Message& m) override;
+  void do_passed_at(const Message& m) override;
+  Bytes encode_protocol_state(const ViewMark& views) const override;
+  /// Also drops the anchor ring: a restored blob supersedes every
+  /// candidate captured before it, and the promotion stamp with them.
+  ViewMark decode_protocol_state(const Bytes& state) override;
 
   /// Current outgoing contamination: absorbed dirt plus (active) the own
   /// source watermark.
@@ -159,9 +121,6 @@ class GeneralEngine final : public CheckpointableProcess {
   /// Apply a validation covering `coverage`: raise validated_, clear
   /// covered dirt/pseudo, upgrade views, flush acks on full clear.
   void apply_validation(const ContamVector& coverage);
-
-  void settle_ack(const Message& m);
-  void flush_deferred_acks();
 
   // ---- Anchor ring ---------------------------------------------------------
   // With several contamination sources a validation can cover a *prefix*
@@ -204,37 +163,22 @@ class GeneralEngine final : public CheckpointableProcess {
   CheckpointRecord build_promoted_record(const AnchorCandidate& cand) const;
   /// The one writer of the protocol blob: the live state, or the promoted
   /// anchor `promoted` stands for, with its views at `views`.
-  Bytes encode_protocol_state(const AnchorCandidate* promoted,
-                              const ViewMark& views) const;
-  void restore_protocol_state(const Bytes& state, const ViewHistory* views);
+  Bytes write_protocol_state(const AnchorCandidate* promoted,
+                             const ViewMark& views) const;
 
   void send_internal_multicast(std::uint64_t payload, bool tainted);
-  void trace(TraceKind kind, std::string_view detail = {}, std::uint64_t a = 0,
-             std::uint64_t b = 0) const;
-  bool tracing() const { return services_.trace != nullptr; }
 
   const Topology& topology_;
   GProcessKind kind_;
   std::uint32_t component_;
-  MdcdConfig config_;
-  ProcessServices services_;
 
-  MsgSeq msg_sn_ = 0;
   bool dirty_bit_ = false;
   ContamVector absorbed_;
   ContamVector validated_;
-  bool alive_ = true;
   bool takeover_done_ = false;
-  bool blocking_ = false;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t fence_all_ = 0;
-  std::uint32_t fence_dirty_ = 0;
-  SmallVec<Deferred, 4> deferred_;
-  SmallVec<AckKey, 8> deferred_acks_;
   std::deque<AnchorCandidate> anchor_candidates_;  // dropped from the front
   SmallVec<Message, 4> msg_log_;  // shadow suppression log
   SmallVec<std::uint32_t, 8> failed_over_;  // sorted component indices
-  std::shared_ptr<ViewHistory> views_ = std::make_shared<ViewHistory>();
   // Promotion is lazy twice over: refresh_best_anchor() only reorders the
   // ring (the newest covered candidate settles at the front), and the
   // promoted record itself serializes when latest_volatile() is *read* —
@@ -245,8 +189,6 @@ class GeneralEngine final : public CheckpointableProcess {
   std::uint64_t validated_version_ = 0;
   mutable std::uint64_t promoted_serial_ = ~std::uint64_t{0};
   mutable std::uint64_t promoted_validated_version_ = ~std::uint64_t{0};
-  std::function<StableSeq()> ndc_provider_ = [] { return StableSeq{0}; };
-  std::function<void()> contamination_cleared_;
 };
 
 }  // namespace synergy

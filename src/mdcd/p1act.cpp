@@ -20,9 +20,7 @@ bool P1ActEngine::contamination_flag() const {
 }
 
 void P1ActEngine::maybe_all_clear() {
-  if (contamination_flag()) return;
-  flush_deferred_acks();
-  notify_contamination_cleared();
+  if (!contamination_flag()) contamination_cleared();
 }
 
 void P1ActEngine::clear_pseudo_dirty() {
@@ -139,7 +137,7 @@ void P1ActEngine::do_app_message(const Message& m) {
   }
   record_recv(m, effectively_dirty(m));
   app_apply_message(m.payload, m.tainted);
-  trace(TraceKind::kDeliverApp, std::string(to_string(m.kind)), m.sn);
+  trace(TraceKind::kDeliverApp, to_string(m.kind), m.sn);
 }
 
 void P1ActEngine::note_confidence_loss() {

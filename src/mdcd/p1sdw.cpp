@@ -33,7 +33,7 @@ void P1SdwEngine::do_app_send(bool external, std::uint64_t input) {
   m.dirty = dirty_;
   m.contam_sn = dirty_ ? dirty_contam_ : 0;
   msg_log_.push_back(m);
-  trace(TraceKind::kSuppressSend, std::string(to_string(m.kind)), m.sn);
+  trace(TraceKind::kSuppressSend, to_string(m.kind), m.sn);
 }
 
 void P1SdwEngine::active_send(bool external, std::uint64_t payload,
@@ -110,7 +110,7 @@ void P1SdwEngine::do_app_message(const Message& m) {
   if (m.dirty) absorb_contamination(m);
   record_recv(m, effectively_dirty(m));
   app_apply_message(m.payload, m.tainted);
-  trace(TraceKind::kDeliverApp, std::string(to_string(m.kind)), m.sn);
+  trace(TraceKind::kDeliverApp, to_string(m.kind), m.sn);
 }
 
 std::size_t P1SdwEngine::takeover() {
@@ -124,14 +124,14 @@ std::size_t P1SdwEngine::takeover() {
     if (m.sn <= vr_p1act_) {
       // P1act's equivalent message was validated and consumed; re-sending
       // ours would duplicate it semantically.
-      trace(TraceKind::kReplayDrop, std::string(to_string(m.kind)), m.sn);
+      trace(TraceKind::kReplayDrop, to_string(m.kind), m.sn);
       continue;
     }
     m.dirty = dirty_;
     m.contam_sn = dirty_ ? dirty_contam_ : 0;
     m.epoch = epoch();
     m.ndc = ndc();
-    trace(TraceKind::kReplaySend, std::string(to_string(m.kind)), m.sn);
+    trace(TraceKind::kReplaySend, to_string(m.kind), m.sn);
     send_recorded(std::move(m), /*suspect=*/dirty_);
     ++replayed;
   }

@@ -96,7 +96,7 @@ void P2Engine::do_app_message(const Message& m) {
   if (m.dirty) absorb_contamination(m);
   record_recv(m, effectively_dirty(m));
   app_apply_message(m.payload, m.tainted);
-  trace(TraceKind::kDeliverApp, std::string(to_string(m.kind)), m.sn);
+  trace(TraceKind::kDeliverApp, to_string(m.kind), m.sn);
 }
 
 void P2Engine::serialize_role_state(ByteWriter& w) const {

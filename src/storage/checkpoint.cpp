@@ -1,6 +1,5 @@
 #include "storage/checkpoint.hpp"
 
-#include "common/assert.hpp"
 
 namespace synergy {
 
@@ -51,12 +50,6 @@ void CheckpointRecord::serialize(ByteWriter& w) const {
   // Trailing checksum over this record's own bytes: the decode side
   // recomputes it to detect torn writes and latent corruption.
   w.u32(crc32(w.data().data() + start, w.data().size() - start));
-}
-
-CheckpointRecord CheckpointRecord::deserialize(ByteReader& r) {
-  auto c = try_deserialize(r);
-  SYNERGY_ASSERT(c.has_value());  // trusted path: bytes we produced ourselves
-  return *c;
 }
 
 std::optional<CheckpointRecord> CheckpointRecord::try_deserialize(

@@ -112,9 +112,6 @@ struct CheckpointRecord {
   /// corruption (torn writes, latent bit rot, truncation) is detectable at
   /// decode time.
   void serialize(ByteWriter& w) const;
-  /// Trusted-path decode: asserts integrity (in-memory volatile records,
-  /// test fixtures). For bytes read back from storage use try_deserialize.
-  static CheckpointRecord deserialize(ByteReader& r);
   /// Checked decode: nullopt on truncated input or checksum mismatch.
   /// Never aborts — a corrupted stable blob must be detected and reported
   /// so recovery can fall back to an older retained record.

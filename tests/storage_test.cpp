@@ -55,7 +55,10 @@ TEST(CheckpointTest, SerializationRoundTrip) {
   ByteWriter w;
   rec.serialize(w);
   ByteReader r(w.data());
-  const CheckpointRecord back = CheckpointRecord::deserialize(r);
+  const std::optional<CheckpointRecord> decoded =
+      CheckpointRecord::try_deserialize(r);
+  ASSERT_TRUE(decoded.has_value());
+  const CheckpointRecord& back = *decoded;
   EXPECT_EQ(back.kind, rec.kind);
   EXPECT_EQ(back.owner, rec.owner);
   EXPECT_EQ(back.established_at, rec.established_at);

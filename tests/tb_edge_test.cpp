@@ -140,7 +140,10 @@ TEST(TbEdgeTest, CheckpointContentsSurviveSerializationSizes) {
   ByteWriter w;
   rec.serialize(w);
   ByteReader r(w.data());
-  const CheckpointRecord back = CheckpointRecord::deserialize(r);
+  const std::optional<CheckpointRecord> decoded =
+      CheckpointRecord::try_deserialize(r);
+  ASSERT_TRUE(decoded.has_value());
+  const CheckpointRecord& back = *decoded;
   EXPECT_EQ(back.encoded_size(), rec.encoded_size());
   StableStore& store = system.node(kP2).sstore();
   CheckpointRecord stored = rec;

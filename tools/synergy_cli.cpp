@@ -745,7 +745,7 @@ int cmd_chaos(int argc, char** argv) {
             "re-run one mission by the seed a failing campaign prints with "
             "its schedule, and dump its counters"),
       path("--trace-csv", "FILE", &config.trace_csv,
-           "dump the mission trace as CSV (with --replay; forces --jobs 1)"),
+           "dump the mission trace as CSV (with --replay)"),
       choice("--workload", "W", &config.base.workload.kind, kAllWorkloadKinds,
              "abft computes AT verdicts from checksum-encoded blocks"),
   });
@@ -753,6 +753,9 @@ int cmd_chaos(int argc, char** argv) {
   if (!parse_flags("chaos", flags, argc, argv)) return 0;
   require_positive("--disconnect-len",
                    config.rates.mobile.disconnect_mean_len > Duration::zero());
+  if (!config.trace_csv.empty() && !replay_seed) {
+    fail("--trace-csv needs --replay: it dumps one mission's trace");
+  }
 
   if (replay_seed) {
     const MissionReport r = run_mission(config, *replay_seed);
