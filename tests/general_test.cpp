@@ -277,6 +277,84 @@ TEST_F(GeneralFixture, SoftwareRecoveryRecordsNothingWhileTracingIsOff) {
   EXPECT_TRUE(system_->trace().events().empty());
 }
 
+/// Feeds `p` a dirty-flagged message from one epoch below `epoch` and
+/// reports whether the process fenced it. A dead process is revived for
+/// the probe only.
+bool fences_dirty_below(CheckpointableProcess& p, const TraceLog& trace,
+                        std::uint32_t epoch, ProcessId from) {
+  Message m;
+  m.kind = MsgKind::kInternal;
+  m.sender = from;
+  m.receiver = p.self();
+  m.transport_seq = 1'000'000;
+  m.sn = 1'000'000;
+  m.epoch = epoch - 1;
+  m.dirty = true;
+  const std::size_t before = trace.count(TraceKind::kStaleDrop, p.self());
+  const bool alive = p.alive();
+  p.revive();
+  p.on_message(m);
+  if (!alive) p.kill();
+  return trace.count(TraceKind::kStaleDrop, p.self()) == before + 1;
+}
+
+// The survivors' decision table on the canonical topology (0: C0's
+// active, 1: the high component C1, 2: C0's shadow) while C1's node is
+// down: C1 crashed dirty, the clean shadow rolls forward and replays its
+// log, and every process, the retired active and the crashed C1 included,
+// carries the new epoch and fences the dirty sends of the old one.
+TEST_F(GeneralFixture, DecisionTableWithACrashedSurvivor) {
+  for (const bool read_before_crash : {false, true}) {
+    build(Topology::canonical());
+    const ProcessId high{1};
+    const ProcessId shadow{2};
+    component_send(0, false);  // C1 absorbs it; the shadow logs sn 1
+    settle();
+    ASSERT_TRUE(system_->engine(high).dirty());
+    // Reading the anchor materializes it into the volatile store, which
+    // the crash then erases.
+    if (read_before_crash) {
+      ASSERT_TRUE(system_->engine(high).latest_volatile().has_value());
+    }
+    const TimePoint crash = system_->sim().now() + Duration::seconds(1);
+    system_->schedule_hw_fault(crash, high);
+    system_->schedule_sw_error(crash + Duration::millis(300), 0);
+    system_->run_until(crash + Duration::millis(500));
+    ASSERT_TRUE(system_->sw_recovery().has_value());
+    ASSERT_FALSE(system_->engine(high).alive());
+
+    const auto& r = *system_->sw_recovery();
+    EXPECT_EQ(r.detector, ProcessId{0});
+    if (read_before_crash) {
+      // No volatile record: left to the pending restart.
+      EXPECT_EQ(r.rolled_back, 0u);
+      EXPECT_EQ(system_->trace().count(TraceKind::kRollback, high), 0u);
+    } else {
+      // The crashed node still holds its anchor ring, so the recovery
+      // rolls it back from RAM the crash destroyed (ROADMAP item 1).
+      EXPECT_EQ(r.rolled_back, 1u);
+      EXPECT_EQ(system_->trace().count(TraceKind::kRollback, high), 1u);
+    }
+    EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, shadow), 1u);
+    EXPECT_EQ(r.replayed, 1u);  // sn 1, beyond the validated watermark 0
+
+    const std::uint32_t epoch = system_->engine(shadow).epoch();
+    EXPECT_GT(epoch, 0u);
+    const ProcessId probe_from[] = {high, shadow, high};
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      GeneralEngine& engine = system_->engine(ProcessId{p});
+      EXPECT_EQ(engine.epoch(), epoch) << p;
+      EXPECT_TRUE(fences_dirty_below(engine, system_->trace(), epoch,
+                                     probe_from[p]))
+          << p;
+    }
+
+    system_->run_until(crash + Duration::seconds(3));
+    ASSERT_EQ(system_->hw_recoveries().size(), 1u);
+    EXPECT_TRUE(system_->engine(high).alive());
+  }
+}
+
 TEST_F(GeneralFixture, StarTopologyFanOut) {
   build(Topology::star(3));
   component_send(0, false);  // hub multicasts to all leaves

@@ -67,14 +67,88 @@ TEST_F(SwRecoveryFixture, DirtyP2RollsBackToCleanState) {
   ASSERT_TRUE(system_->p2().dirty());
   ASSERT_TRUE(system_->node(kP2).app().tainted());
 
-  system_->schedule_sw_error(system_->sim().now() + Duration::seconds(1));
+  ASSERT_TRUE(system_->p2().latest_volatile().has_value());
+  const TimePoint anchored = system_->p2().latest_volatile()->state_time;
+  const TimePoint detected = system_->sim().now() + Duration::seconds(1);
+  system_->schedule_sw_error(detected);
   settle();
   ASSERT_TRUE(system_->sw_recovery().has_value());
   EXPECT_TRUE(system_->sw_recovery()->p2_rolled_back);
+  EXPECT_EQ(system_->sw_recovery()->p2_rollback_distance, detected - anchored);
   EXPECT_GT(system_->sw_recovery()->p2_rollback_distance, Duration::zero());
   // Rollback restored the pre-contamination state: taint gone, dirty gone.
   EXPECT_FALSE(system_->p2().dirty());
   EXPECT_FALSE(system_->node(kP2).app().tainted());
+}
+
+/// Feeds `p` a dirty-flagged message from one epoch below `epoch` and
+/// reports whether the process fenced it. A dead process is revived for
+/// the probe only.
+bool fences_dirty_below(CheckpointableProcess& p, const TraceLog& trace,
+                        std::uint32_t epoch, ProcessId from) {
+  Message m;
+  m.kind = MsgKind::kInternal;
+  m.sender = from;
+  m.receiver = p.self();
+  m.transport_seq = 1'000'000;
+  m.sn = 1'000'000;
+  m.epoch = epoch - 1;
+  m.dirty = true;
+  const std::size_t before = trace.count(TraceKind::kStaleDrop, p.self());
+  const bool alive = p.alive();
+  p.revive();
+  p.on_message(m);
+  if (!alive) p.kill();
+  return trace.count(TraceKind::kStaleDrop, p.self()) == before + 1;
+}
+
+// The survivors' decision table when a node is down: P2 crashed dirty and
+// lost its volatile checkpoint with its RAM, so the recovery neither rolls
+// it back nor forward and leaves it to the pending restart; the clean
+// shadow rolls forward and replays its log. Every process, the retired
+// P1act and the crashed P2 included, carries the new epoch and fences the
+// dirty sends of the old one (no restart has run, so only the dirty fence
+// can drop the probe).
+TEST_F(SwRecoveryFixture, DecisionTableLeavesACrashedSurvivorToItsRestart) {
+  build();
+  system_->node(kP1Act).app().corrupt(55);
+  c1_send(false);  // P2 absorbs it and turns dirty; P1sdw logs sn 1
+  settle();
+  ASSERT_TRUE(system_->p2().dirty());
+  const TimePoint crash = system_->sim().now() + Duration::seconds(1);
+  system_->schedule_hw_fault(crash, NodeId{2});
+  system_->schedule_sw_error(crash + Duration::millis(300));
+  system_->run_until(crash + Duration::millis(500));
+  ASSERT_TRUE(system_->sw_recovery().has_value());
+  ASSERT_TRUE(system_->hw_manager().recovery_pending());
+  ASSERT_FALSE(system_->p2().latest_volatile().has_value());
+
+  const auto& r = *system_->sw_recovery();
+  EXPECT_EQ(r.detector, kP1Act);
+  EXPECT_FALSE(r.p2_rolled_back);
+  EXPECT_EQ(r.p2_rollback_distance, Duration::zero());
+  EXPECT_EQ(system_->trace().count(TraceKind::kRollback, kP2), 0u);
+  EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, kP2), 0u);
+  EXPECT_FALSE(r.p1sdw_rolled_back);
+  EXPECT_EQ(r.p1sdw_rollback_distance, Duration::zero());
+  EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, kP1Sdw), 1u);
+  EXPECT_EQ(r.replayed_messages, 1u);  // sn 1, beyond VR = 0
+
+  const std::uint32_t epoch = system_->p1sdw().epoch();
+  EXPECT_GT(epoch, 0u);
+  const ProcessId probe_from[] = {kP2, kP2, kP1Sdw};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    MdcdEngine& engine = system_->node(ProcessId{i}).engine();
+    EXPECT_EQ(engine.epoch(), epoch) << i;
+    EXPECT_TRUE(
+        fences_dirty_below(engine, system_->trace(), epoch, probe_from[i]))
+        << i;
+  }
+
+  system_->run_until(crash + Duration::seconds(3));
+  ASSERT_EQ(system_->hw_recoveries().size(), 1u);
+  EXPECT_FALSE(system_->node(kP2).crashed());
+  EXPECT_TRUE(system_->p2().alive());
 }
 
 TEST_F(SwRecoveryFixture, ReplayResendsOnlyBeyondVr) {
