@@ -59,7 +59,7 @@ int main() {
     std::printf(
         "design fault detected by %s: both guarded components failed over "
         "to their shadows (%zu rollbacks, %zu messages replayed)\n",
-        system.topology().process_name(r->detector).c_str(), r->rolled_back,
+        system.topology().process_name(r->detector).c_str(), r->rollbacks(),
         r->replayed);
   } else {
     std::printf("no design fault manifested on this seed\n");

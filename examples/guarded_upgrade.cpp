@@ -44,15 +44,20 @@ int main() {
         "acceptance test FAILED at %s -> software error recovery:\n",
         to_string(recovery->detector).c_str());
     std::printf("  - P1act (upgraded version) terminated and retired\n");
+    const auto decision = [&](ProcessId p) {
+      return recovery->rolled_back[p.value()] ? "rolled back"
+                                              : "rolled forward";
+    };
+    const auto distance = [&](ProcessId p) {
+      return recovery->rollback_distance[p.value()].to_seconds();
+    };
     std::printf("  - P1sdw %s (dirty: rolled back %.2f s of computation)\n",
-                recovery->p1sdw_rolled_back ? "rolled back" : "rolled forward",
-                recovery->p1sdw_rollback_distance.to_seconds());
+                decision(kP1Sdw), distance(kP1Sdw));
     std::printf("  - P2    %s (dirty: rolled back %.2f s of computation)\n",
-                recovery->p2_rolled_back ? "rolled back" : "rolled forward",
-                recovery->p2_rollback_distance.to_seconds());
+                decision(kP2), distance(kP2));
     std::printf("  - shadow took over and replayed %zu suppressed messages "
                 "beyond VR\n",
-                recovery->replayed_messages);
+                recovery->replayed);
     std::printf("\nafter takeover the mission continued on the trusted "
                 "version:\n");
   } else {

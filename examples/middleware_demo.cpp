@@ -54,9 +54,11 @@ int main() {
     std::printf("acceptance test failed at %s -> stop-the-world recovery:\n",
                 to_string(stats->detector).c_str());
     std::printf("  P1sdw %s, P2 %s, %zu suppressed messages replayed\n",
-                stats->p1sdw_rolled_back ? "rolled back" : "rolled forward",
-                stats->p2_rolled_back ? "rolled back" : "rolled forward",
-                stats->replayed_messages);
+                stats->rolled_back[kP1Sdw.value()] ? "rolled back"
+                                                    : "rolled forward",
+                stats->rolled_back[kP2.value()] ? "rolled back"
+                                                : "rolled forward",
+                stats->replayed);
   }
 
   // Mission continues on the trusted version.

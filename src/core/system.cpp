@@ -90,10 +90,6 @@ System::System(const SystemConfig& config) : config_(config) {
       sim_, all_nodes(), config.repair_latency, trace, line_verdicts_,
       [this] { return next_epoch(); }, config.harden_recovery);
 
-  sw_manager_ = std::make_unique<SoftwareRecoveryManager>(
-      *nodes_[0]->p1act(), *nodes_[1]->p1sdw(), *nodes_[2]->p2(),
-      [this] { return sim_.now(); }, trace);
-
   if (config.enable_monitor) {
     monitor_ = std::make_unique<AssumptionMonitor>(
         sim_, *net_, *clocks_,
@@ -334,18 +330,18 @@ void System::on_at_failure(ProcessId detector) {
     // design-diversity redundancy. Recorded, not recovered.
     return;
   }
-  sw_recovery_ = sw_manager_->recover(detector, next_epoch());
+  sw_recovery_ = recover_software(
+      detector, next_epoch(), sim_.now(),
+      {&nodes_[0]->engine(), &nodes_[1]->engine(), &nodes_[2]->engine()},
+      {true, false, false}, kP1Sdw, config_.enable_trace ? &trace_ : nullptr);
+  nodes_[0]->retire();
 
   // Establish a fresh recovery line: the takeover must never be split by a
   // later hardware rollback (stable checkpoints predating it would
   // resurrect the retired P1act). The line gets a *common* index beyond
   // every survivor's current Ndc, and each TB schedule fast-forwards to it
   // — mixing per-node indices would pair pre- and post-takeover records.
-  if (config_.scheme != Scheme::kMdcdOnly) {
-    commit_fresh_line(sim_.now(), config_.tb.interval,
-                      {nodes_[1].get(), nodes_[2].get()});
-  }
-  nodes_[0]->retire();
+  commit_fresh_line(sim_.now(), config_.tb.interval, all_nodes());
 }
 
 GlobalState System::stable_line_state() const {

@@ -229,7 +229,6 @@ class System {
   // audits are const reads of the run, the memo is their cache.
   mutable LineVerdicts line_verdicts_;
   std::unique_ptr<HardwareRecoveryManager> hw_manager_;
-  std::unique_ptr<SoftwareRecoveryManager> sw_manager_;
   std::unique_ptr<AssumptionMonitor> monitor_;
   FaultyNetwork* faulty_net_ = nullptr;
 

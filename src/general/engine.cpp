@@ -393,8 +393,16 @@ void GeneralEngine::materialize_anchor() const {
   promoted_validated_version_ = validated_version_;
 }
 
+void GeneralEngine::end_guarded_operation() {
+  for (std::uint32_t c = 0; c < topology_.component_count(); ++c) {
+    if (topology_.components()[c].confidence == Confidence::kLow) {
+      mark_component_failed_over(c);
+    }
+  }
+}
+
 std::size_t GeneralEngine::takeover() {
-  SYNERGY_EXPECTS(kind_ == GProcessKind::kShadow);
+  if (kind_ != GProcessKind::kShadow) return 0;
   SYNERGY_EXPECTS(!takeover_done_);
   takeover_done_ = true;
   trace(TraceKind::kTakeover);

@@ -85,13 +85,12 @@ class GeneralEngine final : public CheckpointableProcess {
 
   /// Shadow takeover: assume the active role and replay logged messages
   /// beyond the validated watermark of this component. Returns the number
-  /// replayed.
-  std::size_t takeover();
+  /// replayed (0 for a non-shadow, which has nothing to take over).
+  std::size_t takeover() override;
 
-  /// System-wide reconfiguration knowledge: component `c` failed over to
-  /// its shadow; its retired active process gets no further traffic.
-  /// Persisted in the protocol state (survives rollbacks).
-  void mark_component_failed_over(std::uint32_t c);
+  /// Every low-confidence component failed over to its shadow (system-wide
+  /// reconfiguration knowledge, kept in the protocol state).
+  void end_guarded_operation() override;
 
   // ---- Oracle / diagnostics -------------------------------------------------
   const ContamVector& absorbed() const { return absorbed_; }
@@ -167,6 +166,11 @@ class GeneralEngine final : public CheckpointableProcess {
                              const ViewMark& views) const;
 
   void send_internal_multicast(std::uint64_t payload, bool tainted);
+
+  /// Component `c` failed over to its shadow: its retired active process
+  /// gets no further traffic. Persisted in the protocol state (survives
+  /// rollbacks).
+  void mark_component_failed_over(std::uint32_t c);
 
   const Topology& topology_;
   GProcessKind kind_;

@@ -166,66 +166,22 @@ void GeneralSystem::schedule_sw_error(TimePoint at, std::uint32_t component) {
 
 void GeneralSystem::on_at_failure(ProcessId detector) {
   if (sw_recovery_.has_value()) return;  // redundancy exhausted: record only
-  GeneralSwRecovery result;
-  result.detector = detector;
-  const std::uint32_t new_epoch = ++epoch_counter_;
-  const bool traced = config_.enable_trace;
-  if (traced) trace_.record(sim_.now(), detector, TraceKind::kSwErrorDetected);
-
-  // 1. Every low-confidence active is terminated and retired.
+  // Every low-confidence component fails over to its shadow.
+  std::vector<CheckpointableProcess*> processes;
+  std::vector<bool> low_actives;
   for (auto& node : nodes_) {
-    const std::uint32_t c = topology_.component_of(node->id());
-    if (!topology_.is_shadow(node->id()) &&
-        topology_.components()[c].confidence == Confidence::kLow) {
-      node->retire();
-    }
+    processes.push_back(&node->engine());
+    low_actives.push_back(node->engine().kind() == GProcessKind::kActive);
   }
-
-  // 2. Local rollback / roll-forward decisions for the survivors.
-  for (auto& node : nodes_) {
-    if (node->retired()) continue;
-    GeneralEngine& engine = node->engine();
-    if (engine.dirty()) {
-      const auto& record = engine.latest_volatile();
-      if (!record.has_value()) {
-        // Only a hardware-crashed survivor lacks one (its RAM is gone).
-        // The pending hardware recovery rebuilds it from stable storage,
-        // so it is left alone, as mdcd/recovery.cpp leaves a crashed one.
-        SYNERGY_ASSERT(!engine.alive());
-        continue;
-      }
-      engine.restore_from_record(*record);
-      ++result.rolled_back;
-      if (traced) {
-        trace_.record(sim_.now(), node->id(), TraceKind::kRollback,
-                      to_string(record->kind));
-      }
-    } else if (traced) {
-      trace_.record(sim_.now(), node->id(), TraceKind::kRollForward);
-    }
+  sw_recovery_ = recover_software(detector, ++epoch_counter_, sim_.now(),
+                                  processes, low_actives, detector,
+                                  config_.enable_trace ? &trace_ : nullptr);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (low_actives[i]) nodes_[i]->retire();
   }
-
-  // 3. Epoch fences + reconfiguration knowledge, then shadow takeovers.
-  for (auto& node : nodes_) {
-    GeneralEngine& engine = node->engine();
-    engine.set_epoch(new_epoch);
-    engine.fence_dirty_below(new_epoch);
-    for (std::uint32_t c = 0; c < topology_.component_count(); ++c) {
-      if (topology_.components()[c].confidence == Confidence::kLow) {
-        engine.mark_component_failed_over(c);
-      }
-    }
-  }
-  for (auto& node : nodes_) {
-    if (node->retired() || !topology_.is_shadow(node->id())) continue;
-    result.replayed += node->engine().takeover();
-  }
-
-  // 4. Fresh recovery line at a *common* index so no later hardware
-  //    rollback spans the takeover (coord/reline.hpp).
+  // A fresh recovery line at a *common* index, so no later hardware
+  // rollback spans the takeover (coord/reline.hpp).
   commit_fresh_line(sim_.now(), config_.tb.interval, all_nodes());
-  if (traced) trace_.record(sim_.now(), detector, TraceKind::kSwRecoveryDone);
-  sw_recovery_ = result;
 }
 
 void GeneralSystem::schedule_hw_fault(TimePoint at, ProcessId victim) {

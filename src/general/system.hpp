@@ -11,8 +11,8 @@
 // Every process lives on a Node (coord/node.hpp), so a crash, the
 // coordinated restart and recovery-line selection are the canonical
 // system's own (HardwareRecoveryManager with the paper's naive line
-// selection). This class owns the general software recovery's rollback,
-// fencing and takeover steps and the per-component workload routes.
+// selection), and the software recovery is the canonical one too
+// (mdcd/recovery.hpp). This class owns the per-component workload routes.
 #pragma once
 
 #include <memory>
@@ -24,6 +24,7 @@
 #include "coord/hw_recovery.hpp"
 #include "general/engine.hpp"
 #include "general/topology.hpp"
+#include "mdcd/recovery.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "tb/engine.hpp"
@@ -41,12 +42,6 @@ struct GeneralConfig {
   Duration repair_latency = Duration::seconds(1);
   std::uint64_t seed = 1;
   bool enable_trace = true;
-};
-
-struct GeneralSwRecovery {
-  ProcessId detector;
-  std::size_t rolled_back = 0;
-  std::size_t replayed = 0;
 };
 
 /// One hardware restart; rollback_distance is indexed by process id.
@@ -82,7 +77,7 @@ class GeneralSystem {
   /// Crash process `victim`'s node at `at`; global recovery follows.
   void schedule_hw_fault(TimePoint at, ProcessId victim);
 
-  const std::optional<GeneralSwRecovery>& sw_recovery() const {
+  const std::optional<SwRecoveryStats>& sw_recovery() const {
     return sw_recovery_;
   }
   const std::vector<GeneralHwRecovery>& hw_recoveries() const {
@@ -126,7 +121,7 @@ class GeneralSystem {
   TimePoint horizon_;
   bool started_ = false;
   std::uint32_t epoch_counter_ = 0;
-  std::optional<GeneralSwRecovery> sw_recovery_;
+  std::optional<SwRecoveryStats> sw_recovery_;
 };
 
 }  // namespace synergy

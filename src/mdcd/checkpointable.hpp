@@ -21,7 +21,9 @@
 //
 // A derived engine supplies only its contamination model through the
 // hooks below: what a send, an application message and a validation do,
-// the contamination flag, and the protocol blob's encoding.
+// the contamination flag, the protocol blob's encoding, and its part of a
+// software recovery (the end of guarded operation and, for a shadow, the
+// takeover; mdcd/recovery.hpp).
 #pragma once
 
 #include <cstdint>
@@ -118,6 +120,16 @@ class CheckpointableProcess {
   /// processes).
   void fence_all_below(std::uint32_t epoch);
   void fence_dirty_below(std::uint32_t epoch);
+
+  // ---- Software recovery (mdcd/recovery.hpp) ------------------------------
+
+  /// Guarded operation ends: the low-confidence versions were terminated
+  /// and their shadows take over.
+  virtual void end_guarded_operation() = 0;
+  /// A shadow assumes the active role and replays its suppressed log
+  /// beyond the validated watermark; returns the number replayed. Every
+  /// other process has nothing to take over.
+  virtual std::size_t takeover() { return 0; }
 
   // ---- Checkpointing -----------------------------------------------------
 

@@ -55,10 +55,10 @@ class MdcdEngine : public CheckpointableProcess {
   void set_validation_observer(std::function<void()> fn);
 
   /// Guarded operation: the low-confidence version is in service. When
-  /// guarded mode ends (successful upgrade or takeover), dirty bits stay 0
-  /// and MDCD "goes on leave" (paper §4.2).
+  /// guarded mode ends (takeover), dirty bits stay 0 and MDCD "goes on
+  /// leave" (paper §4.2).
   bool guarded() const { return guarded_; }
-  virtual void set_guarded(bool guarded) { guarded_ = guarded; }
+  void end_guarded_operation() override { guarded_ = false; }
 
   // ---- Checkpointing -----------------------------------------------------
 

@@ -26,9 +26,9 @@ class P1SdwEngine final : public MdcdEngine {
   const SmallVec<Message, 4>& suppressed_log() const { return msg_log_; }
 
   /// Assume the active role and replay logged messages beyond VR. Invoked
-  /// by the software recovery manager after rollback/roll-forward
-  /// decisions have been applied. Returns the number of replayed messages.
-  std::size_t takeover();
+  /// by the software recovery after the rollback/roll-forward decisions
+  /// have been applied. Returns the number of replayed messages.
+  std::size_t takeover() override;
 
  protected:
   void do_app_send(bool external, std::uint64_t input) override;

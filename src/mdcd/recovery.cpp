@@ -1,87 +1,75 @@
 #include "mdcd/recovery.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace synergy {
 
-SoftwareRecoveryManager::SoftwareRecoveryManager(
-    P1ActEngine& p1act, P1SdwEngine& p1sdw, P2Engine& p2,
-    std::function<TimePoint()> now, TraceLog* trace)
-    : p1act_(p1act), p1sdw_(p1sdw), p2_(p2), now_(std::move(now)),
-      trace_(trace) {
-  SYNERGY_EXPECTS(now_ != nullptr);
+std::size_t SwRecoveryStats::rollbacks() const {
+  return static_cast<std::size_t>(
+      std::count(rolled_back.begin(), rolled_back.end(), true));
 }
 
-SwRecoveryStats SoftwareRecoveryManager::recover(ProcessId detector,
-                                                 std::uint32_t new_epoch) {
-  SYNERGY_EXPECTS(!recovered_);
+SwRecoveryStats recover_software(
+    ProcessId detector, std::uint32_t new_epoch, TimePoint now,
+    const std::vector<CheckpointableProcess*>& processes,
+    const std::vector<bool>& terminated, ProcessId done_by, TraceLog* trace) {
+  SYNERGY_EXPECTS(terminated.size() == processes.size());
   SwRecoveryStats stats;
   stats.detector = detector;
-  const TimePoint t = now_();
-  if (trace_) {
-    trace_->record(t, detector, TraceKind::kSwErrorDetected);
-  }
+  stats.rolled_back.assign(processes.size(), false);
+  stats.rollback_distance.assign(processes.size(), Duration::zero());
+  if (trace) trace->record(now, detector, TraceKind::kSwErrorDetected);
 
-  // 1. The active low-confidence process is terminated.
-  p1act_.kill();
+  // 1. The active low-confidence processes are terminated.
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    if (terminated[i]) processes[i]->kill();
+  }
 
   // 2. Local rollback / roll-forward decisions, based solely on each
-  //    process's own dirty bit (no message exchange).
-  struct Survivor {
-    MdcdEngine* engine;
-    bool* rolled_back;
-    Duration* distance;
-  };
-  const Survivor survivors[] = {
-      {&p1sdw_, &stats.p1sdw_rolled_back, &stats.p1sdw_rollback_distance},
-      {&p2_, &stats.p2_rolled_back, &stats.p2_rollback_distance},
-  };
-  for (const auto& s : survivors) {
-    if (!s.engine->alive()) {
-      // A hardware-crashed survivor has no volatile checkpoint (RAM is
-      // gone) and its state is about to be rebuilt from stable storage by
-      // hardware recovery anyway; rolling it back here would double-recover
-      // it. Its dirty bit, if set, rides along in the stable record.
-      *s.rolled_back = false;
-      continue;
-    }
-    if (s.engine->dirty()) {
-      // A dirty process always has a volatile checkpoint: Type-1 was
+  //    survivor's own contamination flag (no message exchange).
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    CheckpointableProcess& p = *processes[i];
+    if (terminated[i]) continue;
+    if (p.contamination_flag()) {
+      // A live dirty process always has a volatile checkpoint: one was
       // established immediately before it became dirty.
-      const auto& record = s.engine->latest_volatile();
-      SYNERGY_ASSERT(record.has_value());
-      s.engine->restore_from_record(*record);
-      *s.rolled_back = true;
-      *s.distance = t - record->state_time;
-      if (trace_) {
-        trace_->record(t, s.engine->self(), TraceKind::kRollback,
-                       to_string(record->kind));
+      const auto& record = p.latest_volatile();
+      if (!record.has_value()) {
+        // Only a hardware-crashed survivor lacks one (its RAM is gone).
+        // The pending restart rebuilds it from stable storage; its dirty
+        // bit, if set, rides along in the stable record.
+        SYNERGY_ASSERT(!p.alive());
+        continue;
       }
-    } else {
-      *s.rolled_back = false;
-      if (trace_) {
-        trace_->record(t, s.engine->self(), TraceKind::kRollForward);
+      p.restore_from_record(*record);
+      stats.rolled_back[i] = true;
+      stats.rollback_distance[i] = now - record->state_time;
+      if (trace) {
+        trace->record(now, p.self(), TraceKind::kRollback,
+                      to_string(record->kind));
       }
+    } else if (p.alive() && trace) {
+      trace->record(now, p.self(), TraceKind::kRollForward);
     }
   }
 
-  // 3. Guarded operation ends; MDCD goes on leave (dirty bits stay 0).
-  MdcdEngine* const all[] = {&p1act_, &p1sdw_, &p2_};
-  for (MdcdEngine* engine : all) {
-    engine->set_guarded(false);
-    engine->set_epoch(new_epoch);
-    // Fence the sends that contaminated processes just undid: every one of
-    // them was dirty-flagged on the wire.
-    engine->fence_dirty_below(new_epoch);
+  // 3. Every process, the terminated ones included, enters the new epoch
+  //    and fences the sends the contaminated processes just undid (every
+  //    one of them was dirty-flagged on the wire); guarded operation ends.
+  for (CheckpointableProcess* p : processes) {
+    p->set_epoch(new_epoch);
+    p->fence_dirty_below(new_epoch);
+    p->end_guarded_operation();
   }
 
-  // 4. Takeover + replay (with the new epoch, so replays are not fenced).
-  stats.replayed_messages = p1sdw_.takeover();
-
-  if (trace_) {
-    trace_->record(now_(), p1sdw_.self(), TraceKind::kSwRecoveryDone);
+  // 4. Takeover + replay, with the new epoch so replays are not fenced.
+  for (std::size_t i = 0; i < processes.size(); ++i) {
+    if (!terminated[i]) stats.replayed += processes[i]->takeover();
   }
-  recovered_ = true;
+
+  if (trace) trace->record(now, done_by, TraceKind::kSwRecoveryDone);
   return stats;
 }
 

@@ -1,58 +1,54 @@
-// Software error recovery (MDCD).
+// Software error recovery (MDCD) — one routine for every host.
 //
-// On an acceptance-test failure, P1sdw takes over P1act's active role and
-// every surviving process makes a *local* decision: roll back to its most
-// recent volatile checkpoint if its dirty bit is set, roll forward
-// otherwise. The paper's theorems (proved in [5]) guarantee the resulting
-// global state satisfies validity-concerned consistency and
-// recoverability; our property tests check exactly that via the analysis
-// module. After rollback/roll-forward, P1sdw replays its suppressed
-// message log beyond VR.
+// On an acceptance-test failure the low-confidence actives are terminated
+// and every survivor makes a *local* decision from its own contamination
+// flag: roll back to its most recent volatile checkpoint if the flag is
+// set, roll forward otherwise. The paper's theorems (proved in [5])
+// guarantee the resulting global state satisfies validity-concerned
+// consistency and recoverability; our property tests check exactly that
+// via the analysis module. Then every process raises its recovery epoch
+// and fences the dirty sends of the old one, guarded operation ends, and
+// each shadow takes over and replays its suppressed log beyond VR.
+//
+// The canonical System, the N-component GeneralSystem and the threaded
+// GsuMiddleware all recover through recover_software (DESIGN.md §24). It
+// works on engines, not nodes, because the middleware has no nodes: the
+// hosts keep the once-only guard, retiring the terminated processes'
+// nodes and committing a fresh recovery line.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "common/time.hpp"
-#include "mdcd/p1act.hpp"
-#include "mdcd/p1sdw.hpp"
-#include "mdcd/p2.hpp"
+#include "mdcd/checkpointable.hpp"
+#include "trace/trace.hpp"
 
 namespace synergy {
 
 struct SwRecoveryStats {
   ProcessId detector;
-  bool p1sdw_rolled_back = false;
-  bool p2_rolled_back = false;
-  /// Computation undone by each rollback (zero if rolled forward).
-  Duration p1sdw_rollback_distance = Duration::zero();
-  Duration p2_rollback_distance = Duration::zero();
-  std::size_t replayed_messages = 0;
+  /// Per process, indexed by process id like HwRecoveryStats: whether the
+  /// survivor rolled back, and the computation the rollback undid (zero
+  /// if it rolled forward, was terminated or was left to its restart).
+  std::vector<bool> rolled_back;
+  std::vector<Duration> rollback_distance;
+  /// Messages the shadows replayed on takeover.
+  std::size_t replayed = 0;
+
+  std::size_t rollbacks() const;
 };
 
-class SoftwareRecoveryManager {
- public:
-  SoftwareRecoveryManager(P1ActEngine& p1act, P1SdwEngine& p1sdw,
-                          P2Engine& p2, std::function<TimePoint()> now,
-                          TraceLog* trace);
-
-  /// Execute the full recovery: terminate P1act, apply local
-  /// rollback/roll-forward decisions, bump the recovery epoch, take over,
-  /// and replay. `new_epoch` must be strictly greater than every engine's
-  /// current epoch.
-  SwRecoveryStats recover(ProcessId detector, std::uint32_t new_epoch);
-
-  bool recovered() const { return recovered_; }
-
- private:
-  Duration apply_local_decision(MdcdEngine& engine, bool& rolled_back);
-
-  P1ActEngine& p1act_;
-  P1SdwEngine& p1sdw_;
-  P2Engine& p2_;
-  std::function<TimePoint()> now_;
-  TraceLog* trace_;
-  bool recovered_ = false;
-};
+/// Run the software recovery at `now` over a host's `processes`, listed
+/// in process-id order; `terminated[i]` marks the low-confidence actives
+/// that are killed. A dirty survivor without a volatile record must be
+/// dead (its RAM went with a crash): it is left to the pending hardware
+/// restart, as is a dead clean one. `new_epoch` must be strictly greater
+/// than every process's epoch. `done_by` stamps the closing
+/// kSwRecoveryDone trace event; `trace` may be null.
+SwRecoveryStats recover_software(
+    ProcessId detector, std::uint32_t new_epoch, TimePoint now,
+    const std::vector<CheckpointableProcess*>& processes,
+    const std::vector<bool>& terminated, ProcessId done_by, TraceLog* trace);
 
 }  // namespace synergy

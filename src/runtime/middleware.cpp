@@ -208,14 +208,11 @@ void GsuMiddleware::run_supervisor() {
       if (stopping_.load()) return;
 
       // All process threads are parked: run the recovery on their engines.
-      auto* p1act = static_cast<P1ActEngine*>(processes_[0]->engine.get());
-      auto* p1sdw = static_cast<P1SdwEngine*>(processes_[1]->engine.get());
-      auto* p2 = static_cast<P2Engine*>(processes_[2]->engine.get());
-      SoftwareRecoveryManager manager(*p1act, *p1sdw, *p2,
-                                      [this] { return now(); },
-                                      &supervisor_trace_);
-      const SwRecoveryStats result =
-          manager.recover(ProcessId{detector_.load()}, ++epoch_counter_);
+      const SwRecoveryStats result = recover_software(
+          ProcessId{detector_.load()}, ++epoch_counter_, now(),
+          {processes_[0]->engine.get(), processes_[1]->engine.get(),
+           processes_[2]->engine.get()},
+          {true, false, false}, kP1Sdw, &supervisor_trace_);
       {
         std::lock_guard lock(stats_mu_);
         stats_ = result;

@@ -25,6 +25,7 @@
 #include "app/acceptance_test.hpp"
 #include "app/fault.hpp"
 #include "app/state.hpp"
+#include "mdcd/engine.hpp"
 #include "mdcd/recovery.hpp"
 #include "runtime/bus.hpp"
 #include "runtime/transport.hpp"

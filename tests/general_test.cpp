@@ -250,10 +250,18 @@ TEST_F(GeneralFixture, SoftwareRecoveryFailsOverEveryGuardedComponent) {
   build(Topology::dual_guarded());
   component_send(0, false);
   settle();
+  const ProcessId shared{2};
+  ASSERT_TRUE(system_->engine(shared).latest_volatile().has_value());
+  const TimePoint anchored =
+      system_->engine(shared).latest_volatile()->state_time;
   // Corrupt source A and force its AT.
-  system_->schedule_sw_error(system_->sim().now() + Duration::seconds(1), 0);
+  const TimePoint detected = system_->sim().now() + Duration::seconds(1);
+  system_->schedule_sw_error(detected, 0);
   settle();
   ASSERT_TRUE(system_->sw_recovery().has_value());
+  EXPECT_TRUE(system_->sw_recovery()->rolled_back[shared.value()]);
+  EXPECT_EQ(system_->sw_recovery()->rollback_distance[shared.value()],
+            detected - anchored);
   // Both guarded components failed over to their shadows.
   EXPECT_FALSE(system_->engine(ProcessId{0}).alive());
   EXPECT_FALSE(system_->engine(ProcessId{1}).alive());
@@ -273,7 +281,7 @@ TEST_F(GeneralFixture, SoftwareRecoveryRecordsNothingWhileTracingIsOff) {
   system_->schedule_sw_error(system_->sim().now() + Duration::seconds(1), 0);
   settle();
   ASSERT_TRUE(system_->sw_recovery().has_value());
-  EXPECT_GT(system_->sw_recovery()->rolled_back, 0u);
+  EXPECT_GT(system_->sw_recovery()->rollbacks(), 0u);
   EXPECT_TRUE(system_->trace().events().empty());
 }
 
@@ -327,12 +335,13 @@ TEST_F(GeneralFixture, DecisionTableWithACrashedSurvivor) {
     EXPECT_EQ(r.detector, ProcessId{0});
     if (read_before_crash) {
       // No volatile record: left to the pending restart.
-      EXPECT_EQ(r.rolled_back, 0u);
+      EXPECT_EQ(r.rollbacks(), 0u);
       EXPECT_EQ(system_->trace().count(TraceKind::kRollback, high), 0u);
     } else {
       // The crashed node still holds its anchor ring, so the recovery
       // rolls it back from RAM the crash destroyed (ROADMAP item 1).
-      EXPECT_EQ(r.rolled_back, 1u);
+      EXPECT_TRUE(r.rolled_back[high.value()]);
+      EXPECT_EQ(r.rollbacks(), 1u);
       EXPECT_EQ(system_->trace().count(TraceKind::kRollback, high), 1u);
     }
     EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, shadow), 1u);

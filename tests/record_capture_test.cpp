@@ -191,7 +191,7 @@ TEST_F(RecordCaptureFixture, TakeoverReachesRecords) {
   c1_send(false);  // shadow logs a suppressed message (serialized role state)
   settle();
   system_->p1act().kill();
-  system_->p1sdw().set_guarded(false);
+  system_->p1sdw().end_guarded_operation();
   system_->p1sdw().takeover();
   settle();
   expect_records_fresh("shadow takeover");

@@ -145,7 +145,7 @@ TEST(GsuMiddlewareTest, DirtyProcessesRollBackOnRecovery) {
   ASSERT_TRUE(mw.wait_idle(5000ms));
   const auto stats = mw.recovery_stats();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_TRUE(stats->p2_rolled_back);
+  EXPECT_TRUE(stats->rolled_back[kP2.value()]);
   EXPECT_FALSE(mw.engine(kP2).dirty());
   mw.stop();
 }

@@ -53,8 +53,8 @@ TEST_F(SwRecoveryFixture, CleanProcessesRollForward) {
   system_->node(kP1Act).app().corrupt(7);
   c1_send(true);
   ASSERT_TRUE(system_->sw_recovery().has_value());
-  EXPECT_FALSE(system_->sw_recovery()->p2_rolled_back);
-  EXPECT_FALSE(system_->sw_recovery()->p1sdw_rolled_back);
+  EXPECT_FALSE(system_->sw_recovery()->rolled_back[kP2.value()]);
+  EXPECT_FALSE(system_->sw_recovery()->rolled_back[kP1Sdw.value()]);
   EXPECT_EQ(system_->trace().count(TraceKind::kRollForward), 2u);
 }
 
@@ -73,9 +73,11 @@ TEST_F(SwRecoveryFixture, DirtyP2RollsBackToCleanState) {
   system_->schedule_sw_error(detected);
   settle();
   ASSERT_TRUE(system_->sw_recovery().has_value());
-  EXPECT_TRUE(system_->sw_recovery()->p2_rolled_back);
-  EXPECT_EQ(system_->sw_recovery()->p2_rollback_distance, detected - anchored);
-  EXPECT_GT(system_->sw_recovery()->p2_rollback_distance, Duration::zero());
+  EXPECT_TRUE(system_->sw_recovery()->rolled_back[kP2.value()]);
+  EXPECT_EQ(system_->sw_recovery()->rollback_distance[kP2.value()],
+            detected - anchored);
+  EXPECT_GT(system_->sw_recovery()->rollback_distance[kP2.value()],
+            Duration::zero());
   // Rollback restored the pre-contamination state: taint gone, dirty gone.
   EXPECT_FALSE(system_->p2().dirty());
   EXPECT_FALSE(system_->node(kP2).app().tainted());
@@ -125,14 +127,14 @@ TEST_F(SwRecoveryFixture, DecisionTableLeavesACrashedSurvivorToItsRestart) {
 
   const auto& r = *system_->sw_recovery();
   EXPECT_EQ(r.detector, kP1Act);
-  EXPECT_FALSE(r.p2_rolled_back);
-  EXPECT_EQ(r.p2_rollback_distance, Duration::zero());
+  EXPECT_FALSE(r.rolled_back[kP2.value()]);
+  EXPECT_EQ(r.rollback_distance[kP2.value()], Duration::zero());
   EXPECT_EQ(system_->trace().count(TraceKind::kRollback, kP2), 0u);
   EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, kP2), 0u);
-  EXPECT_FALSE(r.p1sdw_rolled_back);
-  EXPECT_EQ(r.p1sdw_rollback_distance, Duration::zero());
+  EXPECT_FALSE(r.rolled_back[kP1Sdw.value()]);
+  EXPECT_EQ(r.rollback_distance[kP1Sdw.value()], Duration::zero());
   EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, kP1Sdw), 1u);
-  EXPECT_EQ(r.replayed_messages, 1u);  // sn 1, beyond VR = 0
+  EXPECT_EQ(r.replayed, 1u);  // sn 1, beyond VR = 0
 
   const std::uint32_t epoch = system_->p1sdw().epoch();
   EXPECT_GT(epoch, 0u);
@@ -167,7 +169,7 @@ TEST_F(SwRecoveryFixture, ReplayResendsOnlyBeyondVr) {
   // failed send, which its copy also logged as sn 4 before takeover —
   // takeover happens synchronously inside P1act's send, before P1sdw's
   // mirrored send, so only 2 and 3 are in its log).
-  EXPECT_EQ(system_->sw_recovery()->replayed_messages, 2u);
+  EXPECT_EQ(system_->sw_recovery()->replayed, 2u);
   settle();
   // P2 consumed the replacements as clean messages.
   EXPECT_FALSE(system_->p2().dirty());

@@ -521,9 +521,9 @@ int cmd_run(int argc, char** argv) {
   if (const auto& r = system.sw_recovery()) {
     std::printf("software recovery: detector=%s p1sdw=%s p2=%s replayed=%zu\n",
                 to_string(r->detector).c_str(),
-                r->p1sdw_rolled_back ? "rollback" : "roll-forward",
-                r->p2_rolled_back ? "rollback" : "roll-forward",
-                r->replayed_messages);
+                r->rolled_back[kP1Sdw.value()] ? "rollback" : "roll-forward",
+                r->rolled_back[kP2.value()] ? "rollback" : "roll-forward",
+                r->replayed);
   }
   for (const auto& rec : system.hw_recoveries()) {
     std::printf("hardware recovery: node=%u fault_t=%.1fs rollback=",
