@@ -6,6 +6,7 @@
 #include "analysis/checkers.hpp"
 #include "general/campaign.hpp"
 #include "general/system.hpp"
+#include "fence_probe.hpp"
 
 namespace synergy {
 namespace {
@@ -283,27 +284,6 @@ TEST_F(GeneralFixture, SoftwareRecoveryRecordsNothingWhileTracingIsOff) {
   ASSERT_TRUE(system_->sw_recovery().has_value());
   EXPECT_GT(system_->sw_recovery()->rollbacks(), 0u);
   EXPECT_TRUE(system_->trace().events().empty());
-}
-
-/// Feeds `p` a dirty-flagged message from one epoch below `epoch` and
-/// reports whether the process fenced it. A dead process is revived for
-/// the probe only.
-bool fences_dirty_below(CheckpointableProcess& p, const TraceLog& trace,
-                        std::uint32_t epoch, ProcessId from) {
-  Message m;
-  m.kind = MsgKind::kInternal;
-  m.sender = from;
-  m.receiver = p.self();
-  m.transport_seq = 1'000'000;
-  m.sn = 1'000'000;
-  m.epoch = epoch - 1;
-  m.dirty = true;
-  const std::size_t before = trace.count(TraceKind::kStaleDrop, p.self());
-  const bool alive = p.alive();
-  p.revive();
-  p.on_message(m);
-  if (!alive) p.kill();
-  return trace.count(TraceKind::kStaleDrop, p.self()) == before + 1;
 }
 
 // The survivors' decision table on the canonical topology (0: C0's

@@ -4,6 +4,7 @@
 
 #include "analysis/checkers.hpp"
 #include "core/system.hpp"
+#include "fence_probe.hpp"
 
 namespace synergy {
 namespace {
@@ -81,27 +82,6 @@ TEST_F(SwRecoveryFixture, DirtyP2RollsBackToCleanState) {
   // Rollback restored the pre-contamination state: taint gone, dirty gone.
   EXPECT_FALSE(system_->p2().dirty());
   EXPECT_FALSE(system_->node(kP2).app().tainted());
-}
-
-/// Feeds `p` a dirty-flagged message from one epoch below `epoch` and
-/// reports whether the process fenced it. A dead process is revived for
-/// the probe only.
-bool fences_dirty_below(CheckpointableProcess& p, const TraceLog& trace,
-                        std::uint32_t epoch, ProcessId from) {
-  Message m;
-  m.kind = MsgKind::kInternal;
-  m.sender = from;
-  m.receiver = p.self();
-  m.transport_seq = 1'000'000;
-  m.sn = 1'000'000;
-  m.epoch = epoch - 1;
-  m.dirty = true;
-  const std::size_t before = trace.count(TraceKind::kStaleDrop, p.self());
-  const bool alive = p.alive();
-  p.revive();
-  p.on_message(m);
-  if (!alive) p.kill();
-  return trace.count(TraceKind::kStaleDrop, p.self()) == before + 1;
 }
 
 // The survivors' decision table when a node is down: P2 crashed dirty and
