@@ -30,8 +30,8 @@ SwRecoveryStats recover_software(
   // 2. Local rollback / roll-forward decisions, based solely on each
   //    survivor's own contamination flag (no message exchange).
   for (std::size_t i = 0; i < processes.size(); ++i) {
-    CheckpointableProcess& p = *processes[i];
     if (terminated[i]) continue;
+    CheckpointableProcess& p = *processes[i];
     if (p.contamination_flag()) {
       // A live dirty process always has a volatile checkpoint: one was
       // established immediately before it became dirty.
@@ -51,6 +51,8 @@ SwRecoveryStats recover_software(
                       to_string(record->kind));
       }
     } else if (p.alive() && trace) {
+      // A crashed clean survivor is not rolled forward either: its
+      // restart decides its state.
       trace->record(now, p.self(), TraceKind::kRollForward);
     }
   }
