@@ -316,6 +316,7 @@ TEST_F(GeneralFixture, DecisionTableWithACrashedSurvivor) {
     if (read_before_crash) {
       // No volatile record: left to the pending restart.
       EXPECT_EQ(r.rollbacks(), 0u);
+      EXPECT_EQ(r.rollback_distance[high.value()], Duration::zero());
       EXPECT_EQ(system_->trace().count(TraceKind::kRollback, high), 0u);
     } else {
       // The crashed node still holds its anchor ring, so the recovery

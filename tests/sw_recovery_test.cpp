@@ -84,53 +84,67 @@ TEST_F(SwRecoveryFixture, DirtyP2RollsBackToCleanState) {
   EXPECT_FALSE(system_->node(kP2).app().tainted());
 }
 
-// The survivors' decision table when a node is down: P2 crashed dirty and
-// lost its volatile checkpoint with its RAM, so the recovery neither rolls
-// it back nor forward and leaves it to the pending restart; the clean
-// shadow rolls forward and replays its log. Every process, the retired
-// P1act and the crashed P2 included, carries the new epoch and fences the
-// dirty sends of the old one (no restart has run, so only the dirty fence
-// can drop the probe).
+// The survivors' decision table when a node is down, P2 dirty and P1sdw
+// clean. A crashed survivor lost its volatile checkpoint with its RAM, so
+// the recovery neither rolls it back nor forward and leaves it to the
+// pending restart, dirty (P2) or clean (P1sdw). A live dirty survivor
+// rolls back to its checkpoint and a live clean one rolls forward; the
+// shadow replays its log either way. Every process, the retired P1act and
+// the crashed one included, carries the new epoch and fences the dirty
+// sends of the old one (no restart has run, so only the dirty fence can
+// drop the probe).
 TEST_F(SwRecoveryFixture, DecisionTableLeavesACrashedSurvivorToItsRestart) {
-  build();
-  system_->node(kP1Act).app().corrupt(55);
-  c1_send(false);  // P2 absorbs it and turns dirty; P1sdw logs sn 1
-  settle();
-  ASSERT_TRUE(system_->p2().dirty());
-  const TimePoint crash = system_->sim().now() + Duration::seconds(1);
-  system_->schedule_hw_fault(crash, NodeId{2});
-  system_->schedule_sw_error(crash + Duration::millis(300));
-  system_->run_until(crash + Duration::millis(500));
-  ASSERT_TRUE(system_->sw_recovery().has_value());
-  ASSERT_TRUE(system_->hw_manager().recovery_pending());
-  ASSERT_FALSE(system_->p2().latest_volatile().has_value());
+  for (const ProcessId crashed : {kP2, kP1Sdw}) {
+    build();
+    system_->node(kP1Act).app().corrupt(55);
+    c1_send(false);  // P2 absorbs it and turns dirty; P1sdw logs sn 1
+    settle();
+    ASSERT_TRUE(system_->p2().dirty());
+    ASSERT_FALSE(system_->p1sdw().dirty());
+    const TimePoint anchored = system_->p2().latest_volatile()->state_time;
+    const TimePoint crash = system_->sim().now() + Duration::seconds(1);
+    const TimePoint detected = crash + Duration::millis(300);
+    system_->schedule_hw_fault(crash, NodeId{crashed.value()});
+    system_->schedule_sw_error(detected);
+    system_->run_until(crash + Duration::millis(500));
+    ASSERT_TRUE(system_->sw_recovery().has_value());
+    ASSERT_TRUE(system_->hw_manager().recovery_pending());
+    ASSERT_FALSE(
+        system_->node(crashed).engine().latest_volatile().has_value());
 
-  const auto& r = *system_->sw_recovery();
-  EXPECT_EQ(r.detector, kP1Act);
-  EXPECT_FALSE(r.rolled_back[kP2.value()]);
-  EXPECT_EQ(r.rollback_distance[kP2.value()], Duration::zero());
-  EXPECT_EQ(system_->trace().count(TraceKind::kRollback, kP2), 0u);
-  EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, kP2), 0u);
-  EXPECT_FALSE(r.rolled_back[kP1Sdw.value()]);
-  EXPECT_EQ(r.rollback_distance[kP1Sdw.value()], Duration::zero());
-  EXPECT_EQ(system_->trace().count(TraceKind::kRollForward, kP1Sdw), 1u);
-  EXPECT_EQ(r.replayed, 1u);  // sn 1, beyond VR = 0
+    const auto& r = *system_->sw_recovery();
+    const TraceLog& trace = system_->trace();
+    EXPECT_EQ(r.detector, kP1Act);
+    EXPECT_FALSE(r.rolled_back[crashed.value()]);
+    EXPECT_EQ(r.rollback_distance[crashed.value()], Duration::zero());
+    EXPECT_EQ(trace.count(TraceKind::kRollback, crashed), 0u);
+    EXPECT_EQ(trace.count(TraceKind::kRollForward, crashed), 0u);
+    if (crashed == kP2) {
+      EXPECT_FALSE(r.rolled_back[kP1Sdw.value()]);
+      EXPECT_EQ(r.rollback_distance[kP1Sdw.value()], Duration::zero());
+      EXPECT_EQ(trace.count(TraceKind::kRollForward, kP1Sdw), 1u);
+    } else {
+      EXPECT_TRUE(r.rolled_back[kP2.value()]);
+      EXPECT_EQ(r.rollback_distance[kP2.value()], detected - anchored);
+      EXPECT_EQ(trace.count(TraceKind::kRollback, kP2), 1u);
+    }
+    EXPECT_EQ(r.replayed, 1u);  // sn 1, beyond VR = 0
 
-  const std::uint32_t epoch = system_->p1sdw().epoch();
-  EXPECT_GT(epoch, 0u);
-  const ProcessId probe_from[] = {kP2, kP2, kP1Sdw};
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    MdcdEngine& engine = system_->node(ProcessId{i}).engine();
-    EXPECT_EQ(engine.epoch(), epoch) << i;
-    EXPECT_TRUE(
-        fences_dirty_below(engine, system_->trace(), epoch, probe_from[i]))
-        << i;
+    const std::uint32_t epoch = system_->p1sdw().epoch();
+    EXPECT_GT(epoch, 0u);
+    const ProcessId probe_from[] = {kP2, kP2, kP1Sdw};
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      MdcdEngine& engine = system_->node(ProcessId{i}).engine();
+      EXPECT_EQ(engine.epoch(), epoch) << i;
+      EXPECT_TRUE(fences_dirty_below(engine, trace, epoch, probe_from[i]))
+          << i;
+    }
+
+    system_->run_until(crash + Duration::seconds(3));
+    ASSERT_EQ(system_->hw_recoveries().size(), 1u);
+    EXPECT_FALSE(system_->node(crashed).crashed());
+    EXPECT_TRUE(system_->node(crashed).engine().alive());
   }
-
-  system_->run_until(crash + Duration::seconds(3));
-  ASSERT_EQ(system_->hw_recoveries().size(), 1u);
-  EXPECT_FALSE(system_->node(kP2).crashed());
-  EXPECT_TRUE(system_->p2().alive());
 }
 
 TEST_F(SwRecoveryFixture, ReplayResendsOnlyBeyondVr) {
